@@ -415,12 +415,12 @@ def _eval_imon(nu, beta, x, x_star, truncation):
 
 @lru_cache(maxsize=1 << 16)
 def _f_reference(nu: float, beta: float, x: float) -> ScaledReal:
-    return F(nu, beta, x, tol=1e-10)
+    return F(nu, beta, x)
 
 
 @lru_cache(maxsize=1 << 16)
 def _g_reference(nu: float, beta: float, x: float) -> ScaledReal:
-    return G(nu, beta, x, tol=1e-10)
+    return G(nu, beta, x)
 
 
 def _ref_struve_ratio(nu, beta, x, x_star):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import tables
 from .bounds import (
     Margin,
+    _f_reference,
     check,
     default_x_star,
     eval_bound,
@@ -25,7 +25,6 @@ from .bounds import (
     margin_status,
 )
 from .errors import DomainError
-from .integrals import F
 from .scaled import ScaledReal
 from .specfun import bessel_k_scaled, log_gamma, struve_l_scaled
 
@@ -194,26 +193,16 @@ class Report:
         return self.summary.get("violated", 0)
 
 
-# ---------------------------------------------------------------------------
-# cached references shared across harness operations
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=1 << 16)
-def _f_value(nu: float, beta: float, x: float) -> ScaledReal:
-    return F(nu, beta, x, tol=1e-10)
-
-
 def truncated_sum_error(nu: float, beta: float, x: float) -> float:
     """Table-1 metric: 1 - L5/F with the five-term truncated Struve sum."""
     l5 = eval_bound("LB-2.3", nu, beta, x, truncation=5)
-    return 1.0 - l5.ratio_to(_f_value(nu, beta, x))
+    return 1.0 - l5.ratio_to(_f_reference(nu, beta, x))
 
 
 def simple_upper_error(nu: float, beta: float, x: float) -> float:
     """Table-2 metric: U/F - 1 with the UB-GAU2 upper bound."""
     u = eval_bound("UB-GAU2", nu, beta, x)
-    return u.ratio_to(_f_value(nu, beta, x)) - 1.0
+    return u.ratio_to(_f_reference(nu, beta, x)) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +336,7 @@ def asymptotic_check() -> Report:
     # needs x = 2000 before the 2% tolerance becomes attainable
     for nu, x in ((0.0, 400.0), (1.0, 400.0), (5.0, 2000.0)):
         for beta in (0.25, 0.5):
-            f = _f_value(nu, beta, x)
+            f = _f_reference(nu, beta, x)
             norm = ScaledReal.from_log(
                 0.5 * math.log(2.0 * math.pi)
                 + math.log1p(-beta)

@@ -1,20 +1,27 @@
 r"""Evaluation of F(nu, beta, x) = integral_0^x exp(-beta t) t^nu L_nu(t) dt
-and its companion G with integrand t^nu L_{nu+1}(t), by mutually checking
-routes:
+and its companion G with integrand t^nu L_{nu+1}(t).
 
-* ``integral_quad``   -- adaptive quadrature of the integrand (the oracle);
-* ``integral_series`` -- incomplete-gamma series, valid for 0 < beta < 1;
-* ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
-* ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0;
-* ``F`` / ``G``       -- dispatchers choosing a route per (nu, beta).
-
-Termwise integration of the defining series gives, for nu > -1, 0 < beta < 1,
+``F`` and ``G`` evaluate both integrals for every nu > -1 and 0 <= beta <= 1
+with one engine, ``_termwise_log``: the Struve series integrated term by
+term, each term in the Kummer form of the incomplete gamma function
+(DLMF 8.7.1),
 
 .. math::
-    F_{\nu,\beta}(x) = \sum_{k\ge 0}
-        \frac{2^{-\nu-2k-1}\,\beta^{-2k-2\nu-2}}
-             {\Gamma(k+3/2)\,\Gamma(k+\nu+3/2)}\;
-        \gamma(2k+2\nu+2,\,\beta x).
+    F_{\nu,\beta}(x) = e^{-\beta x} \sum_{k\ge 0}
+        \frac{2^{-\nu-2k-1}\,x^{a_k}}
+             {\Gamma(k+3/2)\,\Gamma(k+\nu+3/2)}
+        \sum_{n\ge 0} \frac{(\beta x)^n}{(a_k)_{n+1}},
+    \qquad a_k = 2k + 2\nu + 2,
+
+and for G a_k = 2k + 2nu + 3 with Gamma(k+nu+5/2) in place of
+Gamma(k+nu+3/2).  All terms are positive, beta = 0 and beta = 1 included,
+and the cost is O(x) per call.  The other routes stay as oracles for the
+tests:
+
+* ``integral_quad``   -- adaptive quadrature of the integrand;
+* ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
+* ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0;
+* ``integral_series`` -- the engine's entry point for F at 0 < beta < 1.
 
 Everything is computed in log/scaled arithmetic so x up to 1000 (integrand
 mass ~ exp((1-beta) x)) stays in range.  The quadrature splits off the head
@@ -34,6 +41,7 @@ from .errors import ConvergenceError, DomainError
 from .scaled import ScaledReal
 from .specfun import (
     MAX_SERIES_TERMS,
+    _require_finite,
     log_gamma,
     lower_incomplete_gamma_log,
     pfq,
@@ -54,6 +62,8 @@ __all__ = [
 _NEG_INF = -math.inf
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
+_LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
+_EXP30 = math.exp(30.0)
 
 MAX_QUAD_PANELS = 4_000
 
@@ -108,6 +118,7 @@ class IntegralSpec:
             raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
         if not self.upper > 0.0:
             raise DomainError(f"upper limit must be positive, got {self.upper}")
+        _require_finite("integral", self.weight_power, self.order, self.upper)
 
 
 @dataclass(frozen=True)
@@ -221,7 +232,7 @@ def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, int]:
         if prev != _NEG_INF and cur != _NEG_INF and abs(cur - prev) <= 0.2 * tol:
             return cur, len(vals)
         prev = cur
-    return prev, len(vals)
+    raise ConvergenceError("tanh-sinh sum did not settle within 10 halvings")
 
 
 def _integrand_log(weight_power: float, order: float, beta: float):
@@ -299,11 +310,121 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
             raise ConvergenceError("quadrature subdivision cap exceeded")
 
 
-def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
-    """F by the incomplete-gamma series; nu > -1, 0 < beta < 1, x > 0.
+def _termwise_log(w: float, mu: float, beta: float, x: float) -> float:
+    r"""ln of integral_0^x e^{-beta t} t^w L_mu(t) dt for 0 <= beta <= 1, x > 0.
 
-    Stops once the (positive) terms are past their peak and the latest term
-    falls below 1e-15 of the partial sum.
+    Termwise integration of the Struve series gives sum_k T_k with
+
+    .. math::
+        T_k = d_k\,e^{-z} S(a_k, z), \quad z = \beta x, \quad
+        a_k = 2k + \mu + w + 2, \quad
+        d_k = \frac{2^{-2k-\mu-1}\,x^{a_k}}{\Gamma(k+3/2)\,\Gamma(k+\mu+3/2)},
+
+    where S(a, z) = sum_n z^n / (a)_{n+1} is the Kummer form
+    beta^{-a} gamma(a, beta x) = x^a e^{-z} S(a, z) (DLMF 8.7.1).  Every term
+    is positive for every beta in [0, 1], so nothing cancels.
+
+    The last index K is fixed first from the bounds 1/a <= S(a, z) <= e^z / a
+    and, for a + 1 > z, S(a, z) <= (a+1) / (a (a+1-z)): it is the first index
+    past the peak whose bounded tail is below 1e-17 of the smallest possible
+    sum.  S(a_K, z) is summed directly; S at every lower a_k then follows from
+    S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1), run downward in a, the
+    direction in which it only adds positive numbers (Gautschi, ACM TOMS 25,
+    1999).  S ~ e^z / a overflows for z > 709, so it is carried, like the
+    coefficients d_k (ratio (x^2/4) / ((k+3/2)(k+mu+3/2))), as a mantissa
+    with a running e^30 exponent shift; summing logs instead would lose about
+    K ulp(|ln T_k|), 1e-10 at x = 1000.  Raises ConvergenceError if the
+    dropped tail exceeds 1e-16 of the sum or a term cap is reached.
+    """
+    z = beta * x
+    q = 0.25 * x * x
+    a0 = mu + w + 2.0
+    log_d0 = (
+        a0 * math.log(x) - (mu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(mu + 1.5)
+    )
+    log_eps = math.log(1e-17)
+
+    # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]}, up to the last index K
+    d_mant: list[float] = []
+    d_shift: list[float] = []
+    m, shift = 1.0, 0.0
+    log_peak = _NEG_INF  # ln max_k d_k / a_k (relative to log_d0)
+    k = 0
+    while True:
+        a = a0 + 2.0 * k
+        d_mant.append(m)
+        d_shift.append(shift)
+        log_d = shift + math.log(m)
+        log_peak = max(log_peak, log_d - math.log(a))
+        r = q / ((k + 1.5) * (k + mu + 1.5))
+        if r <= 0.5:
+            # T_j <= d_j U_j with U_j decreasing in j, and d_{j+1} / d_j <= r,
+            # so the terms after K sum to at most d_K U_K r / (1 - r)
+            log_u = -math.log(a)
+            if a + 1.0 > z:
+                log_u = min(log_u, math.log((a + 1.0) / (a * (a + 1.0 - z))) - z)
+            log_tail = log_d + log_u + (math.log(r / (1.0 - r)) if r > 0.0 else _NEG_INF)
+            if log_tail <= log_eps + log_peak - z:
+                break
+        m *= r
+        if m < 1.0:
+            m *= _EXP30
+            shift -= 30.0
+        elif m > _EXP30:
+            m /= _EXP30
+            shift += 30.0
+        k += 1
+        if k > MAX_SERIES_TERMS:
+            raise ConvergenceError("termwise series term cap exceeded")
+
+    # S(a_K, z) = sum_n z^n / (a_K)_{n+1}, summed directly; once the term
+    # ratio rho is below 1 the rest is at most term rho / (1 - rho)
+    term = 1.0 / a
+    s = term
+    n = 0
+    while True:
+        n += 1
+        rho = z / (a + n)
+        term *= rho
+        s += term
+        if rho < 1.0 and term * rho <= 1e-17 * s * (1.0 - rho):
+            break
+        if n > MAX_SERIES_TERMS:
+            raise ConvergenceError("Kummer series term cap exceeded")
+
+    # downward in a: S = s e^{s_shift}, sum = total e^{log_d0 - z + t_shift}
+    s_shift = 0.0
+    one = 1.0  # 1 in units of e^{s_shift}
+    total = 0.0
+    t_shift = d_shift[k]
+    while True:
+        scale = d_shift[k] + s_shift
+        if scale > t_shift:
+            total *= math.exp(t_shift - scale)
+            t_shift = scale
+        total += d_mant[k] * s * math.exp(scale - t_shift)
+        if k == 0:
+            break
+        k -= 1
+        a = a0 + 2.0 * k
+        s = (one + z * s) / (a + 1.0)
+        s = (one + z * s) / a
+        if s > _EXP30:
+            s /= _EXP30
+            one /= _EXP30
+            s_shift += 30.0
+
+    log_sum = math.log(total) + t_shift
+    if log_tail > math.log(1e-16) + log_sum - z:
+        raise ConvergenceError("termwise series tail above 1e-16 of the sum")
+    return log_d0 - z + log_sum
+
+
+def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
+    """F by termwise integration in Kummer form; nu > -1, 0 < beta < 1, x > 0.
+
+    The same engine serves F and G for every beta in [0, 1]; this entry point
+    keeps the interior-beta domain of the incomplete-gamma series it names.
     """
     if not nu > -1.0:
         raise DomainError(f"series route requires nu > -1, got {nu}")
@@ -311,27 +432,8 @@ def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
         raise DomainError(f"series route requires 0 < beta < 1, got {beta}")
     if not x > 0.0:
         raise DomainError(f"series route requires x > 0, got {x}")
-    log_beta = math.log(beta)
-    bx = beta * x
-    total = ScaledReal.zero()
-    prev_lt = _NEG_INF
-    k = 0
-    while True:
-        a = 2.0 * k + 2.0 * nu + 2.0
-        lt = (
-            -(nu + 2.0 * k + 1.0) * _LN2
-            - a * log_beta
-            + lower_incomplete_gamma_log(a, bx)
-            - log_gamma(k + 1.5)
-            - log_gamma(k + nu + 1.5)
-        )
-        total = total + ScaledReal.from_log(lt)
-        if k > 2 and lt < prev_lt and lt - total.log_abs() < math.log(1e-15):
-            return total
-        prev_lt = lt
-        k += 1
-        if k > MAX_SERIES_TERMS:
-            raise ConvergenceError("incomplete-gamma series term cap exceeded")
+    _require_finite("series route", nu, x)
+    return ScaledReal.from_log(_termwise_log(nu, nu, beta, x))
 
 
 def integral_beta1(nu: float, x: float) -> ScaledReal:
@@ -343,6 +445,7 @@ def integral_beta1(nu: float, x: float) -> ScaledReal:
         raise DomainError(f"beta=1 closed form requires nu > -1/2, got {nu}")
     if not x > 0.0:
         raise DomainError(f"beta=1 closed form requires x > 0, got {x}")
+    _require_finite("beta=1 closed form", nu, x)
     struve_sum = struve_l_scaled(nu, x) + struve_l_scaled(nu + 1.0, x)
     first = ScaledReal.from_log(
         (nu + 1.0) * math.log(x) - math.log(2.0 * nu + 1.0)
@@ -366,6 +469,7 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
         raise DomainError(f"beta=0 closed form requires nu > -1, got {nu}")
     if not x > 0.0:
         raise DomainError(f"beta=0 closed form requires x > 0, got {x}")
+    _require_finite("beta=0 closed form", nu, x)
     hyp = pfq((1.0, nu + 1.0), (1.5, nu + 1.5, nu + 2.0), 0.25 * x * x)
     coeff = ScaledReal.from_log(
         (2.0 * nu + 2.0) * math.log(x)
@@ -377,48 +481,29 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
     return coeff * hyp.value
 
 
-_SERIES_BETA_MIN = 0.05  # the beta^(-2k-2nu-2) factor degrades below this
+def _integral(name: str, nu: float, order: float, beta: float, x: float) -> ScaledReal:
+    """integral_0^x e^{-beta t} t^nu L_order(t) dt with F/G argument checks."""
+    if not nu > -1.0:
+        raise DomainError(f"{name} requires nu > -1, got {nu}")
+    if not 0.0 <= beta <= 1.0:
+        raise DomainError(f"{name} requires beta in [0, 1], got {beta}")
+    if x < 0.0:
+        raise DomainError(f"{name} requires x >= 0, got {x}")
+    _require_finite(name, nu, x)
+    if x == 0.0:
+        return ScaledReal.zero()
+    return ScaledReal.from_log(_termwise_log(nu, order, beta, x))
 
 
-def F(nu: float, beta: float, x: float, tol: float = 1e-11) -> ScaledReal:
-    """F(nu, beta, x), dispatched to the best route for (nu, beta).
-
-    beta = 0 -> hypergeometric form; beta = 1 -> closed form (quadrature for
-    -1 < nu <= -1/2 where the closed form has no meaning); 0 < beta < 1 ->
-    incomplete-gamma series, falling back to quadrature for tiny beta or a
-    series failure.
+def F(nu: float, beta: float, x: float) -> ScaledReal:
+    """F(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_nu(t) dt, nu > -1,
+    0 <= beta <= 1, x >= 0, by termwise integration in Kummer form for every
+    beta (see ``_termwise_log``), summed to full double precision.
     """
-    if not nu > -1.0:
-        raise DomainError(f"F requires nu > -1, got {nu}")
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"F requires beta in [0, 1], got {beta}")
-    if x < 0.0:
-        raise DomainError(f"F requires x >= 0, got {x}")
-    if x == 0.0:
-        return ScaledReal.zero()
-    if beta == 0.0:
-        return integral_beta0(nu, x)
-    if beta == 1.0:
-        if nu > -0.5:
-            return integral_beta1(nu, x)
-        return integral_quad(IntegralSpec(nu, nu, beta, x), tol).value
-    if beta >= _SERIES_BETA_MIN:
-        try:
-            return integral_series(nu, beta, x)
-        except ConvergenceError:
-            pass
-    return integral_quad(IntegralSpec(nu, nu, beta, x), tol).value
+    return _integral("F", nu, nu, beta, x)
 
 
-def G(nu: float, beta: float, x: float, tol: float = 1e-11) -> ScaledReal:
-    """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, by
-    quadrature."""
-    if not nu > -1.0:
-        raise DomainError(f"G requires nu > -1, got {nu}")
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"G requires beta in [0, 1], got {beta}")
-    if x < 0.0:
-        raise DomainError(f"G requires x >= 0, got {x}")
-    if x == 0.0:
-        return ScaledReal.zero()
-    return integral_quad(IntegralSpec(nu, nu + 1.0, beta, x), tol).value
+def G(nu: float, beta: float, x: float) -> ScaledReal:
+    """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, by the
+    same termwise engine as F."""
+    return _integral("G", nu, nu + 1.0, beta, x)

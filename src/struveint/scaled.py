@@ -98,7 +98,12 @@ class ScaledReal:
             )
         if self.exponent < -746.0:
             return math.copysign(0.0, self.mantissa)
-        return self.mantissa * math.exp(self.exponent)
+        value = self.mantissa * math.exp(self.exponent)
+        if math.isinf(value):  # exponent 709 with a mantissa above e^0.78
+            raise OverflowError(
+                f"scaled value exp({self.log_abs():.6g}) exceeds double range"
+            )
+        return value
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -86,6 +86,13 @@ class SeriesResult:
     truncation_estimate: float  # relative tail bound
 
 
+def _require_finite(what: str, *args: float) -> None:
+    """DomainError for a nan or infinite argument, before any loop sees it."""
+    for v in args:
+        if not math.isfinite(v):
+            raise DomainError(f"{what} requires finite arguments, got {args}")
+
+
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0 (Lanczos, evaluated in log form)."""
     if not x > 0.0:
@@ -159,6 +166,7 @@ def _ligamma_cf_log(a: float, x: float) -> float:
 
 def lower_incomplete_gamma_log(a: float, x: float) -> float:
     """ln gamma(a, x); -inf at x = 0."""
+    _require_finite("lower incomplete gamma", a, x)
     if not a > 0.0:
         raise DomainError(f"lower incomplete gamma requires a > 0, got a={a}")
     if x < 0.0:
@@ -267,6 +275,7 @@ def _ascending_series(log_t0: float, q: float, offset_a: float, offset_b: float)
 
 
 def _check_struve_args(nu: float, x: float) -> None:
+    _require_finite("Struve L", nu, x)
     if not nu > -1.5:
         raise DomainError(f"Struve L requires nu > -3/2, got nu={nu}")
     if x < 0.0:
@@ -318,6 +327,7 @@ def _bessel_i_raw(nu: float, x: float) -> ScaledReal:
 
 
 def _check_bessel_i_args(nu: float, x: float) -> None:
+    _require_finite("Bessel I", nu, x)
     if nu < -1.0 and nu != math.floor(nu):
         raise DomainError(f"Bessel I supported for nu >= -1 or integer nu, got {nu}")
     if x < 0.0:
@@ -408,21 +418,22 @@ def _bessel_k_scaled_log(nu: float, x: float) -> float:
         if abs(cur - prev) < 1e-14:
             return cur
         prev = cur
-    return prev
+    raise ConvergenceError("Bessel K trapezoid sum did not settle within 7 halvings")
 
 
-def _check_bessel_k_args(x: float) -> None:
+def _check_bessel_k_args(nu: float, x: float) -> None:
+    _require_finite("Bessel K", nu, x)
     if not x > 0.0:
         raise DomainError(f"Bessel K requires x > 0, got x={x}")
 
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function K_nu(x), x > 0 (even in nu)."""
-    _check_bessel_k_args(x)
+    _check_bessel_k_args(nu, x)
     return ScaledReal.from_log(_bessel_k_scaled_log(nu, x) - x).to_float()
 
 
 def bessel_k_scaled(nu: float, x: float) -> ScaledReal:
     """exp(x) * K_nu(x) as a ScaledReal."""
-    _check_bessel_k_args(x)
+    _check_bessel_k_args(nu, x)
     return ScaledReal.from_log(_bessel_k_scaled_log(nu, x))

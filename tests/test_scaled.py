@@ -88,6 +88,23 @@ def test_overflow_to_float():
     assert math.isclose(ratio.to_float(), math.exp(5.0), rel_tol=1e-12)
 
 
+def test_to_float_overflow_edge():
+    # ln of the largest double is 709.7827...; from_log(709.9) has exponent 709
+    # and a mantissa above e^0.78, so the product overflows past the exponent
+    # check and must raise rather than return inf
+    below = ScaledReal.from_log(709.78)
+    assert math.isfinite(below.to_float())
+    assert math.isclose(below.to_float(), math.exp(709.78), rel_tol=1e-13)
+    assert math.isclose(
+        ScaledReal.from_log(709.78, sign=-1.0).to_float(), -math.exp(709.78), rel_tol=1e-13
+    )
+    for lv in (709.79, 709.9, 709.999):
+        with pytest.raises(OverflowError):
+            ScaledReal.from_log(lv).to_float()
+        with pytest.raises(OverflowError):
+            ScaledReal.from_log(lv, sign=-1.0).to_float()
+
+
 def test_underflow_to_zero():
     tiny = ScaledReal.from_log(-1e5)
     assert tiny.to_float() == 0.0

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from struveint import specfun
 from struveint.errors import ConvergenceError, DomainError
+from struveint.integrals import (
+    F,
+    G,
+    IntegralSpec,
+    integral_beta0,
+    integral_beta1,
+    integral_series,
+)
 from struveint.specfun import (
     bessel_i,
     bessel_i_scaled,
@@ -430,3 +439,48 @@ def test_series_cap_is_hard_error():
     with pytest.raises(ConvergenceError):
         # far beyond any supported argument; the term cap must trip, not hang
         struve_l_scaled(0.0, 1e6)
+
+
+def test_bessel_k_raises_when_unsettled(monkeypatch):
+    # a rough integrand keeps successive trapezoid sums apart, so after the
+    # last halving the rule must raise rather than return its last sum
+    monkeypatch.setattr(specfun, "_log_cosh", lambda u: math.sin(1e6 * u))
+    specfun._bessel_k_scaled_log.cache_clear()
+    try:
+        with pytest.raises(ConvergenceError, match="halvings"):
+            specfun._bessel_k_scaled_log(0.5, 1.0)
+    finally:
+        specfun._bessel_k_scaled_log.cache_clear()
+
+
+_NON_FINITE_CALLS = [
+    (fn, args)
+    for fn, good in (
+        (F, (1.0, 0.5, 2.0)),
+        (G, (1.0, 0.5, 2.0)),
+        (integral_series, (1.0, 0.5, 2.0)),
+        (integral_beta0, (1.0, 2.0)),
+        (integral_beta1, (1.0, 2.0)),
+        (IntegralSpec, (1.0, 1.0, 0.5, 2.0)),
+        (struve_l, (1.0, 2.0)),
+        (struve_l_scaled, (1.0, 2.0)),
+        (bessel_i, (1.0, 2.0)),
+        (bessel_i_scaled, (1.0, 2.0)),
+        (bessel_k, (1.0, 2.0)),
+        (bessel_k_scaled, (1.0, 2.0)),
+        (lower_incomplete_gamma, (1.0, 2.0)),
+        (lower_incomplete_gamma_log, (1.0, 2.0)),
+    )
+    for slot in (0, len(good) - 1)  # the order (or a) and the argument x
+    for bad in (math.nan, math.inf)
+    for args in [good[:slot] + (bad,) + good[slot + 1:]]
+]
+
+
+@pytest.mark.parametrize(
+    "fn,args", _NON_FINITE_CALLS, ids=[f"{fn.__name__}{args}" for fn, args in _NON_FINITE_CALLS]
+)
+def test_non_finite_input_is_domain_error(fn, args):
+    # rejected up front: no series or quadrature loop may see nan or inf
+    with pytest.raises(DomainError):
+        fn(*args)

@@ -49,11 +49,11 @@ from .errors import ConvergenceError, DomainError, ValidityError
 from .integrals import F, G
 from .scaled import ScaledReal
 from .specfun import (
-    bessel_i_scaled,
-    bessel_k_scaled,
+    bessel_i_scaled_log,
+    bessel_k_scaled_log,
     log_gamma,
     lower_incomplete_gamma_log,
-    struve_l_scaled,
+    struve_l_scaled_log,
 )
 
 __all__ = [
@@ -205,19 +205,26 @@ def product_asymptote(kind: str, nu: float) -> ProductAsymptote:
 
 
 # ---------------------------------------------------------------------------
-# shared scaled building blocks
+# shared building blocks
+#
+# Bound values are summed as logs and become one ScaledReal each.  The logs
+# of the scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
+# (1-beta) x + nu ln x is added last and rounded once, at ulp(x) ~ 1e-13 for
+# x = 1000.
 # ---------------------------------------------------------------------------
 
 
-def _weighted_struve(nu: float, beta: float, x: float, shift: float) -> ScaledReal:
-    """e^{-beta x} x^nu L_{nu+shift}(x) in scaled arithmetic."""
-    prefactor = ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x))
-    return prefactor * struve_l_scaled(nu + shift, x)
+def _weighted_struve(
+    nu: float, beta: float, x: float, shift: float, factor: float = 1.0
+) -> ScaledReal:
+    """factor e^{-beta x} x^nu L_{nu+shift}(x) for a factor > 0."""
+    small = math.log(factor) + struve_l_scaled_log(nu + shift, x)
+    return ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x) + small)
 
 
-def _gamma_term(nu: float, beta: float, x: float) -> ScaledReal:
-    """gamma(2nu+1, beta x) / (sqrt(pi) 2^nu beta^{2nu+1} Gamma(nu+3/2))."""
-    return ScaledReal.from_log(
+def _gamma_term_log(nu: float, beta: float, x: float) -> float:
+    """ln(gamma(2nu+1, beta x) / (sqrt(pi) 2^nu beta^{2nu+1} Gamma(nu+3/2)))."""
+    return (
         lower_incomplete_gamma_log(2.0 * nu + 1.0, beta * x)
         - _LN_SQRT_PI
         - nu * _LN2
@@ -226,45 +233,43 @@ def _gamma_term(nu: float, beta: float, x: float) -> ScaledReal:
     )
 
 
-def _struve_sum(nu: float, beta: float, x: float, truncation: int | None) -> ScaledReal:
-    """sum_k beta^k L_{nu+k+1}(x), scaled by e^{-x}.
+def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) -> float:
+    """ln(e^{-x} sum_k beta^k L_{nu+k+1}(x)).
 
     With ``truncation`` = K the sum takes exactly the first K terms
     (k = 0..K-1).  Otherwise terms are added until the geometric tail bound
     beta^k L_{nu+k+1}(x)/(1-beta) falls below 1e-12 of the partial sum; the
     bound is valid because L decreases in the order along the summed terms
-    (orders nu+k+2 >= 1/2 for every k >= 0 once nu > -1).
+    (orders nu+k+2 >= 1/2 for every k >= 0 once nu > -1).  For the same
+    reason the first term is the largest, so the sum is carried as a plain
+    float in units of it.
     """
+    if truncation is not None and int(truncation) < 1:
+        raise DomainError(f"truncation must be >= 1, got {truncation}")
+    lead = struve_l_scaled_log(nu + 1.0, x)
+    total = 1.0
     if truncation is not None:
-        terms = int(truncation)
-        if terms < 1:
-            raise DomainError(f"truncation must be >= 1, got {truncation}")
-        total = ScaledReal.zero()
-        for k in range(terms):
-            total = total + struve_l_scaled(nu + k + 1.0, x).scale(beta**k)
-        return total
-    total = ScaledReal.zero()
+        for k in range(1, int(truncation)):
+            total += beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
+        return lead + math.log(total)
+    tail_rel = _LB23_TAIL_REL * (1.0 - beta) / beta
+    term = 1.0
     k = 0
-    log_tail_factor = -math.log1p(-beta)
-    while True:
-        term = struve_l_scaled(nu + k + 1.0, x).scale(beta**k)
-        total = total + term
-        tail_log = (
-            math.log(beta) + term.log_abs() + log_tail_factor - total.log_abs()
-        )
-        if tail_log < math.log(_LB23_TAIL_REL):
-            return total
+    while term >= tail_rel * total:  # beta term / (1 - beta) >= 1e-12 total
         k += 1
         if k > _LB23_TERM_CAP:
             raise ConvergenceError("LB-2.3 term cap exceeded")
+        term = beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
+        total += term
+    return lead + math.log(total)
 
 
 def _lower_combination(
     nu: float, beta: float, x: float, coefficient: float
 ) -> ScaledReal:
     """(coefficient * e^{-bx} x^nu L_nu(x) - gamma term) / (1 - beta)."""
-    main = _weighted_struve(nu, beta, x, 0.0).scale(coefficient)
-    return (main - _gamma_term(nu, beta, x)).scale(1.0 / (1.0 - beta))
+    main = _weighted_struve(nu, beta, x, 0.0, 1.0 / (1.0 - beta)).scale(coefficient)
+    return main - ScaledReal.from_log(_gamma_term_log(nu, beta, x) - math.log1p(-beta))
 
 
 def _kl_upper_const(nu: float) -> float:
@@ -287,8 +292,9 @@ def _eval_lb22(nu, beta, x, x_star, truncation):
 
 
 def _eval_lb23(nu, beta, x, x_star, truncation):
-    prefactor = ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x))
-    return prefactor * _struve_sum(nu, beta, x, truncation)
+    return ScaledReal.from_log(
+        (1.0 - beta) * x + nu * math.log(x) + _struve_sum_log(nu, beta, x, truncation)
+    )
 
 
 def _eval_lb26(nu, beta, x, x_star, truncation):
@@ -302,49 +308,53 @@ def _eval_lb_prior(nu, beta, x, x_star, truncation):
 
 def _eval_ub24(nu, beta, x, x_star, truncation):
     c = (2.0 * nu + 29.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0).scale(c)
+    return _weighted_struve(nu, beta, x, 1.0, c)
 
 
 def _eval_ub25(nu, beta, x, x_star, truncation):
     c = (2.0 * nu + 15.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 0.0).scale(c)
+    return _weighted_struve(nu, beta, x, 0.0, c)
 
 
 def _eval_ub_gau1(nu, beta, x, x_star, truncation):
     c = 2.0 * (nu + 1.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0).scale(c)
+    return _weighted_struve(nu, beta, x, 1.0, c)
 
 
 def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
     # e^{-bx} x^nu (2(nu+1) L_{nu+1} - L_{nu+3} - x^{nu+2}/(sqrt(pi) 2^{nu+2}
-    # (nu+1) Gamma(nu+5/2))) / ((2nu+1)(1-b)), everything in e^{-x} units
-    inner = (
-        struve_l_scaled(nu + 1.0, x).scale(2.0 * (nu + 1.0))
-        - struve_l_scaled(nu + 3.0, x)
-        - ScaledReal.from_log(
-            (nu + 2.0) * math.log(x)
-            - _LN_SQRT_PI
-            - (nu + 2.0) * _LN2
-            - math.log(nu + 1.0)
-            - log_gamma(nu + 2.5)
-            - x
-        )
+    # (nu+1) Gamma(nu+5/2))) / ((2nu+1)(1-b)); each term in e^{-x} units
+    log_x = math.log(x)
+    large = (1.0 - beta) * x + nu * log_x
+    c = -math.log((2.0 * nu + 1.0) * (1.0 - beta))
+    power = (
+        (nu + 2.0) * log_x
+        - _LN_SQRT_PI
+        - (nu + 2.0) * _LN2
+        - math.log(nu + 1.0)
+        - log_gamma(nu + 2.5)
+        - x
     )
-    prefactor = ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x))
-    return (prefactor * inner).scale(1.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
+    return (
+        ScaledReal.from_log(
+            large + (c + math.log(2.0 * (nu + 1.0)) + struve_l_scaled_log(nu + 1.0, x))
+        )
+        - ScaledReal.from_log(large + (c + struve_l_scaled_log(nu + 3.0, x)))
+        - ScaledReal.from_log(large + (c + power))
+    )
 
 
 def _eval_ub_gau2(nu, beta, x, x_star, truncation):
-    return _weighted_struve(nu, beta, x, 0.0).scale(1.0 / (1.0 - beta))
+    return _weighted_struve(nu, beta, x, 0.0, 1.0 / (1.0 - beta))
 
 
 def _eval_ub_anu(nu, beta, x, x_star, truncation):
     c = a_factor(nu) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0).scale(c)
+    return _weighted_struve(nu, beta, x, 1.0, c)
 
 
 def _eval_ub38(nu, beta, x, x_star, truncation):
-    return _weighted_struve(nu, beta, x, 1.0).scale(m_factor(nu, beta, x_star))
+    return _weighted_struve(nu, beta, x, 1.0, m_factor(nu, beta, x_star))
 
 
 def _eval_rb31(nu, beta, x, x_star, truncation):
@@ -352,7 +362,7 @@ def _eval_rb31(nu, beta, x, x_star, truncation):
 
 
 def _eval_rb_aug18(nu, beta, x, x_star, truncation):
-    i_ratio = bessel_i_scaled(nu - 1.0, x).ratio_to(bessel_i_scaled(nu, x))
+    i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
     return ScaledReal.from_float(1.0 / (i_ratio + 1.0 / x))
 
 
@@ -424,23 +434,28 @@ def _g_reference(nu: float, beta: float, x: float) -> ScaledReal:
 
 
 def _ref_struve_ratio(nu, beta, x, x_star):
-    return struve_l_scaled(nu, x) / struve_l_scaled(nu - 1.0, x)
+    log_ratio = struve_l_scaled_log(nu, x) - struve_l_scaled_log(nu - 1.0, x)
+    return ScaledReal.from_log(log_ratio)
 
 
 def _ref_bessel_i_ratio(nu, beta, x, x_star):
-    return bessel_i_scaled(nu, x) / bessel_i_scaled(nu - 1.0, x)
+    log_ratio = bessel_i_scaled_log(nu, x) - bessel_i_scaled_log(nu - 1.0, x)
+    return ScaledReal.from_log(log_ratio)
 
 
 def _ref_bessel_k_ratio(nu, beta, x, x_star):
-    return bessel_k_scaled(nu, x) / bessel_k_scaled(nu - 1.0, x)
+    log_ratio = bessel_k_scaled_log(nu, x) - bessel_k_scaled_log(nu - 1.0, x)
+    return ScaledReal.from_log(log_ratio)
 
 
 def _kl_product(k_shift: float, l_shift: float):
     # x K_{nu+k_shift}(x) L_{nu+l_shift}(x); the e^{+-x} scalings cancel
     def ref(nu, beta, x, x_star):
-        return (
-            bessel_k_scaled(nu + k_shift, x) * struve_l_scaled(nu + l_shift, x)
-        ).scale(x)
+        return ScaledReal.from_log(
+            math.log(x)
+            + bessel_k_scaled_log(nu + k_shift, x)
+            + struve_l_scaled_log(nu + l_shift, x)
+        )
 
     return ref
 
@@ -448,8 +463,10 @@ def _kl_product(k_shift: float, l_shift: float):
 def _k_weighted(s: float):
     # e^{beta x} K_{nu+s}(x) x^{1-nu} F(nu, beta, x)
     def ref(nu, beta, x, x_star):
-        prefactor = ScaledReal.from_log((beta - 1.0) * x + (1.0 - nu) * math.log(x))
-        return prefactor * bessel_k_scaled(nu + s, x) * _f_reference(nu, beta, x)
+        k_part = ScaledReal.from_log(
+            (beta - 1.0) * x + (1.0 - nu) * math.log(x) + bessel_k_scaled_log(nu + s, x)
+        )
+        return k_part * _f_reference(nu, beta, x)
 
     return ref
 

@@ -26,7 +26,7 @@ from .bounds import (
 )
 from .errors import DomainError
 from .scaled import ScaledReal
-from .specfun import bessel_k_scaled, log_gamma, struve_l_scaled
+from .specfun import bessel_k_scaled, log_gamma, struve_l_scaled, struve_l_scaled_log
 
 __all__ = [
     "GridSpec",
@@ -356,13 +356,13 @@ def asymptotic_check() -> Report:
     #     stays inside the 1% tolerance at x = 400
     nu, beta, x = -0.25, 0.5, 400.0
     for n in (0.0, 1.0, 3.0):
-        val = struve_l_scaled(nu + n, x) * ScaledReal.from_log(
-            0.5 * math.log(2.0 * math.pi * x)
+        val = math.exp(
+            struve_l_scaled_log(nu + n, x) + 0.5 * math.log(2.0 * math.pi * x)
         )
         record(
             "weighted-struve-large-x",
             f"nu={nu} n={n} beta={beta} x={x}",
-            val.to_float(),
+            val,
             1.0,
             0.01,
         )
@@ -371,7 +371,7 @@ def asymptotic_check() -> Report:
     x = 1e-2
     for nu in (-0.5, 0.0, 1.0, 5.0):
         lead = (
-            struve_l_scaled(nu, x).log_abs()
+            struve_l_scaled_log(nu, x)
             + x
             + 0.5 * math.log(math.pi)
             + nu * math.log(2.0)

@@ -46,6 +46,7 @@ from .specfun import (
     lower_incomplete_gamma_log,
     pfq,
     struve_l_scaled,
+    struve_l_scaled_log,
 )
 
 __all__ = [
@@ -66,6 +67,12 @@ _LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 _EXP30 = math.exp(30.0)
 
 MAX_QUAD_PANELS = 4_000
+# integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
+# near the origin the integrand is t^(s-1) with s = weight_power + order + 2,
+# so the tanh-sinh head walk needs of order 1/s nodes per halving (it hits
+# its node cap for s <= 0.03) and drops about e^(-700 s) of the head's mass
+# (7e-13 at s = 0.04) past its cutoff
+_QUAD_MIN_EXPONENT = 0.04
 
 # Gauss-Kronrod 15(7) abscissae/weights on [-1, 1] (standard published set).
 _KRONROD_X = (
@@ -239,11 +246,10 @@ def _integrand_log(weight_power: float, order: float, beta: float):
     def logf(t: float) -> float:
         if 0.5 * t == 0.0:
             return _NEG_INF
-        ls = struve_l_scaled(order, t)
-        if ls.is_zero:
-            return _NEG_INF
         # e^{-beta t} t^a L(t) = e^{(1-beta) t} t^a (e^{-t} L(t))
-        return (1.0 - beta) * t + weight_power * math.log(t) + ls.log_abs()
+        return (
+            (1.0 - beta) * t + weight_power * math.log(t) + struve_l_scaled_log(order, t)
+        )
 
     return logf
 
@@ -251,11 +257,18 @@ def _integrand_log(weight_power: float, order: float, beta: float):
 def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
     """Adaptive quadrature oracle for the integral identified by ``spec``.
 
-    Refines until the global relative error estimate passes ``tol``;
-    raises ConvergenceError past the panel cap.
+    Supports weight_power + order >= -1.96 (nu >= -0.98 for F's integrand)
+    and raises DomainError outside it.  Refines until the global relative
+    error estimate passes ``tol``; raises ConvergenceError past the panel cap.
     """
     if tol < 1e-13:
         raise DomainError(f"tol must be >= 1e-13, got {tol}")
+    if spec.weight_power + spec.order + 2.0 < _QUAD_MIN_EXPONENT:
+        raise DomainError(
+            "integral_quad supports weight_power + order >= "
+            f"{_QUAD_MIN_EXPONENT - 2.0:g} (nu >= {0.5 * _QUAD_MIN_EXPONENT - 1.0:g} "
+            f"for F), got {spec.weight_power} + {spec.order}"
+        )
     logf = _integrand_log(spec.weight_power, spec.order, spec.beta)
     x = spec.upper
     t1 = min(1.0, x)

@@ -62,9 +62,12 @@ class ScaledReal:
         """Build exp(log_value), optionally negated.  -inf maps to zero."""
         if log_value == -math.inf:
             return cls.zero()
-        k = float(math.floor(log_value))
-        m = math.exp(log_value - k)
-        return cls(*_normalize(math.copysign(m, sign), k))
+        k = math.floor(log_value)  # raises for +inf and nan
+        m = math.exp(log_value - k)  # in [1, e]: the fraction lies in [0, 1)
+        if m >= math.e:  # a fraction within an ulp of 1 rounds up to e
+            m /= math.e
+            k += 1
+        return cls(math.copysign(m, sign), float(k))
 
     # -- predicates ---------------------------------------------------------
 
@@ -165,7 +168,10 @@ class ScaledReal:
             raise OverflowError("ratio exceeds double range")
         if d < -746.0:
             return math.copysign(0.0, self.mantissa * other.mantissa)
-        return (self.mantissa / other.mantissa) * math.exp(d)
+        value = (self.mantissa / other.mantissa) * math.exp(d)
+        if math.isinf(value):  # gap 709 with a mantissa ratio above e^0.78
+            raise OverflowError("ratio exceeds double range")
+        return value
 
     # -- ordering (by value) ------------------------------------------------
 

@@ -17,6 +17,13 @@ or decays exponentially has a scaled companion returning a
 * ``bessel_i_scaled(nu, x)``  represents ``exp(-x) * I_nu(x)``
 * ``bessel_k_scaled(nu, x)``  represents ``exp(+x) * K_nu(x)``
 
+The kernels themselves work in the log domain: the cached L and I series
+return ln L and ln I, the cached K walker returns ln(exp(x) K), all plain
+floats.  ``struve_l_scaled_log``, ``bessel_i_scaled_log`` and
+``bessel_k_scaled_log`` give the log of each scaled function to callers that
+stay in logs; the plain and ``*_scaled`` functions build their float or
+``ScaledReal`` from the same cached values.
+
 Implementation choices: L and I are summed by direct ascending series with
 term recurrences (all terms positive for nu > -3/2, so no cancellation);
 running exponent extraction renormalizes the partial sum whenever it exceeds
@@ -50,10 +57,13 @@ __all__ = [
     "pfq",
     "struve_l",
     "struve_l_scaled",
+    "struve_l_scaled_log",
     "bessel_i",
     "bessel_i_scaled",
+    "bessel_i_scaled_log",
     "bessel_k",
     "bessel_k_scaled",
+    "bessel_k_scaled_log",
 ]
 
 MAX_SERIES_TERMS = 40_000
@@ -248,8 +258,10 @@ def pfq(
             )
 
 
-def _ascending_series(log_t0: float, q: float, offset_a: float, offset_b: float) -> ScaledReal:
-    """Sum of t0 * sum_k prod_{j<k} q / ((j+offset_a)(j+offset_b)).
+def _ascending_series_log(
+    log_t0: float, q: float, offset_a: float, offset_b: float
+) -> float:
+    """ln of t0 * sum_k prod_{j<k} q / ((j+offset_a)(j+offset_b)).
 
     Shared engine for the Struve L and Bessel I series: all terms positive,
     term ratio q / ((k+offset_a)(k+offset_b)).
@@ -271,10 +283,12 @@ def _ascending_series(log_t0: float, q: float, offset_a: float, offset_b: float)
             break
         if k > MAX_SERIES_TERMS:
             raise ConvergenceError("series term cap exceeded")
-    return ScaledReal.from_log(log_t0 + shift + math.log(s))
+    return log_t0 + shift + math.log(s)
 
 
 def _check_struve_args(nu: float, x: float) -> None:
+    if -1.5 < nu < math.inf and 0.0 <= x < math.inf:  # valid: one comparison chain
+        return
     _require_finite("Struve L", nu, x)
     if not nu > -1.5:
         raise DomainError(f"Struve L requires nu > -3/2, got nu={nu}")
@@ -283,14 +297,14 @@ def _check_struve_args(nu: float, x: float) -> None:
 
 
 @lru_cache(maxsize=1 << 17)
-def _struve_l_raw(nu: float, x: float) -> ScaledReal:
-    """L_nu(x) as a ScaledReal (unscaled value)."""
+def _struve_l_raw(nu: float, x: float) -> float:
+    """ln L_nu(x); -inf where L_nu(x) = 0."""
     if 0.5 * x == 0.0:
         if nu > -1.0:
-            return ScaledReal.zero()
+            return -math.inf
         raise DomainError(f"L_nu(0) diverges for nu <= -1 (nu={nu})")
     log_t0 = (nu + 1.0) * math.log(0.5 * x) - log_gamma(1.5) - log_gamma(nu + 1.5)
-    return _ascending_series(log_t0, 0.25 * x * x, 1.5, nu + 1.5)
+    return _ascending_series_log(log_t0, 0.25 * x * x, 1.5, nu + 1.5)
 
 
 def struve_l(nu: float, x: float) -> float:
@@ -300,30 +314,33 @@ def struve_l(nu: float, x: float) -> float:
     690); use struve_l_scaled there.
     """
     _check_struve_args(nu, x)
-    return _struve_l_raw(nu, x).to_float()
+    return ScaledReal.from_log(_struve_l_raw(nu, x)).to_float()
+
+
+def struve_l_scaled_log(nu: float, x: float) -> float:
+    """ln(exp(-x) * L_nu(x)); -inf at x = 0."""
+    _check_struve_args(nu, x)
+    return _struve_l_raw(nu, x) - x
 
 
 def struve_l_scaled(nu: float, x: float) -> ScaledReal:
     """exp(-x) * L_nu(x) as a ScaledReal."""
-    _check_struve_args(nu, x)
-    v = _struve_l_raw(nu, x)
-    if v.is_zero:
-        return v
-    return ScaledReal.from_log(v.log_abs() - x)
+    return ScaledReal.from_log(struve_l_scaled_log(nu, x))
 
 
 @lru_cache(maxsize=1 << 17)
-def _bessel_i_raw(nu: float, x: float) -> ScaledReal:
+def _bessel_i_raw(nu: float, x: float) -> float:
+    """ln I_nu(x); -inf where I_nu(x) = 0."""
     if nu < 0.0 and nu == math.floor(nu):
         nu = -nu  # integer order: I_{-n} = I_n
     if 0.5 * x == 0.0:
         if nu == 0.0:
-            return ScaledReal.one()
+            return 0.0
         if nu > 0.0:
-            return ScaledReal.zero()
+            return -math.inf
         raise DomainError(f"I_nu(0) diverges for negative non-integer nu={nu}")
     log_t0 = nu * math.log(0.5 * x) - log_gamma(nu + 1.0)
-    return _ascending_series(log_t0, 0.25 * x * x, 1.0, nu + 1.0)
+    return _ascending_series_log(log_t0, 0.25 * x * x, 1.0, nu + 1.0)
 
 
 def _check_bessel_i_args(nu: float, x: float) -> None:
@@ -337,16 +354,18 @@ def _check_bessel_i_args(nu: float, x: float) -> None:
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x); positive for nu >= -1, x > 0."""
     _check_bessel_i_args(nu, x)
-    return _bessel_i_raw(nu, x).to_float()
+    return ScaledReal.from_log(_bessel_i_raw(nu, x)).to_float()
+
+
+def bessel_i_scaled_log(nu: float, x: float) -> float:
+    """ln(exp(-x) * I_nu(x)); -inf where I_nu(x) = 0."""
+    _check_bessel_i_args(nu, x)
+    return _bessel_i_raw(nu, x) - x
 
 
 def bessel_i_scaled(nu: float, x: float) -> ScaledReal:
     """exp(-x) * I_nu(x) as a ScaledReal."""
-    _check_bessel_i_args(nu, x)
-    v = _bessel_i_raw(nu, x)
-    if v.is_zero:
-        return v
-    return ScaledReal.from_log(v.log_abs() - x)
+    return ScaledReal.from_log(bessel_i_scaled_log(nu, x))
 
 
 def _log_cosh(u: float) -> float:
@@ -422,18 +441,24 @@ def _bessel_k_scaled_log(nu: float, x: float) -> float:
 
 
 def _check_bessel_k_args(nu: float, x: float) -> None:
+    if -math.inf < nu < math.inf and 0.0 < x < math.inf:  # valid: one comparison chain
+        return
     _require_finite("Bessel K", nu, x)
     if not x > 0.0:
         raise DomainError(f"Bessel K requires x > 0, got x={x}")
 
 
+def bessel_k_scaled_log(nu: float, x: float) -> float:
+    """ln(exp(x) * K_nu(x)), x > 0 (even in nu)."""
+    _check_bessel_k_args(nu, x)
+    return _bessel_k_scaled_log(nu, x)
+
+
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel function K_nu(x), x > 0 (even in nu)."""
-    _check_bessel_k_args(nu, x)
-    return ScaledReal.from_log(_bessel_k_scaled_log(nu, x) - x).to_float()
+    return ScaledReal.from_log(bessel_k_scaled_log(nu, x) - x).to_float()
 
 
 def bessel_k_scaled(nu: float, x: float) -> ScaledReal:
     """exp(x) * K_nu(x) as a ScaledReal."""
-    _check_bessel_k_args(nu, x)
-    return ScaledReal.from_log(_bessel_k_scaled_log(nu, x))
+    return ScaledReal.from_log(bessel_k_scaled_log(nu, x))

@@ -18,6 +18,7 @@ from struveint.bounds import (
 )
 from struveint.errors import DomainError, ValidityError
 from struveint.integrals import F
+from struveint.scaled import ScaledReal
 from struveint.specfun import bessel_k_scaled, gamma_fn, struve_l, struve_l_scaled
 
 SQRT_PI = math.sqrt(math.pi)
@@ -262,3 +263,84 @@ def test_rb31_tight_in_both_limits():
     assert all(m > 0 for m in small + large)
     assert all(b < a for a, b in zip(small, small[1:]))  # -> 0 as x -> 0
     assert all(b < a for a, b in zip(large, large[1:]))  # -> 0 as x -> inf
+
+
+# ---------------------------------------------------------------------------
+# log-domain evaluators against the ScaledReal formulas they replace
+# ---------------------------------------------------------------------------
+
+_PIN_NUS = (-0.99, -0.49, 0.0, 0.5, 2.5, 10.0)
+_PIN_BETAS = (0.1, 0.5, 0.9, 0.99)
+_PIN_XS = tuple(0.01 * 10.0 ** (i / 4.0) for i in range(21))  # 0.01 .. 1000
+
+
+def _scaled_prefactor(nu, beta, x):
+    # e^{-beta x} x^nu in units of e^{-x}, as the kernels' scaled values use
+    return ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x))
+
+
+def _scaled_struve_sum(nu, beta, x, truncation):
+    """LB-2.3 summed term by term in ScaledReal arithmetic."""
+    total = ScaledReal.zero()
+    if truncation is not None:
+        for k in range(truncation):
+            total = total + struve_l_scaled(nu + k + 1.0, x).scale(beta**k)
+        return _scaled_prefactor(nu, beta, x) * total
+    k = 0
+    while True:
+        term = struve_l_scaled(nu + k + 1.0, x).scale(beta**k)
+        total = total + term
+        tail_log = math.log(beta) + term.log_abs() - math.log1p(-beta) - total.log_abs()
+        if tail_log < math.log(1e-12):
+            return _scaled_prefactor(nu, beta, x) * total
+        k += 1
+
+
+def _scaled_weighted(shift, factor):
+    def bound(nu, beta, x):
+        weighted = _scaled_prefactor(nu, beta, x) * struve_l_scaled(nu + shift, x)
+        return weighted.scale(factor(nu, beta))
+
+    return bound
+
+
+_SCALED_WEIGHTED = {
+    "LB-PRIOR": _scaled_weighted(1.0, lambda nu, b: 1.0),
+    "UB-2.4": _scaled_weighted(1.0, lambda nu, b: (2 * nu + 29) / (2 * nu + 1) / (1 - b)),
+    "UB-2.5": _scaled_weighted(0.0, lambda nu, b: (2 * nu + 15) / (2 * nu + 1) / (1 - b)),
+    "UB-GAU1": _scaled_weighted(1.0, lambda nu, b: 2 * (nu + 1) / (2 * nu + 1) / (1 - b)),
+    "UB-GAU2": _scaled_weighted(0.0, lambda nu, b: 1 / (1 - b)),
+    "UB-ANU": _scaled_weighted(1.0, lambda nu, b: a_factor(nu) / (2 * nu + 1) / (1 - b)),
+    "UB-3.8": _scaled_weighted(1.0, lambda nu, b: m_factor(nu, b, default_x_star(b))),
+}
+
+
+@pytest.mark.parametrize("truncation", (None, 1, 5))
+def test_lb23_log_sum_matches_scaled_sum(truncation):
+    worst = 0.0
+    for nu in _PIN_NUS:
+        for beta in _PIN_BETAS:
+            for x in _PIN_XS:
+                got = eval_bound("LB-2.3", nu, beta, x, truncation=truncation)
+                want = _scaled_struve_sum(nu, beta, x, truncation)
+                worst = max(worst, abs(got.ratio_to(want) - 1.0))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("bound_id", sorted(_SCALED_WEIGHTED))
+def test_weighted_struve_bounds_match_scaled_formulas(bound_id):
+    spec = get_bound(bound_id)
+    checked = 0
+    worst = 0.0
+    for nu in _PIN_NUS:
+        for beta in _PIN_BETAS:
+            x_star = default_x_star(beta) if spec.uses_x_star else None
+            for x in _PIN_XS:
+                if spec.validity(nu, beta, x, x_star) is not None:
+                    continue
+                got = eval_bound(bound_id, nu, beta, x, x_star=x_star)
+                want = _SCALED_WEIGHTED[bound_id](nu, beta, x)
+                worst = max(worst, abs(got.ratio_to(want) - 1.0))
+                checked += 1
+    assert checked >= 100
+    assert worst <= 1e-13

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,20 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         IntegralSpec(weight_power=1.0, order=1.0, beta=0.5, upper=0.0)
     IntegralSpec(weight_power=-0.9, order=-0.9, beta=0.0, upper=1.0)  # valid edge
+
+
+def test_quad_oracle_rejects_nu_near_minus_one_promptly():
+    # F's integrand t^(2nu+1) is too steep at the origin for the head walk
+    # below nu = -0.98; the oracle says so at once instead of walking to its
+    # node cap
+    for nu in (-0.99, -0.995):
+        for beta in (0.01, 1.0):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=r"nu >= -0\.98"):
+                integral_quad(IntegralSpec(nu, nu, beta, 5.0))
+            assert time.perf_counter() - start < 0.02
+    q = integral_quad(IntegralSpec(-0.98, -0.98, 0.5, 5.0), tol=1e-12).value
+    assert abs(F(-0.98, 0.5, 5.0).ratio_to(q) - 1.0) <= 1e-10
 
 
 def test_quad_tolerance_floor():

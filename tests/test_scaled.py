@@ -140,3 +140,44 @@ def test_scale_by_zero_and_division_by_zero():
 def test_non_finite_rejected():
     with pytest.raises(OverflowError):
         ScaledReal.from_float(math.inf) * ScaledReal.from_float(2.0)
+
+
+@pytest.mark.parametrize("k", (-700.0, -2.0, -1.0, 0.0, 1.0, 3.0, 700.0))
+def test_from_log_normal_form_at_integer_edges(k):
+    # exp of a fraction within an ulp of 1 rounds to e; the mantissa must
+    # still land in [1, e) with an integer exponent
+    edges = (k, math.nextafter(k, -math.inf), math.nextafter(k, math.inf),
+             math.nextafter(k + 1.0, -math.inf))
+    for lv in edges:
+        for sign in (1.0, -1.0):
+            s = ScaledReal.from_log(lv, sign=sign)
+            assert 1.0 <= abs(s.mantissa) < math.e, (lv, s)
+            assert s.exponent == round(s.exponent)
+            assert math.copysign(1.0, s.mantissa) == sign
+            assert math.isclose(s.log_abs(), lv, rel_tol=1e-15, abs_tol=1e-15)
+
+
+def test_from_log_rejects_inf_and_nan():
+    assert ScaledReal.from_log(-math.inf).is_zero
+    with pytest.raises(OverflowError):
+        ScaledReal.from_log(math.inf)
+    with pytest.raises(ValueError):
+        ScaledReal.from_log(math.nan)
+
+
+def test_ratio_to_overflow_edge():
+    # a gap of 709 passes the exponent check; with a mantissa ratio above
+    # e^0.78 the quotient overflows and must raise rather than return inf
+    one = ScaledReal.from_log(0.0)
+    assert math.isclose(
+        ScaledReal.from_log(709.0).ratio_to(one), math.exp(709.0), rel_tol=1e-13
+    )
+    assert math.isclose(
+        ScaledReal.from_log(1000.0).ratio_to(ScaledReal.from_log(291.0)),
+        math.exp(709.0),
+        rel_tol=1e-12,
+    )
+    for num, den in ((709.9, 0.0), (1000.9, 291.0)):
+        for sign in (1.0, -1.0):
+            with pytest.raises(OverflowError):
+                ScaledReal.from_log(num, sign=sign).ratio_to(ScaledReal.from_log(den))

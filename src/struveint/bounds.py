@@ -222,8 +222,13 @@ def _weighted_struve(
     return ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x) + small)
 
 
+@lru_cache(maxsize=1 << 16)
 def _gamma_term_log(nu: float, beta: float, x: float) -> float:
-    """ln(gamma(2nu+1, beta x) / (sqrt(pi) 2^nu beta^{2nu+1} Gamma(nu+3/2)))."""
+    """ln(gamma(2nu+1, beta x) / (sqrt(pi) 2^nu beta^{2nu+1} Gamma(nu+3/2))).
+
+    Cached: LB-2.1/2.2/2.6 and PB-2.7/2.8/2.9 share their (nu, beta, x)
+    points.
+    """
     return (
         lower_incomplete_gamma_log(2.0 * nu + 1.0, beta * x)
         - _LN_SQRT_PI

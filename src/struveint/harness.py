@@ -436,26 +436,28 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def _log_or_nan(value: ScaledReal) -> float:
-    if value.is_zero or value.sign < 0.0:
-        return math.nan
-    return value.log_abs()
+    """ln of a positive value; nan for zero or a negative value."""
+    return value.log_abs() if value.mantissa > 0.0 else math.nan
 
 
 def margins_csv(report: Report) -> str:
+    # one %-format per row; %.17g prints nan as "nan", as _fmt does, and a
+    # beta-free bound's None beta is passed as nan
     lines = ["bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status"]
+    nan = math.nan
     for row in report.rows:
+        margin = row.margin
         lines.append(
-            ",".join(
-                (
-                    row.bound_id,
-                    _fmt(row.nu),
-                    _fmt(row.beta),
-                    _fmt(row.x),
-                    _fmt(_log_or_nan(row.margin.bound_value)),
-                    _fmt(_log_or_nan(row.margin.reference_value)),
-                    _fmt(row.margin.signed_margin),
-                    row.status,
-                )
+            "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
+            % (
+                row.bound_id,
+                row.nu,
+                nan if row.beta is None else row.beta,
+                row.x,
+                _log_or_nan(margin.bound_value),
+                _log_or_nan(margin.reference_value),
+                margin.signed_margin,
+                row.status,
             )
         )
     return "\n".join(lines) + "\n"

@@ -18,7 +18,7 @@ or decays exponentially has a scaled companion returning a
 * ``bessel_k_scaled(nu, x)``  represents ``exp(+x) * K_nu(x)``
 
 The kernels themselves work in the log domain: the cached L and I series
-return ln L and ln I, the cached K walker returns ln(exp(x) K), all plain
+return ln L and ln I, the cached K kernel returns ln(exp(x) K), all plain
 floats.  ``struve_l_scaled_log``, ``bessel_i_scaled_log`` and
 ``bessel_k_scaled_log`` give the log of each scaled function to callers that
 stay in logs; the plain and ``*_scaled`` functions build their float or
@@ -27,12 +27,14 @@ stay in logs; the plain and ``*_scaled`` functions build their float or
 Implementation choices: L and I are summed by direct ascending series with
 term recurrences (all terms positive for nu > -3/2, so no cancellation);
 running exponent extraction renormalizes the partial sum whenever it exceeds
-e^30.  K_nu(x) is the double-exponential trapezoid evaluation of
-``integral_0^inf exp(-x cosh t) cosh(nu t) dt`` carried out on the scaled
-integrand.  The lower incomplete gamma uses the classical split: ascending
-series for x < a+1, Lentz continued fraction for the upper complement
-otherwise.  Gamma is a Lanczos rational approximation (g = 7, 9 terms),
-positive arguments only.
+e^30.  K_nu(x) is Temme's method (J. Comput. Phys. 19, 1975; Numerical
+Recipes 6.7): at the order mu = |nu| - n, |mu| <= 1/2, Temme's series for
+x < 2 or Steed's evaluation of the continued fraction CF2 for x >= 2 gives
+K_mu and K_{mu+1}, and the recurrence K_{m+1} = K_{m-1} + (2m/x) K_m climbs
+the n steps to nu, upward being the stable direction for K.  The lower
+incomplete gamma uses the classical split: ascending series for x < a+1,
+Lentz continued fraction for the upper complement otherwise.  Gamma is a
+Lanczos rational approximation (g = 7, 9 terms), positive arguments only.
 
 All functions are pure; none touch shared mutable state beyond memoization
 caches keyed by their arguments, so concurrent use is safe and results do
@@ -67,7 +69,6 @@ __all__ = [
 ]
 
 MAX_SERIES_TERMS = 40_000
-MAX_QUAD_NODES = 2_000
 
 _EXP30 = math.exp(30.0)
 _LN2 = math.log(2.0)
@@ -84,6 +85,37 @@ _LANCZOS = (
     -0.13857109526572012,
     9.9843695780195716e-6,
     1.5056327351493116e-7,
+)
+
+# Taylor coefficients of 1/Gamma(1+z) about z = 0 (DLMF 5.7.1), computed with
+# mpmath at 40 digits and regrouped for _bessel_k_temme: the odd coefficients,
+# negated, and the even ones, each highest power first as polynomials in z^2.
+# The first omitted term, in z^22, is below 5e-21 at |z| = 1/2.
+_TEMME_GAM1 = (
+    -5.100370287454476e-13,
+    -7.782263439905071e-12,
+    1.18127457048702e-09,
+    -6.116095104481416e-09,
+    -1.133027231981696e-06,
+    2.013485478078824e-05,
+    0.00021524167411495098,
+    -0.0072189432466631,
+    0.04219773455554433,
+    0.04200263503409524,
+    -0.5772156649015329,
+)
+_TEMME_GAM2 = (
+    -3.696805618642206e-12,
+    1.0434267116911005e-10,
+    5.002007644469223e-09,
+    -2.056338416977607e-07,
+    -1.2504934821426706e-06,
+    0.0001280502823881162,
+    -0.0011651675918590652,
+    -0.009621971527876973,
+    0.16653861138229148,
+    -0.6558780715202539,
+    1.0,
 )
 
 
@@ -368,76 +400,108 @@ def bessel_i_scaled(nu: float, x: float) -> ScaledReal:
     return ScaledReal.from_log(bessel_i_scaled_log(nu, x))
 
 
-def _log_cosh(u: float) -> float:
-    u = abs(u)
-    return u + math.log1p(math.exp(-2.0 * u)) - _LN2
+def _bessel_k_temme(mu: float, x: float) -> tuple[float, float]:
+    """(ln(exp(x) K_mu(x)), K_{mu+1}(x) / K_mu(x)) for |mu| <= 1/2,
+    0 < x < 2, by Temme's series (Temme 1975; Numerical Recipes 6.7)."""
+    mu2 = mu * mu
+    # gam1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and
+    # gam2 = (1/Gamma(1-mu) + 1/Gamma(1+mu)) / 2 as Taylor polynomials in mu,
+    # so mu -> 0 loses no digits
+    gam1 = 0.0
+    for c in _TEMME_GAM1:
+        gam1 = gam1 * mu2 + c
+    gam2 = 0.0
+    for c in _TEMME_GAM2:
+        gam2 = gam2 * mu2 + c
+    pimu = math.pi * mu
+    fact = pimu / math.sin(pimu) if pimu != 0.0 else 1.0
+    d = _LN2 - math.log(x)  # -ln(x/2); x/2 underflows at the least subnormal
+    e = mu * d
+    fact2 = math.sinh(e) / e if e != 0.0 else 1.0
+    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
+    e = math.exp(e)
+    p = 0.5 * e / (gam2 - mu * gam1)  # 1 / Gamma(1 + mu)
+    q = 0.5 / (e * (gam2 + mu * gam1))  # 1 / Gamma(1 - mu)
+    s = ff
+    s1 = p
+    c = 1.0
+    z = 0.25 * x * x
+    for i in range(1, MAX_SERIES_TERMS):
+        ff = (i * ff + p + q) / (i * i - mu2)
+        c *= z / i
+        p /= i - mu
+        q /= i + mu
+        term = c * ff
+        term1 = c * (p - i * ff)
+        s += term
+        s1 += term1
+        if abs(term) < 1e-16 * abs(s) and abs(term1) < 1e-16 * abs(s1):
+            break
+    else:
+        raise ConvergenceError("Bessel K Temme series cap exceeded")
+    return math.log(s) + x, s1 / s * (2.0 / x)
+
+
+def _bessel_k_steed(mu: float, x: float) -> tuple[float, float]:
+    """(ln(exp(x) K_mu(x)), K_{mu+1}(x) / K_mu(x)) for |mu| <= 1/2, x >= 2,
+    by Steed's evaluation of Temme's continued fraction CF2 (Temme 1975;
+    Numerical Recipes 6.7)."""
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h = delh = d
+    q1 = 0.0
+    q2 = 1.0
+    a1 = 0.25 - mu * mu
+    q = c = a1
+    a = -a1
+    s = 1.0 + q * delh
+    for i in range(2, MAX_SERIES_TERMS):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        qnew = (q1 - b * q2) / a
+        q1 = q2
+        q2 = qnew
+        q += c * qnew
+        b += 2.0
+        d = 1.0 / (b + a * d)
+        delh = (b * d - 1.0) * delh
+        h += delh
+        dels = q * delh
+        s += dels
+        if abs(dels) < 1e-16 * s:
+            break
+    else:
+        raise ConvergenceError("Bessel K continued fraction cap exceeded")
+    log_k = 0.5 * math.log(0.5 * math.pi / x) - math.log(s)
+    return log_k, (mu + x + 0.5 - a1 * h) / x
 
 
 @lru_cache(maxsize=1 << 17)
 def _bessel_k_scaled_log(nu: float, x: float) -> float:
-    """ln(exp(x) K_nu(x)) by the double-exponential trapezoid rule.
-
-    The scaled integrand exp(-x (cosh t - 1)) cosh(nu t) decays
-    double-exponentially in t, so the plain trapezoid sum converges
-    geometrically as the step is halved; node values are reused between
-    levels.  Node budget is MAX_QUAD_NODES.
+    """ln(exp(x) K_nu(x)) by Temme's series (x < 2) or Steed's CF2 (x >= 2)
+    at the order mu = |nu| - n, |mu| <= 1/2, then n steps of
+    K_{m+1} = K_{m-1} + (2m/x) K_m (DLMF 10.29.1) upward, the stable
+    direction for the dominant solution K.  The recurrence carries the ratio
+    K_{m+1}/K_m and multiplies the ratios into a mantissa and a binary
+    exponent (math.frexp rescales exactly), so no intermediate K overflows
+    and no running log sum rounds at the magnitude of ln K.
     """
     nu = abs(nu)
-
-    def g(t: float) -> float:
-        # exponent of the scaled integrand; cosh t - 1 written stably
-        return -2.0 * x * math.sinh(0.5 * t) ** 2 + _log_cosh(nu * t)
-
-    vals: dict[float, float] = {0.0: g(0.0)}
-    nodes = 1
-
-    def extend(h: float) -> None:
-        # walk outward; stop only in the decaying tail, else an interior
-        # peak already seen at a coarser level masks the nodes before it
-        nonlocal nodes
-        gmax = max(vals.values())
-        j = 1
-        streak = 0
-        prev = vals[0.0]
-        while True:
-            t = j * h
-            if t in vals:
-                v = vals[t]
-            else:
-                v = g(t)
-                vals[t] = v
-                nodes += 1
-                if nodes > MAX_QUAD_NODES:
-                    raise ConvergenceError("Bessel K node cap exceeded")
-                if v < gmax - 50.0 and v <= prev:
-                    streak += 1
-                    if streak >= 2:
-                        return
-                else:
-                    streak = 0
-            if v > gmax:
-                gmax = v
-            prev = v
-            j += 1
-
-    def total(h: float) -> float:
-        sel = [v for t, v in vals.items() if (t / h) == round(t / h)]
-        m = max(sel)
-        s = sum(math.exp(v - m) for v in sel)
-        s -= 0.5 * math.exp(vals[0.0] - m)  # half weight at t = 0
-        return math.log(h * s) + m
-
-    h = 0.5
-    extend(h)
-    prev = total(h)
-    for _ in range(7):
-        h *= 0.5
-        extend(h)
-        cur = total(h)
-        if abs(cur - prev) < 1e-14:
-            return cur
-        prev = cur
-    raise ConvergenceError("Bessel K trapezoid sum did not settle within 7 halvings")
+    n = int(nu + 0.5)
+    if n > MAX_SERIES_TERMS:
+        raise ConvergenceError("Bessel K order recurrence cap exceeded")
+    mu = nu - n
+    log_k, ratio = (_bessel_k_temme if x < 2.0 else _bessel_k_steed)(mu, x)
+    m = 1.0  # K_{mu+n}/K_mu = m * 2**e
+    e = 0
+    two_over_x = 2.0 / x
+    for i in range(1, n + 1):
+        m, step = math.frexp(m * ratio)
+        e += step
+        ratio = 1.0 / ratio + (mu + i) * two_over_x
+    if not math.isfinite(m):  # 2/x itself overflows: subnormal x
+        raise OverflowError(f"Bessel K recurrence overflows at x={x}")
+    return log_k + (math.log(m) + e * _LN2)
 
 
 def _check_bessel_k_args(nu: float, x: float) -> None:

@@ -1,9 +1,12 @@
 import pytest
 
-from struveint import tables
+from struveint import bounds, tables
+from struveint.bounds import Margin
 from struveint.errors import DomainError
 from struveint.harness import (
     GridSpec,
+    MarginRow,
+    Report,
     TABLE_TOLERANCE,
     asymptotic_check,
     default_grid,
@@ -18,6 +21,7 @@ from struveint.harness import (
     truncated_sum_error,
     verify_all,
 )
+from struveint.scaled import ScaledReal
 
 from tests.conftest import TABLE2_ERRATA, table2_metric_mpmath
 
@@ -229,6 +233,56 @@ def test_negative_bound_logs_as_nan_in_csv():
     row = out.strip().splitlines()[1]
     assert row.split(",")[4] == "nan"  # negative bound value has no log
     assert row.split(",")[7] == "strict"
+
+
+def test_margins_csv_fixed_text():
+    # a beta-free row (None beta), a zero and a negative bound value (no log:
+    # nan), 17 significant digits, and a negative margin
+    rows = (
+        MarginRow(
+            "IMON", 0.5, None, 0.05, None,
+            Margin(ScaledReal(1.0, 0.0), ScaledReal(1.0, -2.0), 0.1, True), "strict",
+        ),
+        MarginRow(
+            "LB-2.1", -0.25, 0.5, 0.05, None,
+            Margin(ScaledReal(-1.5, 3.0), ScaledReal(1.0, -3.0), 0.25, True), "strict",
+        ),
+        MarginRow(
+            "LB-2.3", -0.49, 0.9, 1000.0, None,
+            Margin(ScaledReal.zero(), ScaledReal(1.0, 7.5), 1e-300, False), "inconclusive",
+        ),
+        MarginRow(
+            "UB-3.8", 10.0, 0.75, 20.0, 8.0,
+            Margin(ScaledReal(1.0, 4.0), ScaledReal(1.0, 5.0), -0.125, False), "violated",
+        ),
+    )
+    assert margins_csv(Report(rows=rows, summary={})) == (
+        "bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status\n"
+        "IMON,0.5,nan,0.050000000000000003,0,-2,0.10000000000000001,strict\n"
+        "LB-2.1,-0.25,0.5,0.050000000000000003,nan,-3,0.25,strict\n"
+        "LB-2.3,-0.48999999999999999,0.90000000000000002,1000,nan,7.5,1e-300,inconclusive\n"
+        "UB-3.8,10,0.75,20,4,5,-0.125,violated\n"
+    )
+
+
+def test_default_sweep_lower_gamma_once_per_point(monkeypatch):
+    # LB-2.1/2.2/2.6 and PB-2.7/2.8/2.9 share the cached gamma term: one lower
+    # incomplete gamma per distinct (nu, beta, x), not one per check
+    calls = []
+    lower_gamma = bounds.lower_incomplete_gamma_log
+
+    def counted(a, x):
+        calls.append((a, x))
+        return lower_gamma(a, x)
+
+    monkeypatch.setattr(bounds, "lower_incomplete_gamma_log", counted)
+    bounds._gamma_term_log.cache_clear()
+    try:
+        report = verify_all(default_grid())
+    finally:
+        bounds._gamma_term_log.cache_clear()
+    assert report.summary["checked"] == 16525
+    assert len(calls) == len(set(calls)) == 1125
 
 
 def test_concurrent_evaluation_bit_identical():

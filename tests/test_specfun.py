@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -441,16 +442,62 @@ def test_series_cap_is_hard_error():
         struve_l_scaled(0.0, 1e6)
 
 
-def test_bessel_k_raises_when_unsettled(monkeypatch):
-    # a rough integrand keeps successive trapezoid sums apart, so after the
-    # last halving the rule must raise rather than return its last sum
-    monkeypatch.setattr(specfun, "_log_cosh", lambda u: math.sin(1e6 * u))
+_K_MPMATH_NUS = (0.0, 1e-9, 0.25, 0.49, 0.5, 0.51, 0.75, 0.9, 1.0, 1.5, 2.25, 5.0, 12.0, 13.0, 30.0)
+_K_MPMATH_XS = (1e-4, 0.05, 1.0, 1.999, 2.0, 2.001, 5.0, 100.0, 690.0, 1000.0)
+
+
+@pytest.mark.parametrize("nu", _K_MPMATH_NUS)
+def test_bessel_k_matches_mpmath(nu):
+    # mu = 0, mu = -1/2 (nu = 0.5), mu = +-0.49 and both sides of the
+    # Temme/Steed switch at x = 2; |d ln(e^x K)| <= 1e-13 is relative 1e-13
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for x in _K_MPMATH_XS:
+            ref = float(mp.log(mp.besselk(nu, x)) + x)
+            assert abs(specfun.bessel_k_scaled_log(nu, x) - ref) <= 1e-13, x
+
+
+@pytest.mark.parametrize("nu,x", [(100.0, 1e-3), (3.0, 1e-300), (0.3, 5e-324)])
+def test_bessel_k_tiny_x_high_order_matches_mpmath(nu, x):
+    # the recurrence carries ratios, so K_nu(x) far beyond double range keeps
+    # its log to a few ulps
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = float(mp.log(mp.besselk(nu, x)) + x)
+    assert abs(specfun.bessel_k_scaled_log(nu, x) - ref) <= 4.0 * math.ulp(ref)
+
+
+def test_bessel_k_subnormal_x_recurrence_raises():
+    # 2/x overflows, so the order recurrence cannot start
+    with pytest.raises(OverflowError):
+        specfun.bessel_k_scaled_log(2.0, 5e-324)
+
+
+@pytest.mark.parametrize(
+    "cap,nu,x,loop",
+    [
+        (5, 0.25, 1.0, "Temme series"),  # needs 11 terms
+        (20, 0.25, 2.0, "continued fraction"),  # needs 80 iterations
+        (20, 25.25, 1000.0, "order recurrence"),  # CF2 needs 7, then 25 steps
+    ],
+)
+def test_bessel_k_loops_raise_past_cap(monkeypatch, cap, nu, x, loop):
+    # each loop must raise at its cap rather than return its last iterate
+    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", cap)
     specfun._bessel_k_scaled_log.cache_clear()
     try:
-        with pytest.raises(ConvergenceError, match="halvings"):
-            specfun._bessel_k_scaled_log(0.5, 1.0)
+        with pytest.raises(ConvergenceError, match=loop):
+            specfun.bessel_k_scaled_log(nu, x)
     finally:
         specfun._bessel_k_scaled_log.cache_clear()
+
+
+def test_bessel_k_huge_order_raises_promptly():
+    specfun._bessel_k_scaled_log.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        specfun.bessel_k_scaled_log(1e5, 1.0)
+    assert time.perf_counter() - start < 0.05
 
 
 _NON_FINITE_CALLS = [

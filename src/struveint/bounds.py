@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 from .errors import ConvergenceError, DomainError, ValidityError
-from .integrals import F, G
+from .integrals import fg_log
 from .scaled import ScaledReal
 from .specfun import (
     bessel_i_scaled_log,
@@ -429,13 +429,19 @@ def _eval_imon(nu, beta, x, x_star, truncation):
 
 
 @lru_cache(maxsize=1 << 16)
+def _fg_reference_log(nu: float, beta: float, x: float) -> tuple[float, float]:
+    # one engine pass gives (ln F, ln G); every G point is also an F point
+    return fg_log(nu, beta, x)
+
+
+@lru_cache(maxsize=1 << 16)
 def _f_reference(nu: float, beta: float, x: float) -> ScaledReal:
-    return F(nu, beta, x)
+    return ScaledReal.from_log(_fg_reference_log(nu, beta, x)[0])
 
 
 @lru_cache(maxsize=1 << 16)
 def _g_reference(nu: float, beta: float, x: float) -> ScaledReal:
-    return G(nu, beta, x)
+    return ScaledReal.from_log(_fg_reference_log(nu, beta, x)[1])
 
 
 def _ref_struve_ratio(nu, beta, x, x_star):

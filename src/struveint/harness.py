@@ -435,18 +435,17 @@ def _fmt(value: Optional[float]) -> str:
     return format(value, ".17g")
 
 
-def _log_or_nan(value: ScaledReal) -> float:
-    """ln of a positive value; nan for zero or a negative value."""
-    return value.log_abs() if value.mantissa > 0.0 else math.nan
-
-
 def margins_csv(report: Report) -> str:
     # one %-format per row; %.17g prints nan as "nan", as _fmt does, and a
-    # beta-free bound's None beta is passed as nan
+    # beta-free bound's None beta is passed as nan.  Each logged value is ln
+    # of a positive value (ln m + e, as ScaledReal.log_abs), nan otherwise
     lines = ["bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status"]
     nan = math.nan
+    log = math.log
     for row in report.rows:
         margin = row.margin
+        bound = margin.bound_value
+        ref = margin.reference_value
         lines.append(
             "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s"
             % (
@@ -454,8 +453,8 @@ def margins_csv(report: Report) -> str:
                 row.nu,
                 nan if row.beta is None else row.beta,
                 row.x,
-                _log_or_nan(margin.bound_value),
-                _log_or_nan(margin.reference_value),
+                log(bound.mantissa) + bound.exponent if bound.mantissa > 0.0 else nan,
+                log(ref.mantissa) + ref.exponent if ref.mantissa > 0.0 else nan,
                 margin.signed_margin,
                 row.status,
             )

@@ -2,8 +2,8 @@ r"""Evaluation of F(nu, beta, x) = integral_0^x exp(-beta t) t^nu L_nu(t) dt
 and its companion G with integrand t^nu L_{nu+1}(t).
 
 ``F`` and ``G`` evaluate both integrals for every nu > -1 and 0 <= beta <= 1
-with one engine, ``_termwise_log``: the Struve series integrated term by
-term, each term in the Kummer form of the incomplete gamma function
+with one engine, ``_termwise_pair_log``: the Struve series integrated term
+by term, each term in the Kummer form of the incomplete gamma function
 (DLMF 8.7.1),
 
 .. math::
@@ -13,10 +13,13 @@ term, each term in the Kummer form of the incomplete gamma function
         \sum_{n\ge 0} \frac{(\beta x)^n}{(a_k)_{n+1}},
     \qquad a_k = 2k + 2\nu + 2,
 
-and for G a_k = 2k + 2nu + 3 with Gamma(k+nu+5/2) in place of
-Gamma(k+nu+3/2).  All terms are positive, beta = 0 and beta = 1 included,
-and the cost is O(x) per call.  The other routes stay as oracles for the
-tests:
+and for G a_k + 1 in place of a_k, with the k-th coefficient multiplied by
+x / (a_k + 1) (Gamma(k+nu+5/2) in place of Gamma(k+nu+3/2)).  G's Kummer
+sums are the midpoints of the downward recurrence that gives F's, so one
+pass returns both; each integral's tail is bounded and dropped on its own
+rule.  All terms are positive, beta = 0 and beta = 1 included, and the cost
+is O(x) per call.  ``fg_log`` hands both logs to callers that need the
+pair.  The other routes stay as oracles for the tests:
 
 * ``integral_quad``   -- adaptive quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
@@ -58,6 +61,7 @@ __all__ = [
     "integral_beta0",
     "F",
     "G",
+    "fg_log",
 ]
 
 _NEG_INF = -math.inf
@@ -65,6 +69,13 @@ _LN_SQRT_PI = 0.5 * math.log(math.pi)
 _LN2 = math.log(2.0)
 _LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 _EXP30 = math.exp(30.0)
+# the termwise engine drops a tail once its bound is below _EPS of the least
+# possible sum, and raises if a dropped tail comes out above 1e-16 of the sum
+_EPS = 1e-17
+_LN_1E_16 = math.log(1e-16)
+# e^z is formed for the tail tests only below this z: with a mantissa below
+# e^30 and 1/a below e^37 (a >= 2 nu + 2 >= 2.2e-16), m e^z / a stays finite
+_EZ_MAX = 600.0
 
 MAX_QUAD_PANELS = 4_000
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
@@ -323,114 +334,189 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
             raise ConvergenceError("quadrature subdivision cap exceeded")
 
 
-def _termwise_log(w: float, mu: float, beta: float, x: float) -> float:
-    r"""ln of integral_0^x e^{-beta t} t^w L_mu(t) dt for 0 <= beta <= 1, x > 0.
+def _tail_bound_log(m: float, a: float, z: float, rho: float) -> float:
+    """ln(m U(a) rho), the bound on a dropped tail in the units of m.
 
-    Termwise integration of the Struve series gives sum_k T_k with
+    U(a) = min(e^z / a, (a+1) / (a (a+1-z)) when a + 1 > z) bounds S(a, z)
+    from above; m is the last kept coefficient and rho = r / (1 - r) sums the
+    geometric bound on the coefficients after it.
+    """
+    log_u = z - math.log(a)
+    if a + 1.0 > z:
+        log_u = min(log_u, math.log((a + 1.0) / (a * (a + 1.0 - z))))
+    p = m * rho
+    return math.log(p) + log_u if p > 0.0 else _NEG_INF
+
+
+def _tail_below(m: float, a: float, z: float, rho: float, ez: float, lim: float) -> bool:
+    """Whether m U(a) rho <= lim, U(a) as in ``_tail_bound_log``, tested as
+    m (a U(a)) rho <= lim a without logs.
+
+    ``ez`` is e^z, or 0 where z is too large for it: the test stays on
+    mantissas where a + 1 > z (there (a+1) / (a+1-z) < 1e17 is far below
+    e^z) and compares logs otherwise.
+    """
+    if a + 1.0 > z:
+        u = (a + 1.0) / (a + 1.0 - z)
+        if 0.0 < ez < u:
+            u = ez
+    elif ez:
+        u = ez
+    else:
+        return lim > 0.0 and _tail_bound_log(m, a, z, rho) <= math.log(lim)
+    return m * u * rho <= lim * a
+
+
+def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
+    r"""(ln F, ln G) at one (nu, beta, x), 0 <= beta <= 1, x > 0, in one pass.
+
+    Termwise integration of the Struve series gives F = sum_k T_k with
 
     .. math::
         T_k = d_k\,e^{-z} S(a_k, z), \quad z = \beta x, \quad
-        a_k = 2k + \mu + w + 2, \quad
-        d_k = \frac{2^{-2k-\mu-1}\,x^{a_k}}{\Gamma(k+3/2)\,\Gamma(k+\mu+3/2)},
+        a_k = 2k + 2\nu + 2, \quad
+        d_k = \frac{2^{-2k-\nu-1}\,x^{a_k}}{\Gamma(k+3/2)\,\Gamma(k+\nu+3/2)},
 
     where S(a, z) = sum_n z^n / (a)_{n+1} is the Kummer form
-    beta^{-a} gamma(a, beta x) = x^a e^{-z} S(a, z) (DLMF 8.7.1).  Every term
-    is positive for every beta in [0, 1], so nothing cancels.
+    beta^{-a} gamma(a, beta x) = x^a e^{-z} S(a, z) (DLMF 8.7.1).  G has
+    the same form with a_k + 1 in place of a_k and d_k x / (a_k + 1) in place
+    of d_k.  Every term is positive for every beta in [0, 1], so nothing
+    cancels.
 
-    The last index K is fixed first from the bounds 1/a <= S(a, z) <= e^z / a
-    and, for a + 1 > z, S(a, z) <= (a+1) / (a (a+1-z)): it is the first index
-    past the peak whose bounded tail is below 1e-17 of the smallest possible
-    sum.  S(a_K, z) is summed directly; S at every lower a_k then follows from
-    S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1), run downward in a, the
-    direction in which it only adds positive numbers (Gautschi, ACM TOMS 25,
-    1999).  S ~ e^z / a overflows for z > 709, so it is carried, like the
-    coefficients d_k (ratio (x^2/4) / ((k+3/2)(k+mu+3/2))), as a mantissa
-    with a running e^30 exponent shift; summing logs instead would lose about
-    K ulp(|ln T_k|), 1e-10 at x = 1000.  Raises ConvergenceError if the
-    dropped tail exceeds 1e-16 of the sum or a term cap is reached.
+    The last index K is the first at which both tails are dropped: for each
+    integral, past the point where r_k = d_{k+1} / d_k <= 1/2 (its own ratio
+    for G), the terms after K sum to at most d_K U(a_K) r_K / (1 - r_K), with
+    U(a) = min(e^z / a, (a+1) / (a (a+1-z)) if a + 1 > z) from
+    1/a <= S(a, z) <= e^z / a, and that bound must be below 1e-17 of the
+    integral's least possible sum, max_k d_k / a_k.  The coefficients
+    (ratio (x^2/4) / ((k+3/2)(k+nu+3/2))) and both peaks are carried as
+    mantissas with a running e^30 shift, and each tail test compares them
+    with e^z formed once per call; only where z is too large for e^z and
+    a + 1 <= z does a test compare logs.
+
+    S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
+    a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
+    runs downward in a, the direction in which it only adds positive numbers
+    (Gautschi, ACM TOMS 25, 1999).  Each two-step leg a_k + 2 -> a_k + 1 ->
+    a_k passes G's S(a_k + 1, z) on its way to F's S(a_k, z).  S ~ e^z / a
+    overflows for z > 709, so it is carried, like the coefficients, as a
+    mantissa with a running e^30 shift; summing logs instead would lose about
+    K ulp(|ln T_k|), 1e-10 at x = 1000.  Raises ConvergenceError if either
+    dropped tail exceeds 1e-16 of its sum or a term cap is reached.
     """
     z = beta * x
     q = 0.25 * x * x
-    a0 = mu + w + 2.0
-    log_d0 = (
-        a0 * math.log(x) - (mu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(mu + 1.5)
-    )
-    log_eps = math.log(1e-17)
+    a0 = 2.0 * nu + 2.0
+    log_d0 = a0 * math.log(x) - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
+    ez = math.exp(z) if z < _EZ_MAX else 0.0
 
-    # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]}, up to the last index K
+    # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]}, up to the last index K;
+    # peak_f and peak_g are max_j d_j / a_j for F and G in units of e^shift
     d_mant: list[float] = []
     d_shift: list[float] = []
     m, shift = 1.0, 0.0
-    log_peak = _NEG_INF  # ln max_k d_k / a_k (relative to log_d0)
+    peak_f = peak_g = 0.0
+    done_f = done_g = False
+    r = 2.0
     k = 0
     while True:
         a = a0 + 2.0 * k
         d_mant.append(m)
         d_shift.append(shift)
-        log_d = shift + math.log(m)
-        log_peak = max(log_peak, log_d - math.log(a))
-        r = q / ((k + 1.5) * (k + mu + 1.5))
+        if r > 1.0:  # d_k / a_k tops its predecessors only after a ratio above 1
+            c = m / a
+            if c > peak_f:
+                peak_f = c
+            c *= x * a / ((a + 1.0) * (a + 1.0))
+            if c > peak_g:
+                peak_g = c
+        r = q / ((k + 1.5) * (k + nu + 1.5))
         if r <= 0.5:
-            # T_j <= d_j U_j with U_j decreasing in j, and d_{j+1} / d_j <= r,
-            # so the terms after K sum to at most d_K U_K r / (1 - r)
-            log_u = -math.log(a)
-            if a + 1.0 > z:
-                log_u = min(log_u, math.log((a + 1.0) / (a * (a + 1.0 - z))) - z)
-            log_tail = log_d + log_u + (math.log(r / (1.0 - r)) if r > 0.0 else _NEG_INF)
-            if log_tail <= log_eps + log_peak - z:
+            # T_j <= d_j U_j e^{-z} with U_j decreasing in j and d_{j+1} / d_j
+            # <= r, so the terms after K sum to at most d_K U_K r / (1 - r);
+            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r
+            if not done_f:
+                done_f = _tail_below(m, a, z, r / (1.0 - r), ez, _EPS * peak_f)
+            if not done_g:
+                r_g = q / ((k + 1.5) * (k + nu + 2.5))
+                done_g = _tail_below(
+                    m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), ez, _EPS * peak_g
+                )
+            if done_f and done_g:
                 break
         m *= r
         if m < 1.0:
             m *= _EXP30
             shift -= 30.0
+            peak_f *= _EXP30
+            peak_g *= _EXP30
         elif m > _EXP30:
             m /= _EXP30
             shift += 30.0
+            peak_f /= _EXP30
+            peak_g /= _EXP30
         k += 1
         if k > MAX_SERIES_TERMS:
             raise ConvergenceError("termwise series term cap exceeded")
+    r_g = q / ((k + 1.5) * (k + nu + 2.5))
+    tail_f = shift + _tail_bound_log(m, a, z, r / (1.0 - r))
+    tail_g = shift + _tail_bound_log(m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g))
 
-    # S(a_K, z) = sum_n z^n / (a_K)_{n+1}, summed directly; once the term
-    # ratio rho is below 1 the rest is at most term rho / (1 - rho)
-    term = 1.0 / a
-    s = term
+    # S(a_K + 1, z) = sum_n z^n / (a_K + 1)_{n+1}, summed directly; once the
+    # term ratio rho is below 1 the rest is at most term rho / (1 - rho)
+    b = a + 1.0
+    term = 1.0 / b
+    s_g = term
     n = 0
     while True:
         n += 1
-        rho = z / (a + n)
+        rho = z / (b + n)
         term *= rho
-        s += term
-        if rho < 1.0 and term * rho <= 1e-17 * s * (1.0 - rho):
+        s_g += term
+        if rho < 1.0 and term * rho <= 1e-17 * s_g * (1.0 - rho):
             break
         if n > MAX_SERIES_TERMS:
             raise ConvergenceError("Kummer series term cap exceeded")
+    s_f = (1.0 + z * s_g) / a
 
-    # downward in a: S = s e^{s_shift}, sum = total e^{log_d0 - z + t_shift}
+    # downward in a: S = s e^{s_shift}; F's sum is total_f e^{log_d0 - z +
+    # t_shift} and G's x total_g e^{log_d0 - z + t_shift}
     s_shift = 0.0
     one = 1.0  # 1 in units of e^{s_shift}
-    total = 0.0
+    total_f = total_g = 0.0
     t_shift = d_shift[k]
+    scale = t_shift
+    factor = 1.0  # e^{scale - t_shift}
     while True:
-        scale = d_shift[k] + s_shift
-        if scale > t_shift:
-            total *= math.exp(t_shift - scale)
-            t_shift = scale
-        total += d_mant[k] * s * math.exp(scale - t_shift)
+        if d_shift[k] + s_shift != scale:
+            scale = d_shift[k] + s_shift
+            if scale > t_shift:
+                rescale = math.exp(t_shift - scale)
+                total_f *= rescale
+                total_g *= rescale
+                t_shift = scale
+            factor = math.exp(scale - t_shift)
+        d = d_mant[k] * factor
+        total_f += d * s_f
+        total_g += d * s_g / (a + 1.0)
         if k == 0:
             break
         k -= 1
         a = a0 + 2.0 * k
-        s = (one + z * s) / (a + 1.0)
-        s = (one + z * s) / a
-        if s > _EXP30:
-            s /= _EXP30
+        s_g = (one + z * s_f) / (a + 1.0)
+        s_f = (one + z * s_g) / a
+        if s_f > _EXP30:
+            s_f /= _EXP30
+            s_g /= _EXP30
             one /= _EXP30
             s_shift += 30.0
 
-    log_sum = math.log(total) + t_shift
-    if log_tail > math.log(1e-16) + log_sum - z:
-        raise ConvergenceError("termwise series tail above 1e-16 of the sum")
-    return log_d0 - z + log_sum
+    sum_f = math.log(total_f) + t_shift
+    sum_g = math.log(total_g) + math.log(x) + t_shift
+    for name, tail, log_sum in (("F", tail_f, sum_f), ("G", tail_g, sum_g)):
+        if tail > _LN_1E_16 + log_sum:
+            raise ConvergenceError(f"termwise series tail of {name} above 1e-16 of its sum")
+    return log_d0 - z + sum_f, log_d0 - z + sum_g
 
 
 def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
@@ -446,7 +532,7 @@ def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
     if not x > 0.0:
         raise DomainError(f"series route requires x > 0, got {x}")
     _require_finite("series route", nu, x)
-    return ScaledReal.from_log(_termwise_log(nu, nu, beta, x))
+    return ScaledReal.from_log(_termwise_pair_log(nu, beta, x)[0])
 
 
 def integral_beta1(nu: float, x: float) -> ScaledReal:
@@ -494,8 +580,8 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
     return coeff * hyp.value
 
 
-def _integral(name: str, nu: float, order: float, beta: float, x: float) -> ScaledReal:
-    """integral_0^x e^{-beta t} t^nu L_order(t) dt with F/G argument checks."""
+def _integral_pair_log(name: str, nu: float, beta: float, x: float) -> tuple[float, float]:
+    """(ln F, ln G) with F/G argument checks; -inf for both at x = 0."""
     if not nu > -1.0:
         raise DomainError(f"{name} requires nu > -1, got {nu}")
     if not 0.0 <= beta <= 1.0:
@@ -504,19 +590,27 @@ def _integral(name: str, nu: float, order: float, beta: float, x: float) -> Scal
         raise DomainError(f"{name} requires x >= 0, got {x}")
     _require_finite(name, nu, x)
     if x == 0.0:
-        return ScaledReal.zero()
-    return ScaledReal.from_log(_termwise_log(nu, order, beta, x))
+        return _NEG_INF, _NEG_INF
+    return _termwise_pair_log(nu, beta, x)
+
+
+def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
+    """(ln F, ln G) at one point from one engine pass; -inf at x = 0.
+
+    Takes the arguments of ``F`` and ``G``; for callers that need both.
+    """
+    return _integral_pair_log("F and G", nu, beta, x)
 
 
 def F(nu: float, beta: float, x: float) -> ScaledReal:
     """F(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_nu(t) dt, nu > -1,
     0 <= beta <= 1, x >= 0, by termwise integration in Kummer form for every
-    beta (see ``_termwise_log``), summed to full double precision.
+    beta (see ``_termwise_pair_log``), summed to full double precision.
     """
-    return _integral("F", nu, nu, beta, x)
+    return ScaledReal.from_log(_integral_pair_log("F", nu, beta, x)[0])
 
 
 def G(nu: float, beta: float, x: float) -> ScaledReal:
-    """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, by the
-    same termwise engine as F."""
-    return _integral("G", nu, nu + 1.0, beta, x)
+    """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, the
+    second half of the same engine pass as F."""
+    return ScaledReal.from_log(_integral_pair_log("G", nu, beta, x)[1])

@@ -135,8 +135,12 @@ def _require_finite(what: str, *args: float) -> None:
             raise DomainError(f"{what} requires finite arguments, got {args}")
 
 
+@lru_cache(maxsize=1 << 14)
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos, evaluated in log form)."""
+    """ln Gamma(x) for x > 0 (Lanczos, evaluated in log form).
+
+    Cached: a sweep asks for the same few hundred orders over and over.
+    """
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
@@ -147,6 +151,11 @@ def log_gamma(x: float) -> float:
         acc += _LANCZOS[i] / (xm + i)
     t = xm + _LANCZOS_G + 0.5
     return 0.5 * math.log(2.0 * math.pi) + (xm + 0.5) * math.log(t) - t + math.log(acc)
+
+
+# lnGamma(3/2) by the same Lanczos form as the lnGamma(nu + 3/2) beside it in
+# _struve_l_raw; the exact (ln pi)/2 - ln 2 differs from it by 2e-16
+_LOG_GAMMA_3_2 = log_gamma(1.5)
 
 
 def gamma_fn(x: float) -> float:
@@ -335,7 +344,7 @@ def _struve_l_raw(nu: float, x: float) -> float:
         if nu > -1.0:
             return -math.inf
         raise DomainError(f"L_nu(0) diverges for nu <= -1 (nu={nu})")
-    log_t0 = (nu + 1.0) * math.log(0.5 * x) - log_gamma(1.5) - log_gamma(nu + 1.5)
+    log_t0 = (nu + 1.0) * math.log(0.5 * x) - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
     return _ascending_series_log(log_t0, 0.25 * x * x, 1.5, nu + 1.5)
 
 

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from struveint import bounds, tables
+from struveint import bounds, integrals, specfun, tables
 from struveint.bounds import Margin
 from struveint.errors import DomainError
 from struveint.harness import (
@@ -283,6 +285,56 @@ def test_default_sweep_lower_gamma_once_per_point(monkeypatch):
         bounds._gamma_term_log.cache_clear()
     assert report.summary["checked"] == 16525
     assert len(calls) == len(set(calls)) == 1125
+
+
+def _clear_reference_caches():
+    for cache in (bounds._fg_reference_log, bounds._f_reference, bounds._g_reference):
+        cache.cache_clear()
+
+
+def test_default_sweep_outcome():
+    # the shipped grid's verdicts: every inconclusive row sits at nu = 1/2
+    report = verify_all(default_grid())
+    assert report.summary == {
+        "checked": 16525,
+        "strict": 16505,
+        "inconclusive": 20,
+        "violated": 0,
+    }
+    inconclusive = Counter(
+        (row.bound_id, row.nu) for row in report.rows if row.status == "inconclusive"
+    )
+    assert inconclusive == {("IMON", 0.5): 6, ("UB-GAU2", 0.5): 14}
+
+
+def test_default_sweep_one_engine_pass_per_point(monkeypatch):
+    # F and G come from one pass per distinct (nu, beta, x): every G point is
+    # also an F point, so G's references are served from the shared cache
+    calls = []
+    engine = integrals._termwise_pair_log
+
+    def counted(nu, beta, x):
+        calls.append((nu, beta, x))
+        return engine(nu, beta, x)
+
+    monkeypatch.setattr(integrals, "_termwise_pair_log", counted)
+    _clear_reference_caches()
+    try:
+        verify_all(default_grid())
+        pair = bounds._fg_reference_log.cache_info()
+        g_misses = bounds._g_reference.cache_info().misses
+    finally:
+        _clear_reference_caches()
+    assert len(calls) == len(set(calls)) == 1375
+    assert (pair.misses, pair.hits) == (1375, 1125)
+    assert g_misses == 1125
+
+
+def test_default_sweep_log_gamma_once_per_argument():
+    # a sweep asks lnGamma of 416 distinct arguments; each is computed once
+    specfun.log_gamma.cache_clear()
+    verify_all(default_grid())
+    assert specfun.log_gamma.cache_info().misses <= 416
 
 
 def test_concurrent_evaluation_bit_identical():

@@ -213,6 +213,72 @@ def test_tanh_sinh_raises_when_unsettled():
         integrals._tanh_sinh_log(rough, 0.0, 1e-11)
 
 
+@pytest.mark.parametrize("fn", (F, G))
+def test_termwise_loops_raise_past_cap(monkeypatch, fn):
+    # as the cap rises, first the forward loop and then the Kummer sum must
+    # raise at it rather than return a partial sum, for F and for G alike
+    outcomes = []
+    for cap in range(1, 40):
+        monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", cap)
+        try:
+            fn(0.0, 1.0, 1.0)
+        except ConvergenceError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append("ok")
+    first = {outcome: outcomes.index(outcome) for outcome in reversed(outcomes)}
+    assert set(first) == {
+        "termwise series term cap exceeded",
+        "Kummer series term cap exceeded",
+        "ok",
+    }
+    assert first["termwise series term cap exceeded"] == 0
+    assert first["termwise series term cap exceeded"] < first["Kummer series term cap exceeded"]
+    assert first["Kummer series term cap exceeded"] < first["ok"]
+    assert all(outcome == "ok" for outcome in outcomes[first["ok"]:])
+
+
+@pytest.mark.parametrize("fn", (F, G))
+@pytest.mark.parametrize("inflated", ("F", "G"))
+def test_termwise_final_tail_check_raises(monkeypatch, fn, inflated):
+    # a dropped tail above 1e-16 of its sum must raise, whichever integral's
+    # tail it is and whichever half of the pass is asked for; the pass bounds
+    # F's tail first, then G's
+    bound = integrals._tail_bound_log
+    calls = []
+
+    def inflate(m, a, z, rho):
+        calls.append(a)
+        value = bound(m, a, z, rho)
+        return value + 60.0 if ("F", "G")[len(calls) - 1] == inflated else value
+
+    monkeypatch.setattr(integrals, "_tail_bound_log", inflate)
+    with pytest.raises(ConvergenceError, match=f"tail of {inflated} above 1e-16"):
+        fn(1.0, 0.5, 20.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(1e-12, math.exp(30.0)),
+    st.floats(2.2e-16, 2500.0),
+    st.floats(0.0, 1000.0),
+    st.floats(1e-30, 0.5),
+    st.floats(-700.0, 700.0),
+)
+def test_mantissa_tail_test_matches_log_bound(m, a, z, r, log_lim):
+    # the forward loop's tail test on mantissas must pass exactly where the
+    # proven bound, compared in logs, is below the limit (up to rounding)
+    rho = r / (1.0 - r)
+    ez = math.exp(z) if z < integrals._EZ_MAX else 0.0
+    log_bound = integrals._tail_bound_log(m, a, z, rho)
+    passed = integrals._tail_below(m, a, z, rho, ez, math.exp(log_lim))
+    slack = 1e-12 * (1.0 + abs(log_lim))
+    if passed:
+        assert log_bound <= log_lim + slack
+    else:
+        assert log_bound >= log_lim - slack
+
+
 def test_g_below_f():
     # pointwise L_{nu+1} < L_nu for nu >= -1/2 forces G < F
     g = G(0.5, 0.5, 2.0)

@@ -3,15 +3,15 @@ and the related ratio/product/monotonicity bounds, each with its validity
 predicate, an evaluator for the bound side, and margin computation against an
 independently computed reference.
 
-Identifiers (28 entries):
+Identifiers (28 entries; ``get_bound(id).hypothesis`` states where each holds):
 
 ================  =========================================================
 LB-2.1/2.2/2.3    lower bounds for F (LB-2.3 is the geometric Struve sum)
-LB-2.6            lower bound for F, nu > 1/2
+LB-2.6            lower bound for F: LB-2.2 with 2nu+27 in place of 2nu
 LB-PRIOR          the earlier single-term lower bound e^{-bx} x^nu L_{nu+1}
-UB-2.4/2.5        upper bounds valid down to nu > -1/2
-UB-GAU1(-FULL)    earlier upper bounds, nu >= 1/2
-UB-GAU2           e^{-bx} x^nu L_nu / (1-b), nu >= 1/2
+UB-2.4/2.5        upper bounds for F with constants 2nu+29 and 2nu+15
+UB-GAU1(-FULL)    earlier upper bounds for F
+UB-GAU2           e^{-bx} x^nu L_nu / (1-b)
 UB-ANU            combined constant A_nu = 2(nu+1) or 2nu+29
 UB-3.8            M_{nu,b}(x*) e^{-bx} x^nu L_{nu+1}, x >= x* > 1/(1-b)
 PB-2.7/2.8/2.9    the same right sides bounding G (integrand t^nu L_{nu+1})
@@ -23,10 +23,17 @@ PRB-KL1           1/2 < x K_{nu+2} L_nu < 2 Gamma(nu+2)/(sqrt(pi) Gamma(nu+3/2))
 PRB-KL0           x K_{nu+1} L_nu < 1
 PRB-KL2           x K_{nu+3} L_nu < (2 G(nu+2)/(sqrt(pi) G(nu+3/2)))(1+(2nu+5)/x)
 PRB-G1/G2/G3      x K_{nu+2} L_nu < 3/2;  x K_{nu+3} L_nu < 3/2 + 9/x;
-                  x K_{nu+3} L_{nu+1} < 15/8   (all for |nu| <= 1/2)
+                  x K_{nu+3} L_{nu+1} < 15/8
 NB-3.10/3.11      e^{bx} K_{nu+s}(x) x^{1-nu} F < C/((2nu+1)(1-b)), C = 14, 7
-IMON              L_nu < L_{nu-1}, nu >= 1/2
+IMON              L_nu < L_{nu-1}
 ================  =========================================================
+
+Each bound is declared once, as one ``_row`` of ``_CATALOG``: identifier,
+side, target, nu interval (lo, lo closed?, hi, hi closed?), evaluator,
+reference and tight limits.  The hypothesis text and the validity predicate
+are both generated from that interval, so they cannot disagree.  They add
+0 < beta < 1 where the target depends on beta (F, G, the K-weighted
+integral), then x > 0; UB-3.8 alone adds its x_star clauses.
 
 Margins are reported in relative units (signed difference over the
 reference).  Strictness is asserted with zero slack, but a margin whose
@@ -40,10 +47,11 @@ grid sweeps may run concurrently with deterministic results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError, ValidityError
 from .integrals import fg_log
@@ -102,21 +110,22 @@ class Target(str, Enum):
     K_WEIGHTED_INTEGRAL = "K-weighted-integral"
 
 
-Validity = Callable[[float, Optional[float], float, Optional[float]], Optional[str]]
-
-
 @dataclass(frozen=True)
 class BoundSpec:
-    """One catalog entry: identity, shape, and hypothesis predicate."""
+    """One catalog entry.  ``validity(nu, beta, x, x_star)`` is None where the
+    hypothesis holds, else the failed clause; ``evaluate(nu, beta, x, x_star,
+    truncation)`` and ``reference(nu, beta, x, x_star)`` assume it holds."""
 
     bound_id: str
     side: Side
     target: Target
     hypothesis: str
-    validity: Validity
+    validity: Callable[[float, Optional[float], float, Optional[float]], Optional[str]]
     uses_beta: bool
     uses_x_star: bool = False
     tight_limits: tuple[str, ...] = ()
+    evaluate: Optional[Callable] = field(default=None, compare=False, repr=False)
+    reference: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -491,275 +500,128 @@ def _ref_g(nu, beta, x, x_star):
 
 
 # ---------------------------------------------------------------------------
-# validity predicates (hypotheses verbatim, boundary conventions included)
+# the catalog: one row per bound
 # ---------------------------------------------------------------------------
 
-
-def _need_x(x: float) -> Optional[str]:
-    if x is None or not x > 0.0:
-        return f"requires x > 0, got {x}"
-    return None
+# the targets that depend on beta; the others are functions of (nu, x) alone
+_BETA_TARGETS = (Target.F_INTEGRAL, Target.G_INTEGRAL, Target.K_WEIGHTED_INTEGRAL)
 
 
-def _need_beta(beta: Optional[float]) -> Optional[str]:
-    if beta is None or not 0.0 < beta < 1.0:
-        return f"requires 0 < beta < 1, got {beta}"
-    return None
+def _exact(v: float) -> str:
+    n, d = v.as_integer_ratio()  # -0.5 -> "-1/2", as fractions.Fraction prints it
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
-def _validity_f_bound(nu_test: Callable[[float], bool], nu_text: str) -> Validity:
-    def check_point(nu, beta, x, x_star):
-        if not nu_test(nu):
+def _row(
+    bound_id, side, target, nu_range, evaluate, reference, tight_limits=(), uses_x_star=False
+) -> BoundSpec:
+    """One catalog entry, its hypothesis text and validity predicate generated
+    from ``nu_range`` = (lo, lo closed?, hi, hi closed?), hi = None if unbounded.
+    The predicate reports the first failed clause: nu, beta, x, then x_star."""
+    uses_beta = target in _BETA_TARGETS
+    lo, lo_closed, hi, hi_closed = nu_range
+    if hi is None:
+        nu_text = f"nu {'>=' if lo_closed else '>'} {_exact(lo)}"
+        hi, hi_closed = math.inf, True  # nu <= inf holds for every nu but nan
+    else:
+        nu_text = (
+            f"{_exact(lo)} {'<=' if lo_closed else '<'} nu "
+            f"{'<=' if hi_closed else '<'} {_exact(hi)}"
+        )
+    above = operator.ge if lo_closed else operator.gt
+    below = operator.le if hi_closed else operator.lt
+
+    def validity(nu, beta, x, x_star):
+        if not (above(nu, lo) and below(nu, hi)):
             return f"requires {nu_text}, got nu={nu}"
-        return _need_beta(beta) or _need_x(x)
+        if uses_beta and (beta is None or not 0.0 < beta < 1.0):
+            return f"requires 0 < beta < 1, got {beta}"
+        if x is None or not x > 0.0:
+            return f"requires x > 0, got {x}"
+        if not uses_x_star:
+            return None
+        if x_star is None:
+            return "requires x_star (default_x_star(beta) gives 2/(1-beta))"
+        if not x_star > 1.0 / (1.0 - beta):
+            return f"requires x_star > 1/(1-beta) = {1.0 / (1.0 - beta)}, got {x_star}"
+        if not x >= x_star:
+            return f"requires x >= x_star = {x_star}, got x={x}"
+        return None
 
-    return check_point
-
-
-def _validity_point(nu_test: Callable[[float], bool], nu_text: str) -> Validity:
-    def check_point(nu, beta, x, x_star):
-        if not nu_test(nu):
-            return f"requires {nu_text}, got nu={nu}"
-        return _need_x(x)
-
-    return check_point
-
-
-def _validity_ub38(nu, beta, x, x_star):
-    if not nu > -0.5:
-        return f"requires nu > -1/2, got nu={nu}"
-    fail = _need_beta(beta) or _need_x(x)
-    if fail:
-        return fail
-    if x_star is None:
-        return "requires x_star (default_x_star(beta) gives 2/(1-beta))"
-    if not x_star > 1.0 / (1.0 - beta):
-        return f"requires x_star > 1/(1-beta) = {1.0 / (1.0 - beta)}, got {x_star}"
-    if not x >= x_star:
-        return f"requires x >= x_star = {x_star}, got x={x}"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# the catalog
-# ---------------------------------------------------------------------------
-
-EvalFn = Callable[..., Union[ScaledReal, tuple[ScaledReal, ScaledReal]]]
-
-_CATALOG: dict[str, BoundSpec] = {}
-_EVALUATORS: dict[str, EvalFn] = {}
-_REFERENCES: dict[str, Callable[..., ScaledReal]] = {}
-
-
-def _register(spec: BoundSpec, evaluator: EvalFn, reference) -> None:
-    _CATALOG[spec.bound_id] = spec
-    _EVALUATORS[spec.bound_id] = evaluator
-    _REFERENCES[spec.bound_id] = reference
-
-
-def _build_catalog() -> None:
-    f_bounds = [
-        ("LB-2.1", Side.LOWER, lambda nu: -0.5 < nu <= 0.0,
-         "-1/2 < nu <= 0", _eval_lb21, ("x->inf",)),
-        ("LB-2.2", Side.LOWER, lambda nu: nu >= 1.5,
-         "nu >= 3/2", _eval_lb22, ("x->inf",)),
-        ("LB-2.3", Side.LOWER, lambda nu: nu > -1.0,
-         "nu > -1", _eval_lb23, ("x->inf",)),
-        ("LB-2.6", Side.LOWER, lambda nu: nu > 0.5,
-         "nu > 1/2", _eval_lb26, ("x->inf",)),
-        ("LB-PRIOR", Side.LOWER, lambda nu: nu > -0.5,
-         "nu > -1/2", _eval_lb_prior, ()),
-        ("UB-2.4", Side.UPPER, lambda nu: nu > -0.5,
-         "nu > -1/2", _eval_ub24, ()),
-        ("UB-2.5", Side.UPPER, lambda nu: nu > -0.5,
-         "nu > -1/2", _eval_ub25, ()),
-        ("UB-GAU1", Side.UPPER, lambda nu: nu >= 0.5,
-         "nu >= 1/2", _eval_ub_gau1, ()),
-        ("UB-GAU1-FULL", Side.UPPER, lambda nu: nu >= 0.5,
-         "nu >= 1/2", _eval_ub_gau1_full, ("x->inf",)),
-        ("UB-GAU2", Side.UPPER, lambda nu: nu >= 0.5,
-         "nu >= 1/2", _eval_ub_gau2, ("x->inf",)),
-        ("UB-ANU", Side.UPPER, lambda nu: nu > -0.5,
-         "nu > -1/2", _eval_ub_anu, ()),
-    ]
-    for bound_id, side, nu_test, nu_text, fn, tight in f_bounds:
-        _register(
-            BoundSpec(
-                bound_id=bound_id,
-                side=side,
-                target=Target.F_INTEGRAL,
-                hypothesis=f"{nu_text}, 0 < beta < 1, x > 0",
-                validity=_validity_f_bound(nu_test, nu_text),
-                uses_beta=True,
-                tight_limits=tight,
-            ),
-            fn,
-            _ref_f,
-        )
-
-    _register(
-        BoundSpec(
-            bound_id="UB-3.8",
-            side=Side.UPPER,
-            target=Target.F_INTEGRAL,
-            hypothesis="nu > -1/2, 0 < beta < 1, x_star > 1/(1-beta), x >= x_star",
-            validity=_validity_ub38,
-            uses_beta=True,
-            uses_x_star=True,
-        ),
-        _eval_ub38,
-        _ref_f,
-    )
-
-    g_bounds = [
-        ("PB-2.7", lambda nu: -0.5 < nu <= 0.0, "-1/2 < nu <= 0", _eval_lb21),
-        ("PB-2.8", lambda nu: nu >= 1.5, "nu >= 3/2", _eval_lb22),
-        ("PB-2.9", lambda nu: nu > 0.5, "nu > 1/2", _eval_lb26),
-    ]
-    for bound_id, nu_test, nu_text, fn in g_bounds:
-        _register(
-            BoundSpec(
-                bound_id=bound_id,
-                side=Side.LOWER,
-                target=Target.G_INTEGRAL,
-                hypothesis=f"{nu_text}, 0 < beta < 1, x > 0",
-                validity=_validity_f_bound(nu_test, nu_text),
-                uses_beta=True,
-            ),
-            fn,
-            _ref_g,
-        )
-
-    _register(
-        BoundSpec(
-            bound_id="RB-3.1",
-            side=Side.LOWER,
-            target=Target.STRUVE_RATIO,
-            hypothesis="nu > 0, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu > 0.0, "nu > 0"),
-            uses_beta=False,
-            tight_limits=("x->0", "x->inf"),
-        ),
-        _eval_rb31,
-        _ref_struve_ratio,
-    )
-    _register(
-        BoundSpec(
-            bound_id="RB-AUG18",
-            side=Side.LOWER,
-            target=Target.STRUVE_RATIO,
-            hypothesis="nu >= 0, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu >= 0.0, "nu >= 0"),
-            uses_beta=False,
-        ),
-        _eval_rb_aug18,
-        _ref_struve_ratio,
-    )
-    _register(
-        BoundSpec(
-            bound_id="RB-NASELL",
-            side=Side.LOWER,
-            target=Target.BESSELI_RATIO,
-            hypothesis="nu > 0, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu > 0.0, "nu > 0"),
-            uses_beta=False,
-        ),
-        _eval_rb_nasell,
-        _ref_bessel_i_ratio,
-    )
-    _register(
-        BoundSpec(
-            bound_id="RB-SEGURA",
-            side=Side.UPPER,
-            target=Target.BESSELK_RATIO,
-            hypothesis="nu > 1/2, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu > 0.5, "nu > 1/2"),
-            uses_beta=False,
-        ),
-        _eval_rb_segura,
-        _ref_bessel_k_ratio,
-    )
-
-    _register(
-        BoundSpec(
-            bound_id="PRB-KL1",
-            side=Side.TWO_SIDED,
-            target=Target.KL_PRODUCT,
-            hypothesis="nu >= -1/2, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu >= -0.5, "nu >= -1/2"),
-            uses_beta=False,
-            tight_limits=("x->0", "x->inf"),
-        ),
-        _eval_prb_kl1,
-        _kl_product(2.0, 0.0),
-    )
-    for bound_id, k_shift, fn in (
-        ("PRB-KL0", 1.0, _eval_prb_kl0),
-        ("PRB-KL2", 3.0, _eval_prb_kl2),
-    ):
-        _register(
-            BoundSpec(
-                bound_id=bound_id,
-                side=Side.UPPER,
-                target=Target.KL_PRODUCT,
-                hypothesis="nu >= -1/2, x > 0 (beta unused)",
-                validity=_validity_point(lambda nu: nu >= -0.5, "nu >= -1/2"),
-                uses_beta=False,
-            ),
-            fn,
-            _kl_product(k_shift, 0.0),
-        )
-    for bound_id, k_shift, l_shift, fn in (
-        ("PRB-G1", 2.0, 0.0, _eval_prb_g1),
-        ("PRB-G2", 3.0, 0.0, _eval_prb_g2),
-        ("PRB-G3", 3.0, 1.0, _eval_prb_g3),
-    ):
-        _register(
-            BoundSpec(
-                bound_id=bound_id,
-                side=Side.UPPER,
-                target=Target.KL_PRODUCT,
-                hypothesis="-1/2 <= nu <= 1/2, x > 0 (beta unused)",
-                validity=_validity_point(
-                    lambda nu: -0.5 <= nu <= 0.5, "-1/2 <= nu <= 1/2"
-                ),
-                uses_beta=False,
-            ),
-            fn,
-            _kl_product(k_shift, l_shift),
-        )
-
-    for bound_id, s, fn in (("NB-3.10", 3.0, _eval_nb310), ("NB-3.11", 2.0, _eval_nb311)):
-        _register(
-            BoundSpec(
-                bound_id=bound_id,
-                side=Side.UPPER,
-                target=Target.K_WEIGHTED_INTEGRAL,
-                hypothesis="-1/2 < nu <= 1/2, 0 < beta < 1, x > 0",
-                validity=_validity_f_bound(
-                    lambda nu: -0.5 < nu <= 0.5, "-1/2 < nu <= 1/2"
-                ),
-                uses_beta=True,
-            ),
-            fn,
-            _k_weighted(s),
-        )
-
-    _register(
-        BoundSpec(
-            bound_id="IMON",
-            side=Side.UPPER,
-            target=Target.STRUVE_RATIO,
-            hypothesis="nu >= 1/2, x > 0 (beta unused)",
-            validity=_validity_point(lambda nu: nu >= 0.5, "nu >= 1/2"),
-            uses_beta=False,
-        ),
-        _eval_imon,
-        _ref_struve_ratio,
+    rest = "0 < beta < 1, x > 0" if uses_beta else "x > 0 (beta unused)"
+    if uses_x_star:
+        rest = "0 < beta < 1, x_star > 1/(1-beta), x >= x_star"
+    return BoundSpec(
+        bound_id, side, target, f"{nu_text}, {rest}", validity, uses_beta, uses_x_star,
+        tight_limits, evaluate, reference,
     )
 
 
-_build_catalog()
+_CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
+    # nu ranges are (lo, lo closed?, hi, hi closed?); hi = None is no upper end
+    # F = int_0^x e^{-bt} t^nu L_nu dt
+    _row("LB-2.1", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, 0.0, True),
+         _eval_lb21, _ref_f, ("x->inf",)),
+    _row("LB-2.2", Side.LOWER, Target.F_INTEGRAL, (1.5, True, None, False),
+         _eval_lb22, _ref_f, ("x->inf",)),
+    _row("LB-2.3", Side.LOWER, Target.F_INTEGRAL, (-1.0, False, None, False),
+         _eval_lb23, _ref_f, ("x->inf",)),
+    _row("LB-2.6", Side.LOWER, Target.F_INTEGRAL, (0.5, False, None, False),
+         _eval_lb26, _ref_f, ("x->inf",)),
+    _row("LB-PRIOR", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, None, False),
+         _eval_lb_prior, _ref_f),
+    _row("UB-2.4", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
+         _eval_ub24, _ref_f),
+    _row("UB-2.5", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
+         _eval_ub25, _ref_f),
+    _row("UB-GAU1", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
+         _eval_ub_gau1, _ref_f),
+    _row("UB-GAU1-FULL", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
+         _eval_ub_gau1_full, _ref_f, ("x->inf",)),
+    _row("UB-GAU2", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
+         _eval_ub_gau2, _ref_f, ("x->inf",)),
+    _row("UB-ANU", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
+         _eval_ub_anu, _ref_f),
+    _row("UB-3.8", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
+         _eval_ub38, _ref_f, uses_x_star=True),
+    # G: the same right sides, integrand t^nu L_{nu+1}
+    _row("PB-2.7", Side.LOWER, Target.G_INTEGRAL, (-0.5, False, 0.0, True),
+         _eval_lb21, _ref_g),
+    _row("PB-2.8", Side.LOWER, Target.G_INTEGRAL, (1.5, True, None, False),
+         _eval_lb22, _ref_g),
+    _row("PB-2.9", Side.LOWER, Target.G_INTEGRAL, (0.5, False, None, False),
+         _eval_lb26, _ref_g),
+    # ratios of Struve and Bessel functions
+    _row("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, (0.0, False, None, False),
+         _eval_rb31, _ref_struve_ratio, ("x->0", "x->inf")),
+    _row("RB-AUG18", Side.LOWER, Target.STRUVE_RATIO, (0.0, True, None, False),
+         _eval_rb_aug18, _ref_struve_ratio),
+    _row("RB-NASELL", Side.LOWER, Target.BESSELI_RATIO, (0.0, False, None, False),
+         _eval_rb_nasell, _ref_bessel_i_ratio),
+    _row("RB-SEGURA", Side.UPPER, Target.BESSELK_RATIO, (0.5, False, None, False),
+         _eval_rb_segura, _ref_bessel_k_ratio),
+    # products x K_{nu+k} L_{nu+l}
+    _row("PRB-KL1", Side.TWO_SIDED, Target.KL_PRODUCT, (-0.5, True, None, False),
+         _eval_prb_kl1, _kl_product(2.0, 0.0), ("x->0", "x->inf")),
+    _row("PRB-KL0", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
+         _eval_prb_kl0, _kl_product(1.0, 0.0)),
+    _row("PRB-KL2", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
+         _eval_prb_kl2, _kl_product(3.0, 0.0)),
+    _row("PRB-G1", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
+         _eval_prb_g1, _kl_product(2.0, 0.0)),
+    _row("PRB-G2", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
+         _eval_prb_g2, _kl_product(3.0, 0.0)),
+    _row("PRB-G3", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
+         _eval_prb_g3, _kl_product(3.0, 1.0)),
+    # e^{bx} K_{nu+s}(x) x^{1-nu} F
+    _row("NB-3.10", Side.UPPER, Target.K_WEIGHTED_INTEGRAL, (-0.5, False, 0.5, True),
+         _eval_nb310, _k_weighted(3.0)),
+    _row("NB-3.11", Side.UPPER, Target.K_WEIGHTED_INTEGRAL, (-0.5, False, 0.5, True),
+         _eval_nb311, _k_weighted(2.0)),
+    # monotonicity in the order
+    _row("IMON", Side.UPPER, Target.STRUVE_RATIO, (0.5, True, None, False),
+         _eval_imon, _ref_struve_ratio),
+)}
 
 
 def list_bounds() -> list[BoundSpec]:
@@ -776,10 +638,13 @@ def get_bound(bound_id: str) -> BoundSpec:
         ) from None
 
 
-def _validate(spec: BoundSpec, nu, beta, x, x_star) -> None:
+def _valid_spec(bound_id: str, nu, beta, x, x_star) -> BoundSpec:
+    """The catalog entry, once its hypothesis holds at the point."""
+    spec = get_bound(bound_id)
     failure = spec.validity(nu, beta, x, x_star)
     if failure is not None:
-        raise ValidityError(f"{spec.bound_id}: {failure}")
+        raise ValidityError(f"{bound_id}: {failure}")
+    return spec
 
 
 def eval_bound(
@@ -798,9 +663,8 @@ def eval_bound(
     by the relative-error tables); by default it truncates adaptively via the
     geometric tail bound.
     """
-    spec = get_bound(bound_id)
-    _validate(spec, nu, beta, x, x_star)
-    return _EVALUATORS[bound_id](nu, beta, x, x_star, truncation)
+    spec = _valid_spec(bound_id, nu, beta, x, x_star)
+    return spec.evaluate(nu, beta, x, x_star, truncation)
 
 
 def check(
@@ -817,10 +681,9 @@ def check(
     the margin is taken against the sharp (square-root) form, which the
     simple form dominates.
     """
-    spec = get_bound(bound_id)
-    _validate(spec, nu, beta, x, x_star)
-    value = _EVALUATORS[bound_id](nu, beta, x, x_star, truncation)
-    reference = _REFERENCES[bound_id](nu, beta, x, x_star)
+    spec = _valid_spec(bound_id, nu, beta, x, x_star)
+    value = spec.evaluate(nu, beta, x, x_star, truncation)
+    reference = spec.reference(nu, beta, x, x_star)
     if spec.side is Side.TWO_SIDED:
         low, high = value
         margin_low = 1.0 - low.ratio_to(reference)

@@ -78,6 +78,155 @@ def test_validity_gate_reports_hypothesis():
         eval_bound("UB-3.8", nu=1.0, beta=0.5, x=1.0, x_star=4.0)
 
 
+# Every catalog row, in list_bounds() order:
+# (id, side, target, hypothesis, uses_beta, uses_x_star, tight_limits)
+_ROWS = (
+    ("IMON", Side.UPPER, Target.STRUVE_RATIO, "nu >= 1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("LB-2.1", Side.LOWER, Target.F_INTEGRAL, "-1/2 < nu <= 0, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+    ("LB-2.2", Side.LOWER, Target.F_INTEGRAL, "nu >= 3/2, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+    ("LB-2.3", Side.LOWER, Target.F_INTEGRAL, "nu > -1, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+    ("LB-2.6", Side.LOWER, Target.F_INTEGRAL, "nu > 1/2, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+    ("LB-PRIOR", Side.LOWER, Target.F_INTEGRAL, "nu > -1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("NB-3.10", Side.UPPER, Target.K_WEIGHTED_INTEGRAL,
+     "-1/2 < nu <= 1/2, 0 < beta < 1, x > 0", True, False, ()),
+    ("NB-3.11", Side.UPPER, Target.K_WEIGHTED_INTEGRAL,
+     "-1/2 < nu <= 1/2, 0 < beta < 1, x > 0", True, False, ()),
+    ("PB-2.7", Side.LOWER, Target.G_INTEGRAL, "-1/2 < nu <= 0, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("PB-2.8", Side.LOWER, Target.G_INTEGRAL, "nu >= 3/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("PB-2.9", Side.LOWER, Target.G_INTEGRAL, "nu > 1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("PRB-G1", Side.UPPER, Target.KL_PRODUCT, "-1/2 <= nu <= 1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("PRB-G2", Side.UPPER, Target.KL_PRODUCT, "-1/2 <= nu <= 1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("PRB-G3", Side.UPPER, Target.KL_PRODUCT, "-1/2 <= nu <= 1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("PRB-KL0", Side.UPPER, Target.KL_PRODUCT, "nu >= -1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("PRB-KL1", Side.TWO_SIDED, Target.KL_PRODUCT, "nu >= -1/2, x > 0 (beta unused)",
+     False, False, ("x->0", "x->inf")),
+    ("PRB-KL2", Side.UPPER, Target.KL_PRODUCT, "nu >= -1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, "nu > 0, x > 0 (beta unused)",
+     False, False, ("x->0", "x->inf")),
+    ("RB-AUG18", Side.LOWER, Target.STRUVE_RATIO, "nu >= 0, x > 0 (beta unused)",
+     False, False, ()),
+    ("RB-NASELL", Side.LOWER, Target.BESSELI_RATIO, "nu > 0, x > 0 (beta unused)",
+     False, False, ()),
+    ("RB-SEGURA", Side.UPPER, Target.BESSELK_RATIO, "nu > 1/2, x > 0 (beta unused)",
+     False, False, ()),
+    ("UB-2.4", Side.UPPER, Target.F_INTEGRAL, "nu > -1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("UB-2.5", Side.UPPER, Target.F_INTEGRAL, "nu > -1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("UB-3.8", Side.UPPER, Target.F_INTEGRAL,
+     "nu > -1/2, 0 < beta < 1, x_star > 1/(1-beta), x >= x_star", True, True, ()),
+    ("UB-ANU", Side.UPPER, Target.F_INTEGRAL, "nu > -1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("UB-GAU1", Side.UPPER, Target.F_INTEGRAL, "nu >= 1/2, 0 < beta < 1, x > 0",
+     True, False, ()),
+    ("UB-GAU1-FULL", Side.UPPER, Target.F_INTEGRAL, "nu >= 1/2, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+    ("UB-GAU2", Side.UPPER, Target.F_INTEGRAL, "nu >= 1/2, 0 < beta < 1, x > 0",
+     True, False, ("x->inf",)),
+)
+
+# each row's nu range as (lo, lo closed?, hi, hi closed?); None is unbounded
+_NU_RANGES = {
+    "IMON": (0.5, True, None, False),
+    "LB-2.1": (-0.5, False, 0.0, True),
+    "LB-2.2": (1.5, True, None, False),
+    "LB-2.3": (-1.0, False, None, False),
+    "LB-2.6": (0.5, False, None, False),
+    "LB-PRIOR": (-0.5, False, None, False),
+    "NB-3.10": (-0.5, False, 0.5, True),
+    "NB-3.11": (-0.5, False, 0.5, True),
+    "PB-2.7": (-0.5, False, 0.0, True),
+    "PB-2.8": (1.5, True, None, False),
+    "PB-2.9": (0.5, False, None, False),
+    "PRB-G1": (-0.5, True, 0.5, True),
+    "PRB-G2": (-0.5, True, 0.5, True),
+    "PRB-G3": (-0.5, True, 0.5, True),
+    "PRB-KL0": (-0.5, True, None, False),
+    "PRB-KL1": (-0.5, True, None, False),
+    "PRB-KL2": (-0.5, True, None, False),
+    "RB-3.1": (0.0, False, None, False),
+    "RB-AUG18": (0.0, True, None, False),
+    "RB-NASELL": (0.0, False, None, False),
+    "RB-SEGURA": (0.5, False, None, False),
+    "UB-2.4": (-0.5, False, None, False),
+    "UB-2.5": (-0.5, False, None, False),
+    "UB-3.8": (-0.5, False, None, False),
+    "UB-ANU": (-0.5, False, None, False),
+    "UB-GAU1": (0.5, True, None, False),
+    "UB-GAU1-FULL": (0.5, True, None, False),
+    "UB-GAU2": (0.5, True, None, False),
+}
+
+
+def test_catalog_rows_pinned():
+    got = [
+        (s.bound_id, s.side, s.target, s.hypothesis, s.uses_beta, s.uses_x_star,
+         s.tight_limits)
+        for s in list_bounds()
+    ]
+    assert got == list(_ROWS)
+    assert set(_NU_RANGES) == ALL_IDS
+
+
+def _expected_failure(row, nu, beta, x):
+    """The message a row's predicate gives at (nu, beta, x) with no x_star."""
+    bound_id, _, _, hypothesis, uses_beta, uses_x_star, _ = row
+    lo, lo_closed, hi, hi_closed = _NU_RANGES[bound_id]
+    above = nu >= lo if lo_closed else nu > lo
+    below = hi is None or (nu <= hi if hi_closed else nu < hi)
+    if not (above and below):
+        return f"requires {hypothesis.split(', ')[0]}, got nu={nu}"
+    if uses_beta and (beta is None or not 0.0 < beta < 1.0):
+        return f"requires 0 < beta < 1, got {beta}"
+    if x is None or not x > 0.0:
+        return f"requires x > 0, got {x}"
+    if uses_x_star:
+        return "requires x_star (default_x_star(beta) gives 2/(1-beta))"
+    return None
+
+
+def test_validity_messages_at_nu_endpoints():
+    # each finite endpoint of the nu range and one ulp either side of it
+    for row in _ROWS:
+        spec = get_bound(row[0])
+        lo, _, hi, _ = _NU_RANGES[row[0]]
+        for end in (e for e in (lo, hi) if e is not None):
+            for nu in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)):
+                for beta in (None, 0.0, 0.5, 1.0):
+                    for x in (None, 0.0, 1.0):
+                        assert spec.validity(nu, beta, x, None) == _expected_failure(
+                            row, nu, beta, x
+                        ), (row[0], nu, beta, x)
+
+
+def test_ub38_x_star_clauses():
+    valid = get_bound("UB-3.8").validity
+    assert valid(1.0, 0.5, 10.0, None) == (
+        "requires x_star (default_x_star(beta) gives 2/(1-beta))"
+    )
+    assert valid(1.0, 0.5, 10.0, 2.0) == "requires x_star > 1/(1-beta) = 2.0, got 2.0"
+    assert valid(1.0, 0.5, 3.0, 4.0) == "requires x >= x_star = 4.0, got x=3.0"
+    assert valid(1.0, 0.5, 4.0, 4.0) is None
+    # the nu, beta and x clauses come before any x_star clause
+    assert valid(-0.5, 0.5, 0.5, 2.0) == "requires nu > -1/2, got nu=-0.5"
+    assert valid(1.0, 1.0, 0.5, 2.0) == "requires 0 < beta < 1, got 1.0"
+    assert valid(1.0, 0.5, 0.0, 2.0) == "requires x > 0, got 0.0"
+
+
 def test_lb23_truncated_reproduces_table_cell():
     # five-term truncation feeds the (nu=1, beta=0.75, x=10) relative error
     l5 = eval_bound("LB-2.3", nu=1.0, beta=0.75, x=10.0, truncation=5)

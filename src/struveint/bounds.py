@@ -453,19 +453,12 @@ def _g_reference(nu: float, beta: float, x: float) -> ScaledReal:
     return ScaledReal.from_log(_fg_reference_log(nu, beta, x)[1])
 
 
-def _ref_struve_ratio(nu, beta, x, x_star):
-    log_ratio = struve_l_scaled_log(nu, x) - struve_l_scaled_log(nu - 1.0, x)
-    return ScaledReal.from_log(log_ratio)
+def _order_ratio(kernel_log):
+    # f_nu(x) / f_{nu-1}(x) for a scaled kernel; the scalings cancel
+    def ref(nu, beta, x, x_star):
+        return ScaledReal.from_log(kernel_log(nu, x) - kernel_log(nu - 1.0, x))
 
-
-def _ref_bessel_i_ratio(nu, beta, x, x_star):
-    log_ratio = bessel_i_scaled_log(nu, x) - bessel_i_scaled_log(nu - 1.0, x)
-    return ScaledReal.from_log(log_ratio)
-
-
-def _ref_bessel_k_ratio(nu, beta, x, x_star):
-    log_ratio = bessel_k_scaled_log(nu, x) - bessel_k_scaled_log(nu - 1.0, x)
-    return ScaledReal.from_log(log_ratio)
+    return ref
 
 
 def _kl_product(k_shift: float, l_shift: float):
@@ -593,13 +586,13 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
          _eval_lb26, _ref_g),
     # ratios of Struve and Bessel functions
     _row("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, (0.0, False, None, False),
-         _eval_rb31, _ref_struve_ratio, ("x->0", "x->inf")),
+         _eval_rb31, _order_ratio(struve_l_scaled_log), ("x->0", "x->inf")),
     _row("RB-AUG18", Side.LOWER, Target.STRUVE_RATIO, (0.0, True, None, False),
-         _eval_rb_aug18, _ref_struve_ratio),
+         _eval_rb_aug18, _order_ratio(struve_l_scaled_log)),
     _row("RB-NASELL", Side.LOWER, Target.BESSELI_RATIO, (0.0, False, None, False),
-         _eval_rb_nasell, _ref_bessel_i_ratio),
+         _eval_rb_nasell, _order_ratio(bessel_i_scaled_log)),
     _row("RB-SEGURA", Side.UPPER, Target.BESSELK_RATIO, (0.5, False, None, False),
-         _eval_rb_segura, _ref_bessel_k_ratio),
+         _eval_rb_segura, _order_ratio(bessel_k_scaled_log)),
     # products x K_{nu+k} L_{nu+l}
     _row("PRB-KL1", Side.TWO_SIDED, Target.KL_PRODUCT, (-0.5, True, None, False),
          _eval_prb_kl1, _kl_product(2.0, 0.0), ("x->0", "x->inf")),
@@ -620,7 +613,7 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
          _eval_nb311, _k_weighted(2.0)),
     # monotonicity in the order
     _row("IMON", Side.UPPER, Target.STRUVE_RATIO, (0.5, True, None, False),
-         _eval_imon, _ref_struve_ratio),
+         _eval_imon, _order_ratio(struve_l_scaled_log)),
 )}
 
 

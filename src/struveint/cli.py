@@ -18,6 +18,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Optional
 
@@ -91,14 +92,7 @@ def _cmd_verify(args) -> int:
         grid = harness.default_grid()
     if args.bounds is not None:
         wanted = tuple(tok.strip() for tok in args.bounds.split(",") if tok.strip())
-        for bound_id in wanted:
-            get_bound(bound_id)
-        grid = harness.GridSpec(
-            nu_values=grid.nu_values,
-            beta_values=grid.beta_values,
-            x_values=grid.x_values,
-            bound_filter=wanted,
-        )
+        grid = dataclasses.replace(grid, bound_filter=wanted)
     report = harness.verify_all(grid)
     sys.stdout.write(harness.margins_csv(report))
     s = report.summary
@@ -142,9 +136,9 @@ def _cmd_tightness(args) -> int:
     if not xs:
         print("tightness: empty --xs", file=sys.stderr)
         return 2
-    get_bound(args.bound)
+    spec = get_bound(args.bound)
     x_star = args.x_star
-    if x_star is None and get_bound(args.bound).uses_x_star and args.beta is not None:
+    if x_star is None and spec.uses_x_star and args.beta is not None:
         x_star = default_x_star(args.beta)
     profile = harness.tightness_profile(
         args.bound, args.nu, args.beta, xs, x_star=x_star, truncation=args.truncation

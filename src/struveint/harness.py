@@ -80,12 +80,16 @@ class GridSpec:
         for nu in self.nu_values:
             if not nu > -1.5:
                 raise DomainError(f"grid nu must exceed -3/2, got {nu}")
+            if nu == math.inf:
+                raise DomainError(f"grid nu must be finite, got {nu}")
         for beta in self.beta_values:
             if not 0.0 < beta < 1.0:
                 raise DomainError(f"grid beta must lie in (0, 1), got {beta}")
         for x in self.x_values:
             if not x > 0.0:
                 raise DomainError(f"grid x must be positive, got {x}")
+            if x == math.inf:
+                raise DomainError(f"grid x must be finite, got {x}")
         for bound_id in self.bound_filter:
             get_bound(bound_id)
 

@@ -19,12 +19,12 @@ sums are the midpoints of the downward recurrence that gives F's, so one
 pass returns both; each integral's tail is bounded and dropped on its own
 rule.  All terms are positive, beta = 0 and beta = 1 included, and the cost
 is O(x) per call.  ``fg_log`` hands both logs to callers that need the
-pair.  The other routes stay as oracles for the tests:
+pair, and ``integral_series`` is the engine's F entry point for
+0 < beta < 1.  The other routes stay as oracles for the tests:
 
 * ``integral_quad``   -- adaptive quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
-* ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0;
-* ``integral_series`` -- the engine's entry point for F at 0 < beta < 1.
+* ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0.
 
 Everything is computed in log/scaled arithmetic so x up to 1000 (integrand
 mass ~ exp((1-beta) x)) stays in range.  The quadrature splits off the head
@@ -73,9 +73,6 @@ _EXP30 = math.exp(30.0)
 # possible sum, and raises if a dropped tail comes out above 1e-16 of the sum
 _EPS = 1e-17
 _LN_1E_16 = math.log(1e-16)
-# e^z is formed for the tail tests only below this z: with a mantissa below
-# e^30 and 1/a below e^37 (a >= 2 nu + 2 >= 2.2e-16), m e^z / a stays finite
-_EZ_MAX = 600.0
 
 MAX_QUAD_PANELS = 4_000
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
@@ -348,25 +345,6 @@ def _tail_bound_log(m: float, a: float, z: float, rho: float) -> float:
     return math.log(p) + log_u if p > 0.0 else _NEG_INF
 
 
-def _tail_below(m: float, a: float, z: float, rho: float, ez: float, lim: float) -> bool:
-    """Whether m U(a) rho <= lim, U(a) as in ``_tail_bound_log``, tested as
-    m (a U(a)) rho <= lim a without logs.
-
-    ``ez`` is e^z, or 0 where z is too large for it: the test stays on
-    mantissas where a + 1 > z (there (a+1) / (a+1-z) < 1e17 is far below
-    e^z) and compares logs otherwise.
-    """
-    if a + 1.0 > z:
-        u = (a + 1.0) / (a + 1.0 - z)
-        if 0.0 < ez < u:
-            u = ez
-    elif ez:
-        u = ez
-    else:
-        return lim > 0.0 and _tail_bound_log(m, a, z, rho) <= math.log(lim)
-    return m * u * rho <= lim * a
-
-
 def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     r"""(ln F, ln G) at one (nu, beta, x), 0 <= beta <= 1, x > 0, in one pass.
 
@@ -390,9 +368,11 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     1/a <= S(a, z) <= e^z / a, and that bound must be below 1e-17 of the
     integral's least possible sum, max_k d_k / a_k.  The coefficients
     (ratio (x^2/4) / ((k+3/2)(k+nu+3/2))) and both peaks are carried as
-    mantissas with a running e^30 shift, and each tail test compares them
-    with e^z formed once per call; only where z is too large for e^z and
-    a + 1 <= z does a test compare logs.
+    mantissas with a running e^30 shift.  ``_tail_bound_log`` states the
+    tail bound once, in logs, for the forward loop and the final check; the
+    loop takes those logs only after the one-multiply screen
+    d_K r / (1 - r) <= 1e-17 a_K max_k d_k / a_k passes, which U(a) >= 1/a
+    makes necessary, so the screen cannot move K.
 
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
@@ -408,7 +388,6 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     q = 0.25 * x * x
     a0 = 2.0 * nu + 2.0
     log_d0 = a0 * math.log(x) - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
-    ez = math.exp(z) if z < _EZ_MAX else 0.0
 
     # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]}, up to the last index K;
     # peak_f and peak_g are max_j d_j / a_j for F and G in units of e^shift
@@ -434,13 +413,19 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
         if r <= 0.5:
             # T_j <= d_j U_j e^{-z} with U_j decreasing in j and d_{j+1} / d_j
             # <= r, so the terms after K sum to at most d_K U_K r / (1 - r);
-            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r
+            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
+            # U(a) >= 1/a, so m rho <= lim a must hold before the logs are
+            # worth taking; a zero limit passes only a zero tail
             if not done_f:
-                done_f = _tail_below(m, a, z, r / (1.0 - r), ez, _EPS * peak_f)
+                rho, lim = r / (1.0 - r), _EPS * peak_f
+                done_f = m * rho <= lim * a and (
+                    not lim or _tail_bound_log(m, a, z, rho) <= math.log(lim)
+                )
             if not done_g:
                 r_g = q / ((k + 1.5) * (k + nu + 2.5))
-                done_g = _tail_below(
-                    m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), ez, _EPS * peak_g
+                m_g, rho, lim = m * x / (a + 1.0), r_g / (1.0 - r_g), _EPS * peak_g
+                done_g = m_g * rho <= lim * (a + 1.0) and (
+                    not lim or _tail_bound_log(m_g, a + 1.0, z, rho) <= math.log(lim)
                 )
             if done_f and done_g:
                 break

@@ -95,6 +95,11 @@ def test_grid_validation():
         GridSpec(nu_values=(1.0,), beta_values=(1.0,), x_values=(1.0,))
     with pytest.raises(DomainError):
         GridSpec(nu_values=(1.0,), beta_values=(0.5,), x_values=(-1.0,))
+    # +inf passes the range tests; it is refused before any evaluation
+    with pytest.raises(DomainError, match="grid nu must be finite, got inf"):
+        GridSpec(nu_values=(1.0, float("inf")), beta_values=(0.5,), x_values=(1.0,))
+    with pytest.raises(DomainError, match="grid x must be finite, got inf"):
+        GridSpec(nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0, float("inf")))
     with pytest.raises(KeyError):
         GridSpec(
             nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0,),
@@ -328,6 +333,31 @@ def test_default_sweep_one_engine_pass_per_point(monkeypatch):
     assert len(calls) == len(set(calls)) == 1375
     assert (pair.misses, pair.hits) == (1375, 1125)
     assert g_misses == 1125
+
+
+def test_default_sweep_tail_tests(monkeypatch):
+    # one pass per distinct (nu, beta, x) bounds each tail in logs only once
+    # the one-multiply screen passes: 2,846 forward-loop tests plus the final
+    # F and G checks of each of the 1,375 points
+    calls = []
+    bound = integrals._tail_bound_log
+
+    def counted(m, a, z, rho):
+        calls.append(a)
+        return bound(m, a, z, rho)
+
+    monkeypatch.setattr(integrals, "_tail_bound_log", counted)
+    grid = default_grid()
+    points = {
+        (nu, beta, x)
+        for nu in grid.nu_values
+        for beta in grid.beta_values
+        for x in grid.x_values
+    }
+    for point in points:
+        integrals._termwise_pair_log(*point)
+    assert len(points) == 1375
+    assert len(calls) - 2 * len(points) == 2846
 
 
 def test_default_sweep_log_gamma_once_per_argument():

@@ -242,19 +242,41 @@ def test_termwise_loops_raise_past_cap(monkeypatch, fn):
 @pytest.mark.parametrize("inflated", ("F", "G"))
 def test_termwise_final_tail_check_raises(monkeypatch, fn, inflated):
     # a dropped tail above 1e-16 of its sum must raise, whichever integral's
-    # tail it is and whichever half of the pass is asked for; the pass bounds
-    # F's tail first, then G's
+    # tail it is and whichever half of the pass is asked for.  At nu = 1 F's
+    # a_k = 4 + 2k and G's a_k + 1 lie on disjoint lattices, and each
+    # integral's last bound call is its final check: only that one is inflated
     bound = integrals._tail_bound_log
     calls = []
+
+    def counted(m, a, z, rho):
+        calls.append(a)
+        return bound(m, a, z, rho)
+
+    monkeypatch.setattr(integrals, "_tail_bound_log", counted)
+    fn(1.0, 0.5, 20.0)
+    parity = ("F", "G").index(inflated)
+    target = max(i for i, a in enumerate(calls) if (a - 4.0) % 2.0 == parity)
+    calls.clear()
 
     def inflate(m, a, z, rho):
         calls.append(a)
         value = bound(m, a, z, rho)
-        return value + 60.0 if ("F", "G")[len(calls) - 1] == inflated else value
+        return value + 60.0 if len(calls) - 1 == target else value
 
     monkeypatch.setattr(integrals, "_tail_bound_log", inflate)
     with pytest.raises(ConvergenceError, match=f"tail of {inflated} above 1e-16"):
         fn(1.0, 0.5, 20.0)
+
+
+@pytest.mark.parametrize("x", (1e-300, 5e-324))
+def test_termwise_tiny_x_keeps_leading_term(x):
+    # x^2 / 4 underflows, so only the k = 0 terms remain; at x = 5e-324 G's
+    # tail limit underflows to zero too, and a zero tail must still pass
+    nu, a0 = 1.0, 4.0
+    log_d0 = a0 * math.log(x) - 2.0 * math.log(2.0) - math.lgamma(1.5) - math.lgamma(2.5)
+    ln_f, ln_g = integrals._termwise_pair_log(nu, 0.5, x)
+    assert ln_f == pytest.approx(log_d0 - math.log(a0), rel=1e-14)
+    assert ln_g == pytest.approx(log_d0 + math.log(x) - 2.0 * math.log(a0 + 1.0), rel=1e-14)
 
 
 @settings(max_examples=400, deadline=None)
@@ -265,18 +287,13 @@ def test_termwise_final_tail_check_raises(monkeypatch, fn, inflated):
     st.floats(1e-30, 0.5),
     st.floats(-700.0, 700.0),
 )
-def test_mantissa_tail_test_matches_log_bound(m, a, z, r, log_lim):
-    # the forward loop's tail test on mantissas must pass exactly where the
-    # proven bound, compared in logs, is below the limit (up to rounding)
+def test_tail_screen_passes_wherever_log_bound_does(m, a, z, r, log_lim):
+    # the forward loop takes logs only once m rho <= lim a; U(a) >= 1/a, so
+    # that screen passes wherever the proven bound does and cannot move K
     rho = r / (1.0 - r)
-    ez = math.exp(z) if z < integrals._EZ_MAX else 0.0
-    log_bound = integrals._tail_bound_log(m, a, z, rho)
-    passed = integrals._tail_below(m, a, z, rho, ez, math.exp(log_lim))
     slack = 1e-12 * (1.0 + abs(log_lim))
-    if passed:
-        assert log_bound <= log_lim + slack
-    else:
-        assert log_bound >= log_lim - slack
+    if integrals._tail_bound_log(m, a, z, rho) <= log_lim - slack:
+        assert m * rho <= math.exp(log_lim) * a
 
 
 def test_g_below_f():

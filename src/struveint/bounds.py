@@ -55,8 +55,9 @@ from typing import Callable, Optional
 
 from .errors import ConvergenceError, DomainError, ValidityError
 from .integrals import fg_log
-from .scaled import ScaledReal
+from .scaled import _LN_MAX, ScaledReal
 from .specfun import (
+    _struve_ladder_log,
     bessel_i_scaled_log,
     bessel_k_scaled_log,
     log_gamma,
@@ -85,6 +86,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
+_LN_3_2 = math.log(1.5)
+_LN_15_8 = math.log(15.0 / 8.0)
 
 REFERENCE_ACCURACY = 1e-9
 # margins smaller than 10x the reference accuracy are not trusted either way
@@ -216,19 +219,35 @@ def product_asymptote(kind: str, nu: float) -> ProductAsymptote:
 # ---------------------------------------------------------------------------
 # shared building blocks
 #
-# Bound values are summed as logs and become one ScaledReal each.  The logs
-# of the scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
+# An evaluator returns ln b for a bound b > 0.  The two that subtract
+# (_lower_combination, _eval_ub_gau1_full) return a _Signed(ln|b|, sign), and
+# PRB-KL1 and RB-SEGURA return a pair of logs.  check takes the ratio to the
+# reference from the logs, and check and eval_bound build the ScaledReal.  The logs of
+# the scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
 # (1-beta) x + nu ln x is added last and rounded once, at ulp(x) ~ 1e-13 for
 # x = 1000.
 # ---------------------------------------------------------------------------
 
 
+class _Signed(tuple):
+    """(ln|b|, sign of b) for a bound b that may be negative; sign 0 for b = 0."""
+
+    __slots__ = ()
+
+
+def _signed(log_unit: float, total: float) -> _Signed:
+    """total * e^{log_unit} for a plain float total."""
+    if total == 0.0:
+        return _Signed((-math.inf, 0.0))
+    return _Signed((log_unit + math.log(abs(total)), math.copysign(1.0, total)))
+
+
 def _weighted_struve(
     nu: float, beta: float, x: float, shift: float, factor: float = 1.0
-) -> ScaledReal:
-    """factor e^{-beta x} x^nu L_{nu+shift}(x) for a factor > 0."""
+) -> float:
+    """ln(factor e^{-beta x} x^nu L_{nu+shift}(x)) for a factor > 0."""
     small = math.log(factor) + struve_l_scaled_log(nu + shift, x)
-    return ScaledReal.from_log((1.0 - beta) * x + nu * math.log(x) + small)
+    return (1.0 - beta) * x + nu * math.log(x) + small
 
 
 @lru_cache(maxsize=1 << 16)
@@ -251,44 +270,53 @@ def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) ->
     """ln(e^{-x} sum_k beta^k L_{nu+k+1}(x)).
 
     With ``truncation`` = K the sum takes exactly the first K terms
-    (k = 0..K-1).  Otherwise terms are added until the geometric tail bound
-    beta^k L_{nu+k+1}(x)/(1-beta) falls below 1e-12 of the partial sum; the
-    bound is valid because L decreases in the order along the summed terms
-    (orders nu+k+2 >= 1/2 for every k >= 0 once nu > -1).  For the same
-    reason the first term is the largest, so the sum is carried as a plain
-    float in units of it.
+    (k = 0..K-1), each order from its series.  Otherwise terms are added
+    until the geometric tail bound beta^k L_{nu+k+1}(x)/(1-beta) falls below
+    1e-12 of the partial sum; the bound is valid because L decreases in the
+    order along the summed terms (orders nu+k+2 >= 1/2 for every k >= 0 once
+    nu > -1).  For the same reason the first term is the largest, so the sum
+    is carried as a plain float in units of it.  The adaptive sum reads the
+    orders from one downward ladder of n = 16, 32, ... orders.
     """
     if truncation is not None and int(truncation) < 1:
         raise DomainError(f"truncation must be >= 1, got {truncation}")
-    lead = struve_l_scaled_log(nu + 1.0, x)
     total = 1.0
     if truncation is not None:
+        lead = struve_l_scaled_log(nu + 1.0, x)
         for k in range(1, int(truncation)):
             total += beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
         return lead + math.log(total)
     tail_rel = _LB23_TAIL_REL * (1.0 - beta) / beta
+    n = 16
+    ladder = _struve_ladder_log(nu, x, n)  # ln(e^{-x} L_{nu+k+1}), k < n
+    lead = ladder[0]
     term = 1.0
     k = 0
     while term >= tail_rel * total:  # beta term / (1 - beta) >= 1e-12 total
         k += 1
         if k > _LB23_TERM_CAP:
             raise ConvergenceError("LB-2.3 term cap exceeded")
-        term = beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
+        if k == n:
+            n *= 2
+            ladder = _struve_ladder_log(nu, x, n)
+        term = beta**k * math.exp(ladder[k] - lead)
         total += term
     return lead + math.log(total)
 
 
-def _lower_combination(
-    nu: float, beta: float, x: float, coefficient: float
-) -> ScaledReal:
-    """(coefficient * e^{-bx} x^nu L_nu(x) - gamma term) / (1 - beta)."""
-    main = _weighted_struve(nu, beta, x, 0.0, 1.0 / (1.0 - beta)).scale(coefficient)
-    return main - ScaledReal.from_log(_gamma_term_log(nu, beta, x) - math.log1p(-beta))
+def _lower_combination(nu: float, beta: float, x: float, coefficient: float) -> _Signed:
+    """(coefficient * e^{-bx} x^nu L_nu(x) - gamma term) / (1 - beta), in
+    units of the larger of the two terms."""
+    main = _weighted_struve(nu, beta, x, 0.0)
+    gamma = _gamma_term_log(nu, beta, x)
+    top = max(main, gamma)
+    total = coefficient * math.exp(main - top) - math.exp(gamma - top)
+    return _signed(top - math.log1p(-beta), total)
 
 
-def _kl_upper_const(nu: float) -> float:
-    """2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))."""
-    return math.exp(_LN2 + log_gamma(nu + 2.0) - _LN_SQRT_PI - log_gamma(nu + 1.5))
+def _kl_upper_const_log(nu: float) -> float:
+    """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2)))."""
+    return _LN2 + log_gamma(nu + 2.0) - _LN_SQRT_PI - log_gamma(nu + 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +334,7 @@ def _eval_lb22(nu, beta, x, x_star, truncation):
 
 
 def _eval_lb23(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_log(
-        (1.0 - beta) * x + nu * math.log(x) + _struve_sum_log(nu, beta, x, truncation)
-    )
+    return (1.0 - beta) * x + nu * math.log(x) + _struve_sum_log(nu, beta, x, truncation)
 
 
 def _eval_lb26(nu, beta, x, x_star, truncation):
@@ -349,13 +375,15 @@ def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
         - log_gamma(nu + 2.5)
         - x
     )
-    return (
-        ScaledReal.from_log(
-            large + (c + math.log(2.0 * (nu + 1.0)) + struve_l_scaled_log(nu + 1.0, x))
-        )
-        - ScaledReal.from_log(large + (c + struve_l_scaled_log(nu + 3.0, x)))
-        - ScaledReal.from_log(large + (c + power))
+    # the first term is the largest: at least 3 L_{nu+3}, and 9 times the
+    # power term by the first term of the series for L_{nu+1}
+    first = large + (c + math.log(2.0 * (nu + 1.0)) + struve_l_scaled_log(nu + 1.0, x))
+    total = (
+        1.0
+        - math.exp(large + (c + struve_l_scaled_log(nu + 3.0, x)) - first)
+        - math.exp(large + (c + power) - first)
     )
+    return _signed(first, total)
 
 
 def _eval_ub_gau2(nu, beta, x, x_star, truncation):
@@ -372,64 +400,59 @@ def _eval_ub38(nu, beta, x, x_star, truncation):
 
 
 def _eval_rb31(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(x / (2.0 * nu + 1.0 + x))
+    return math.log(x) - math.log(2.0 * nu + 1.0 + x)
 
 
 def _eval_rb_aug18(nu, beta, x, x_star, truncation):
     i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
-    return ScaledReal.from_float(1.0 / (i_ratio + 1.0 / x))
+    return -math.log(i_ratio + 1.0 / x)
 
 
 def _eval_rb_nasell(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(x / (2.0 * nu + x))
+    return math.log(x) - math.log(2.0 * nu + x)
 
 
 def _eval_rb_segura(nu, beta, x, x_star, truncation):
     half = nu - 0.5
-    sharp = (half + math.hypot(half, x)) / x
-    simple = 1.0 + (2.0 * nu - 1.0) / x
-    return (ScaledReal.from_float(sharp), ScaledReal.from_float(simple))
+    sharp = math.log(half + math.hypot(half, x)) - math.log(x)
+    simple = math.log1p((2.0 * nu - 1.0) / x)
+    return (sharp, simple)
 
 
 def _eval_prb_kl1(nu, beta, x, x_star, truncation):
-    return (
-        ScaledReal.from_float(0.5),
-        ScaledReal.from_float(_kl_upper_const(nu)),
-    )
+    return (-_LN2, _kl_upper_const_log(nu))
 
 
 def _eval_prb_kl0(nu, beta, x, x_star, truncation):
-    return ScaledReal.one()
+    return 0.0
 
 
 def _eval_prb_kl2(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(
-        _kl_upper_const(nu) * (1.0 + (2.0 * nu + 5.0) / x)
-    )
+    return _kl_upper_const_log(nu) + math.log1p((2.0 * nu + 5.0) / x)
 
 
 def _eval_prb_g1(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(1.5)
+    return _LN_3_2
 
 
 def _eval_prb_g2(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(1.5 + 9.0 / x)
+    return math.log(1.5 + 9.0 / x)
 
 
 def _eval_prb_g3(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(15.0 / 8.0)
+    return _LN_15_8
 
 
 def _eval_nb310(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(14.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
+    return math.log(14.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
 
 
 def _eval_nb311(nu, beta, x, x_star, truncation):
-    return ScaledReal.from_float(7.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
+    return math.log(7.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
 
 
 def _eval_imon(nu, beta, x, x_star, truncation):
-    return ScaledReal.one()
+    return 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +499,11 @@ def _kl_product(k_shift: float, l_shift: float):
 def _k_weighted(s: float):
     # e^{beta x} K_{nu+s}(x) x^{1-nu} F(nu, beta, x)
     def ref(nu, beta, x, x_star):
-        k_part = ScaledReal.from_log(
+        f = _f_reference(nu, beta, x)
+        return ScaledReal.from_log(
             (beta - 1.0) * x + (1.0 - nu) * math.log(x) + bessel_k_scaled_log(nu + s, x)
+            + (math.log(f.mantissa) + f.exponent)
         )
-        return k_part * _f_reference(nu, beta, x)
 
     return ref
 
@@ -640,6 +664,14 @@ def _valid_spec(bound_id: str, nu, beta, x, x_star) -> BoundSpec:
     return spec
 
 
+def _ratio(log_value: float, ref_log: float) -> float:
+    """e^{log_value - ref_log}, a bound over its reference."""
+    d = log_value - ref_log
+    if d > _LN_MAX:
+        raise OverflowError("ratio exceeds double range")
+    return math.exp(d)
+
+
 def eval_bound(
     bound_id: str,
     nu: float,
@@ -657,7 +689,12 @@ def eval_bound(
     geometric tail bound.
     """
     spec = _valid_spec(bound_id, nu, beta, x, x_star)
-    return spec.evaluate(nu, beta, x, x_star, truncation)
+    value = spec.evaluate(nu, beta, x, x_star, truncation)
+    if type(value) is _Signed:
+        return ScaledReal.from_log(*value)
+    if type(value) is tuple:
+        return (ScaledReal.from_log(value[0]), ScaledReal.from_log(value[1]))
+    return ScaledReal.from_log(value)
 
 
 def check(
@@ -672,20 +709,27 @@ def check(
 
     For two-sided bounds returns the binding side's margin.  For RB-SEGURA
     the margin is taken against the sharp (square-root) form, which the
-    simple form dominates.
+    simple form dominates.  The ratio is formed from logs; the bound becomes
+    a ScaledReal once, for the Margin.
     """
     spec = _valid_spec(bound_id, nu, beta, x, x_star)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
     reference = spec.reference(nu, beta, x, x_star)
+    if reference.mantissa == 0.0:
+        raise ZeroDivisionError("reference value is zero")
+    ref_log = math.log(reference.mantissa) + reference.exponent
     if spec.side is Side.TWO_SIDED:
         low, high = value
-        margin_low = 1.0 - low.ratio_to(reference)
-        margin_high = high.ratio_to(reference) - 1.0
+        margin_low = 1.0 - _ratio(low, ref_log)
+        margin_high = _ratio(high, ref_log) - 1.0
         if margin_low <= margin_high:
-            return Margin(low, reference, margin_low, margin_low > 0.0)
-        return Margin(high, reference, margin_high, margin_high > 0.0)
-    if isinstance(value, tuple):  # RB-SEGURA: margin against the sharp form
+            return Margin(ScaledReal.from_log(low), reference, margin_low, margin_low > 0.0)
+        return Margin(ScaledReal.from_log(high), reference, margin_high, margin_high > 0.0)
+    sign = 1.0
+    if type(value) is _Signed:
+        value, sign = value
+    elif type(value) is tuple:  # RB-SEGURA: margin against the sharp form
         value = value[0]
-    ratio = value.ratio_to(reference)
+    ratio = sign * _ratio(value, ref_log)
     margin = (1.0 - ratio) if spec.side is Side.LOWER else (ratio - 1.0)
-    return Margin(value, reference, margin, margin > 0.0)
+    return Margin(ScaledReal.from_log(value, sign), reference, margin, margin > 0.0)

@@ -27,7 +27,10 @@ stay in logs; the plain and ``*_scaled`` functions build their float or
 Implementation choices: L and I are summed by direct ascending series with
 term recurrences (all terms positive for nu > -3/2, so no cancellation);
 running exponent extraction renormalizes the partial sum whenever it exceeds
-e^30.  K_nu(x) is Temme's method (J. Comput. Phys. 19, 1975; Numerical
+e^30.  Many consecutive orders of L at one x (the geometric Struve sum of
+LB-2.3) come from one downward recurrence in the order, started from the
+series of its two top orders and pinned to the series of its lowest.
+K_nu(x) is Temme's method (J. Comput. Phys. 19, 1975; Numerical
 Recipes 6.7): at the order mu = |nu| - n, |mu| <= 1/2, Temme's series for
 x < 2 or Steed's evaluation of the continued fraction CF2 for x >= 2 gives
 K_mu and K_{mu+1}, and the recurrence K_{m+1} = K_{m-1} + (2m/x) K_m climbs
@@ -72,6 +75,9 @@ MAX_SERIES_TERMS = 40_000
 
 _EXP30 = math.exp(30.0)
 _LN2 = math.log(2.0)
+# x/2 is a normal double from here up; below it x/2 drops bits (the least
+# subnormal halves to 0), so the series take ln(x/2) as ln x - ln 2 there
+_TWO_MIN_NORMAL = 2.0**-1021
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey's published set).
 _LANCZOS_G = 7.0
@@ -299,13 +305,12 @@ def pfq(
             )
 
 
-def _ascending_series_log(
-    log_t0: float, q: float, offset_a: float, offset_b: float
-) -> float:
-    """ln of t0 * sum_k prod_{j<k} q / ((j+offset_a)(j+offset_b)).
+def _ascending_series(q: float, offset_a: float, offset_b: float) -> tuple[float, float]:
+    """(shift, s) with s e^shift = sum_k prod_{j<k} q / ((j+offset_a)(j+offset_b)).
 
     Shared engine for the Struve L and Bessel I series: all terms positive,
-    term ratio q / ((k+offset_a)(k+offset_b)).
+    term ratio q / ((k+offset_a)(k+offset_b)).  The shift is a whole multiple
+    of 30.
     """
     term = 1.0
     s = 1.0
@@ -324,7 +329,7 @@ def _ascending_series_log(
             break
         if k > MAX_SERIES_TERMS:
             raise ConvergenceError("series term cap exceeded")
-    return log_t0 + shift + math.log(s)
+    return shift, s
 
 
 def _check_struve_args(nu: float, x: float) -> None:
@@ -340,12 +345,70 @@ def _check_struve_args(nu: float, x: float) -> None:
 @lru_cache(maxsize=1 << 17)
 def _struve_l_raw(nu: float, x: float) -> float:
     """ln L_nu(x); -inf where L_nu(x) = 0."""
-    if 0.5 * x == 0.0:
+    if x == 0.0:
         if nu > -1.0:
             return -math.inf
         raise DomainError(f"L_nu(0) diverges for nu <= -1 (nu={nu})")
-    log_t0 = (nu + 1.0) * math.log(0.5 * x) - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
-    return _ascending_series_log(log_t0, 0.25 * x * x, 1.5, nu + 1.5)
+    log_half = math.log(0.5 * x) if x >= _TWO_MIN_NORMAL else math.log(x) - _LN2
+    log_t0 = (nu + 1.0) * log_half - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
+    shift, s = _ascending_series(0.25 * x * x, 1.5, nu + 1.5)
+    return log_t0 + shift + math.log(s)
+
+
+# One downward step multiplies the ladder's mantissas by at most
+# 1 + (2 mu + 1)/x; the e^30 rescale keeps them in range while that stays
+# below e^30 = 1.07e13.
+_LADDER_STEP_MAX = 1e12
+
+
+@lru_cache(maxsize=1 << 10)
+def _struve_ladder_log(nu: float, x: float, n: int) -> tuple[float, ...]:
+    """ln(exp(-x) L_{nu+k+1}(x)) for k = 0..n-1; nu > -1, x > 0, n >= 2.
+
+    The two top orders come from their series; the others run down by DLMF
+    11.4.25, L_{mu-1} = L_{mu+1} + (2 mu/x) L_mu + (x/2)^mu / (sqrt(pi)
+    Gamma(mu+3/2)), whose terms are all positive for mu > 0, so nothing
+    cancels.  The start needs the two series sums alone, each over its
+    first term: the first terms of consecutive orders differ by the factor
+    (x/2)/(mu+3/2), and the inhomogeneous term over L_mu is 1/(x s_mu),
+    since Gamma(3/2) = sqrt(pi)/2.  The values are carried as mantissas
+    with a running e^30 shift, and the ladder is pinned to the series of
+    its lowest order, summed in the scaled form: no log of a large Gamma or
+    of e^x is rounded on the way.  Where x is so small that one step could
+    outgrow the shift, each order comes from its own series, a term or two
+    long there.
+    """
+    if 2.0 * (nu + n) + 2.0 > _LADDER_STEP_MAX * x:
+        return tuple(_struve_l_raw(nu + k + 1.0, x) - x for k in range(n))
+    q = 0.25 * x * x
+    mu = nu + n - 1.0
+    top_shift, top_s = _ascending_series(q, 1.5, mu + 2.5)
+    mu_shift, mu_s = _ascending_series(q, 1.5, mu + 1.5)
+    hi = 0.5 * x / (mu + 1.5) * (top_s / mu_s) * math.exp(top_shift - mu_shift)
+    lo = 1.0  # values in units of L_mu: hi = L_{mu+1}, lo = L_mu
+    # the inhomogeneous term at mu; one step down multiplies it by (2mu+1)/x
+    t = math.exp(-mu_shift) / (x * mu_s)
+    shift = 0.0
+    logs = [0.0] * n  # ln of each mantissa, beside its shift
+    shifts = [0.0] * n
+    logs[n - 1] = math.log(hi)
+    for k in range(n - 3, -1, -1):  # order nu + k + 1 from mu = nu + k + 2
+        mu = nu + k + 2.0
+        hi, lo = lo, hi + (2.0 * mu / x) * lo + t
+        t *= (2.0 * mu + 1.0) / x
+        if lo > _EXP30:
+            shift += 30.0
+            hi /= _EXP30
+            lo /= _EXP30
+            t /= _EXP30
+        logs[k] = math.log(lo)
+        shifts[k] = shift
+    low_shift, low_s = _ascending_series(q, 1.5, nu + 2.5)
+    lead = (  # x >= 4e-12 here, so x/2 is normal
+        (nu + 2.0) * math.log(0.5 * x) - _LOG_GAMMA_3_2 - log_gamma(nu + 2.5)
+    ) + ((low_shift - x) + math.log(low_s))
+    # the shifts are whole multiples of 30, so their differences are exact
+    return tuple(lead + ((s - shift) + (v - logs[0])) for s, v in zip(shifts, logs))
 
 
 def struve_l(nu: float, x: float) -> float:
@@ -374,14 +437,16 @@ def _bessel_i_raw(nu: float, x: float) -> float:
     """ln I_nu(x); -inf where I_nu(x) = 0."""
     if nu < 0.0 and nu == math.floor(nu):
         nu = -nu  # integer order: I_{-n} = I_n
-    if 0.5 * x == 0.0:
+    if x == 0.0:
         if nu == 0.0:
             return 0.0
         if nu > 0.0:
             return -math.inf
         raise DomainError(f"I_nu(0) diverges for negative non-integer nu={nu}")
-    log_t0 = nu * math.log(0.5 * x) - log_gamma(nu + 1.0)
-    return _ascending_series_log(log_t0, 0.25 * x * x, 1.0, nu + 1.0)
+    log_half = math.log(0.5 * x) if x >= _TWO_MIN_NORMAL else math.log(x) - _LN2
+    log_t0 = nu * log_half - log_gamma(nu + 1.0)
+    shift, s = _ascending_series(0.25 * x * x, 1.0, nu + 1.0)
+    return log_t0 + shift + math.log(s)
 
 
 def _check_bessel_i_args(nu: float, x: float) -> None:

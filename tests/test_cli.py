@@ -118,3 +118,19 @@ def test_verify_determinism(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_repeated_bound_checks_each_row_once(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("nu=1.0\nbeta=0.5\nx=5,10\n")
+    code, out, err = run(capsys, "verify", "--grid", str(grid), "--bounds", "UB-2.4,UB-2.4")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3  # header + 2 points
+    assert "checked 2 (bound, point) pairs" in err
+
+
+def test_verify_empty_bound_list_is_an_error(capsys):
+    code, out, err = run(capsys, "verify", "--bounds", "")
+    assert code == 1
+    assert out == ""
+    assert "grid bound list must be nonempty" in err

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from struveint import bounds, integrals, specfun, tables
+from struveint import bounds, harness, integrals, specfun, tables
 from struveint.bounds import Margin
 from struveint.errors import DomainError
 from struveint.harness import (
@@ -105,6 +105,16 @@ def test_grid_validation():
             nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0,),
             bound_filter=("NOPE",),
         )
+    # an empty bound list is refused like an empty value list; a repeated id
+    # keeps its first place, so no row is checked twice
+    with pytest.raises(DomainError, match="grid bound list must be nonempty"):
+        GridSpec(nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0,), bound_filter=())
+    grid = GridSpec(
+        nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0,),
+        bound_filter=("UB-2.4", "LB-2.3", "UB-2.4"),
+    )
+    assert grid.bound_filter == ("UB-2.4", "LB-2.3")
+    assert verify_all(grid).summary["checked"] == 2
 
 
 def test_default_grid_shape():
@@ -180,6 +190,34 @@ def test_verify_rows_sorted():
     report = verify_all(grid)
     keys = [(r.bound_id, r.nu, r.beta, r.x) for r in report.rows]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "nus,betas,xs",
+    [
+        ((1.0, -0.25, 0.5), (0.75, 0.25), (10.0, 0.5, 5.0)),  # unsorted
+        ((0.5, 0.5, 1.0), (0.25, 0.25), (5.0, 0.5, 5.0)),  # repeated values
+        ((0.0, -0.0, 1.0), (0.25, 0.75), (0.5, 5.0)),  # 0 and -0 compare equal
+        ((-0.25, 0.5, 1.0), (0.25, 0.75), (0.5, 5.0, 20.0)),  # increasing: no sort
+    ],
+)
+def test_verify_row_order_is_the_sorted_order(nus, betas, xs):
+    grid = GridSpec(
+        nu_values=nus, beta_values=betas, x_values=xs,
+        bound_filter=("UB-2.5", "RB-3.1", "LB-2.1", "UB-3.8", "IMON"),
+    )
+    rows = verify_all(grid).rows
+    assert rows
+    assert list(rows) == sorted(rows, key=harness._sort_key)
+
+
+def test_margins_csv_prints_negative_zero_apart():
+    grid = GridSpec(
+        nu_values=(0.0, -0.0), beta_values=(0.5,), x_values=(2.0,),
+        bound_filter=("LB-2.1",),
+    )
+    lines = margins_csv(verify_all(grid)).splitlines()[1:]
+    assert sorted(line.split(",")[1] for line in lines) == ["-0", "0"]
 
 
 def test_tightness_profile_lb23_trajectory():

@@ -531,3 +531,69 @@ def test_non_finite_input_is_domain_error(fn, args):
     # rejected up front: no series or quadrature loop may see nan or inf
     with pytest.raises(DomainError):
         fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# subnormal x, and the downward Struve order ladder behind LB-2.3
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", (5e-324, 1e-320, 2.0**-1022, 1e-300))
+def test_struve_l_and_bessel_i_at_tiny_x_match_leading_term(x):
+    # x/2 drops bits below the least normal double (the least subnormal
+    # halves to 0), so the log of x/2 is taken as ln x - ln 2 there; the
+    # series is its first term at these x
+    log_half = math.log(x) - math.log(2.0)
+    for nu in (-0.5, 0.0, 2.0, 10.0):
+        lead = (nu + 1.0) * log_half - log_gamma(1.5) - log_gamma(nu + 1.5)
+        got = specfun.struve_l_scaled_log(nu, x) + x
+        assert abs(got - lead) <= 4.0 * math.ulp(lead)
+        lead = nu * log_half - log_gamma(nu + 1.0)
+        got = specfun.bessel_i_scaled_log(nu, x) + x
+        assert abs(got - lead) <= 4.0 * math.ulp(lead)
+    assert specfun.struve_l_scaled_log(2.0, x) > -math.inf
+
+
+def _ladder_tolerance(nu, k, x, raw):
+    # 1e-13 relative, plus the rounding of the largest log the series for the
+    # order adds up: ln L itself, (mu+1) ln(x/2) and lnGamma(mu + 3/2)
+    mu = nu + k + 1.0
+    largest = max(abs(raw), abs((mu + 1.0) * math.log(0.5 * x)), log_gamma(mu + 1.5))
+    return 1e-13 + 8.0 * math.ulp(largest)
+
+
+@given(
+    st.floats(min_value=-0.999, max_value=30.0),
+    st.floats(min_value=math.log(1e-3), max_value=math.log(1000.0)),
+    st.sampled_from((2, 3, 16, 32)),
+)
+@settings(max_examples=150, deadline=None)
+def test_struve_ladder_matches_per_order_series(nu, log_x, n):
+    x = math.exp(log_x)
+    ladder = specfun._struve_ladder_log(nu, x, n)
+    assert len(ladder) == n
+    for k, value in enumerate(ladder):
+        raw = specfun._struve_l_raw(nu + k + 1.0, x)
+        assert abs(value - (raw - x)) <= _ladder_tolerance(nu, k, x, raw), k
+
+
+@pytest.mark.parametrize("nu", (-0.99, -0.49, 0.0, 2.5, 10.0, 25.0))
+def test_struve_ladder_matches_mpmath(nu):
+    # 32 orders; the ladder's values carry no rounded log of e^x or of a
+    # large Gamma, so each is within a few ulps of its own log
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for x in (1e-3, 0.05, 1.0, 20.0, 300.0):
+            ladder = specfun._struve_ladder_log(nu, x, 32)
+            for k, value in enumerate(ladder):
+                ref = float(mp.log(mp.struvel(nu + k + 1, x)) - x)
+                assert abs(value - ref) <= 1e-13 + 4.0 * math.ulp(ref), (x, k)
+
+
+def test_struve_ladder_at_tiny_x_is_the_per_order_series():
+    # one step would outgrow the e^30 shift, so each order has its series
+    for x in (1e-300, 5e-324):
+        ladder = specfun._struve_ladder_log(2.0, x, 16)
+        assert ladder == tuple(
+            specfun._struve_l_raw(2.0 + k + 1.0, x) - x for k in range(16)
+        )

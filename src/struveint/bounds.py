@@ -328,8 +328,17 @@ def _eval_lb21(nu, beta, x, x_star, truncation):
     return _lower_combination(nu, beta, x, 1.0)
 
 
+def _lb_denominator(names: str, nu: float, beta: float, x: float) -> float:
+    """(2nu-1)(1-beta)x under the 1/x penalties of LB-2.2 and LB-2.6;
+    OverflowError where it underflows to 0 (subnormal x)."""
+    d = (2.0 * nu - 1.0) * (1.0 - beta) * x
+    if d == 0.0:
+        raise OverflowError(f"{names}: 1/((2nu-1)(1-beta)x) exceeds double range at x={x!r}")
+    return d
+
+
 def _eval_lb22(nu, beta, x, x_star, truncation):
-    coeff = 1.0 - 4.0 * nu * nu / ((2.0 * nu - 1.0) * (1.0 - beta) * x)
+    coeff = 1.0 - 4.0 * nu * nu / _lb_denominator("LB-2.2/PB-2.8", nu, beta, x)
     return _lower_combination(nu, beta, x, coeff)
 
 
@@ -338,7 +347,7 @@ def _eval_lb23(nu, beta, x, x_star, truncation):
 
 
 def _eval_lb26(nu, beta, x, x_star, truncation):
-    coeff = 1.0 - 2.0 * nu * (2.0 * nu + 27.0) / ((2.0 * nu - 1.0) * (1.0 - beta) * x)
+    coeff = 1.0 - 2.0 * nu * (2.0 * nu + 27.0) / _lb_denominator("LB-2.6/PB-2.9", nu, beta, x)
     return _lower_combination(nu, beta, x, coeff)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import harness
 from .bounds import default_x_star, get_bound
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
 from .integrals import F, G
 from .scaled import ScaledReal
 from .specfun import bessel_i_scaled, bessel_k_scaled, struve_l_scaled
@@ -170,12 +170,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         "tightness": _cmd_tightness,
         "asymptotics": _cmd_asymptotics,
     }
+    # DomainError is a ValueError; ArithmeticError covers overflow and x / 0
     try:
         return handlers[args.command](args)
-    except (DomainError, ConvergenceError, KeyError, OverflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConvergenceError, KeyError, ArithmeticError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -309,12 +309,15 @@ def tightness_profile(
     x_star: Optional[float] = None,
     truncation: Optional[int] = None,
 ) -> list[tuple[float, float]]:
-    """Trajectory of bound/reference ratios along ``xs``."""
-    spec = get_bound(bound_id)
+    """Trajectory of bound/reference ratios along ``xs``; for a two-sided
+    bound, the binding side's."""
+    side = get_bound(bound_id).side.value
     out = []
     for x in xs:
         margin = check(bound_id, nu, beta, x, x_star=x_star, truncation=truncation)
-        if spec.side.value == "lower":
+        if side == "two-sided":
+            ratio = margin.bound_value.ratio_to(margin.reference_value)
+        elif side == "lower":
             ratio = 1.0 - margin.signed_margin
         else:
             ratio = 1.0 + margin.signed_margin

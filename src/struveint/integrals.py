@@ -22,21 +22,20 @@ is O(x) per call.  ``fg_log`` hands both logs to callers that need the
 pair, and ``integral_series`` is the engine's F entry point for
 0 < beta < 1.  The other routes stay as oracles for the tests:
 
-* ``integral_quad``   -- adaptive quadrature of the integrand;
+* ``integral_quad``   -- double-exponential quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
 * ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0.
 
 Everything is computed in log/scaled arithmetic so x up to 1000 (integrand
-mass ~ exp((1-beta) x)) stays in range.  The quadrature splits off the head
-panel [0, min(1, x)], applies t = u^2 to tame the t^(2 nu + 1) behaviour at
-the origin, and integrates it with a double-exponential (tanh-sinh) rule
-that absorbs any remaining algebraic endpoint singularity; the tail is
-adaptive Gauss-Kronrod 15(7) with panel sums carried in log space.
+mass ~ exp((1-beta) x)) stays in range.  The quadrature applies t = u^2 to
+tame the t^(2 nu + 1) behaviour at the origin and integrates over the whole
+of [0, sqrt(x)] with one double-exponential (tanh-sinh) rule, which absorbs
+any remaining algebraic endpoint singularity; node sums are carried in log
+space.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,7 @@ from .errors import ConvergenceError, DomainError
 from .scaled import ScaledReal
 from .specfun import (
     MAX_SERIES_TERMS,
+    _kummer_sum,
     _require_finite,
     log_gamma,
     lower_incomplete_gamma_log,
@@ -74,41 +74,12 @@ _EXP30 = math.exp(30.0)
 _EPS = 1e-17
 _LN_1E_16 = math.log(1e-16)
 
-MAX_QUAD_PANELS = 4_000
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
 # near the origin the integrand is t^(s-1) with s = weight_power + order + 2,
-# so the tanh-sinh head walk needs of order 1/s nodes per halving (it hits
-# its node cap for s <= 0.03) and drops about e^(-700 s) of the head's mass
+# so the tanh-sinh walk needs of order 1/s nodes per halving (it hits its
+# node cap for s <= 0.03) and drops about e^(-700 s) of the mass near 0
 # (7e-13 at s = 0.04) past its cutoff
 _QUAD_MIN_EXPONENT = 0.04
-
-# Gauss-Kronrod 15(7) abscissae/weights on [-1, 1] (standard published set).
-_KRONROD_X = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_KRONROD_W = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_GAUSS_W = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
 
 
 @dataclass(frozen=True)
@@ -138,11 +109,13 @@ class IntegralSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Adaptive-quadrature outcome.
+    """Quadrature outcome.
 
-    ``abs_error_estimate`` is expressed in units of exp(value.exponent), the
+    ``abs_error_estimate`` is the rule's last halving gap, e^gap - 1 times
+    |value.mantissa|: it is expressed in units of exp(value.exponent), the
     same scale as value.mantissa, so the success invariant
     ``abs_error_estimate <= tol * |value.mantissa|`` is overflow-free.
+    ``node_count`` is the number of nodes the rule placed.
     """
 
     value: ScaledReal
@@ -150,35 +123,13 @@ class QuadratureResult:
     node_count: int
 
 
-def _gk15_log(logf, a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 15(7) panel in log space.
-
-    Returns (log of Kronrod estimate, relative |K-G| error estimate).
-    """
-    c = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    pts = []
-    for i, xk in enumerate(_KRONROD_X):
-        wg = _GAUSS_W[i // 2] if i % 2 == 1 else (_GAUSS_W[3] if xk == 0.0 else 0.0)
-        if xk == 0.0:
-            pts.append((c, _KRONROD_W[i], wg))
-        else:
-            pts.append((c - hw * xk, _KRONROD_W[i], wg))
-            pts.append((c + hw * xk, _KRONROD_W[i], wg))
-    vals = [(logf(t), wk, wg) for (t, wk, wg) in pts]
-    m = max(v for v, _, _ in vals)
-    if m == _NEG_INF:
-        return _NEG_INF, 0.0
-    sk = sum(wk * math.exp(v - m) for v, wk, _ in vals)
-    sg = sum(wg * math.exp(v - m) for v, _, wg in vals)
-    return math.log(hw * sk) + m, abs(sk - sg) / sk
-
-
-def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, int]:
-    """log of integral_0^b f(t) dt with f given as logf(log t).
+def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, float, int]:
+    """(log of integral_0^b f(t) dt, last halving gap, nodes), f given as
+    logf(log t).
 
     Double-exponential transform t = b / (1 + exp(-pi sinh u)); the node sum
-    is the plain trapezoid rule in u, with step halving and node reuse.
+    is the plain trapezoid rule in u, with step halving and node reuse.  The
+    gap is |ln I_h - ln I_{2h}| of the last halving, at most 0.2 tol.
     """
 
     def contrib(u: float) -> float:
@@ -245,7 +196,7 @@ def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, int]:
         extend(h)
         cur = total(h)
         if prev != _NEG_INF and cur != _NEG_INF and abs(cur - prev) <= 0.2 * tol:
-            return cur, len(vals)
+            return cur, abs(cur - prev), len(vals)
         prev = cur
     raise ConvergenceError("tanh-sinh sum did not settle within 10 halvings")
 
@@ -263,11 +214,14 @@ def _integrand_log(weight_power: float, order: float, beta: float):
 
 
 def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
-    """Adaptive quadrature oracle for the integral identified by ``spec``.
+    """Double-exponential quadrature oracle for the integral identified by
+    ``spec``.
 
-    Supports weight_power + order >= -1.96 (nu >= -0.98 for F's integrand)
-    and raises DomainError outside it.  Refines until the global relative
-    error estimate passes ``tol``; raises ConvergenceError past the panel cap.
+    Substitutes t = u^2 and integrates over u in [0, sqrt(upper)] with the
+    tanh-sinh rule.  Supports weight_power + order >= -1.96 (nu >= -0.98 for
+    F's integrand) and raises DomainError outside it.  Halves the step until
+    two successive sums agree to 0.2 ``tol`` in log; raises ConvergenceError
+    if they do not within 10 halvings or a walk reaches its node cap.
     """
     if tol < 1e-13:
         raise DomainError(f"tol must be >= 1e-13, got {tol}")
@@ -278,57 +232,18 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
             f"for F), got {spec.weight_power} + {spec.order}"
         )
     logf = _integrand_log(spec.weight_power, spec.order, spec.beta)
-    x = spec.upper
-    t1 = min(1.0, x)
 
-    # head [0, t1]: substitute t = u^2, then tanh-sinh in u
-    def logf_head(log_u: float) -> float:
+    # t = u^2 tames the t^(2 nu + 1) behaviour at the origin: dt = 2 u du
+    def logf_u(log_u: float) -> float:
         u = math.exp(log_u)
         t = u * u
         if t == 0.0:
             return _NEG_INF
         return logf(t) + _LN2 + log_u
 
-    log_head, n_head = _tanh_sinh_log(logf_head, 0.5 * math.log(t1), tol)
-
-    if x <= t1:
-        value = ScaledReal.from_log(log_head)
-        return QuadratureResult(value, 0.1 * tol * abs(value.mantissa), n_head)
-
-    heap: list[tuple[float, float, float, float, float, float]] = []
-    counter = 0
-
-    def push(a: float, b: float) -> None:
-        nonlocal counter
-        lk, err = _gk15_log(logf, a, b)
-        key = -(lk + math.log(err)) if (err > 0.0 and lk != _NEG_INF) else math.inf
-        counter += 1
-        heapq.heappush(heap, (key, float(counter), err, a, b, lk))
-
-    push(t1, x)
-    panels = 1
-    while True:
-        logs = [item[5] for item in heap if item[5] != _NEG_INF]
-        if log_head != _NEG_INF:
-            logs.append(log_head)
-        m = max(logs)
-        tot = sum(math.exp(v - m) for v in logs)
-        log_total = math.log(tot) + m
-        err_rel = sum(
-            item[2] * math.exp(item[5] - log_total) for item in heap if item[5] != _NEG_INF
-        )
-        if err_rel <= tol:
-            value = ScaledReal.from_log(log_total)
-            return QuadratureResult(
-                value, err_rel * abs(value.mantissa), n_head + 15 * panels
-            )
-        _, _, _, a, b, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        push(a, mid)
-        push(mid, b)
-        panels += 2
-        if panels > MAX_QUAD_PANELS:
-            raise ConvergenceError("quadrature subdivision cap exceeded")
+    log_total, gap, nodes = _tanh_sinh_log(logf_u, 0.5 * math.log(spec.upper), tol)
+    value = ScaledReal.from_log(log_total)
+    return QuadratureResult(value, math.expm1(gap) * abs(value.mantissa), nodes)
 
 
 def _tail_bound_log(m: float, a: float, z: float, rho: float) -> float:
@@ -447,27 +362,12 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     tail_f = shift + _tail_bound_log(m, a, z, r / (1.0 - r))
     tail_g = shift + _tail_bound_log(m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g))
 
-    # S(a_K + 1, z) = sum_n z^n / (a_K + 1)_{n+1}, summed directly; once the
-    # term ratio rho is below 1 the rest is at most term rho / (1 - rho)
-    b = a + 1.0
-    term = 1.0 / b
-    s_g = term
-    n = 0
-    while True:
-        n += 1
-        rho = z / (b + n)
-        term *= rho
-        s_g += term
-        if rho < 1.0 and term * rho <= 1e-17 * s_g * (1.0 - rho):
-            break
-        if n > MAX_SERIES_TERMS:
-            raise ConvergenceError("Kummer series term cap exceeded")
-    s_f = (1.0 + z * s_g) / a
-
-    # downward in a: S = s e^{s_shift}; F's sum is total_f e^{log_d0 - z +
-    # t_shift} and G's x total_g e^{log_d0 - z + t_shift}
-    s_shift = 0.0
-    one = 1.0  # 1 in units of e^{s_shift}
+    # S(a_K + 1, z), summed directly, then downward in a: S = s e^{s_shift};
+    # F's sum is total_f e^{log_d0 - z + t_shift} and G's x total_g e^{log_d0
+    # - z + t_shift}
+    s_shift, s_g = _kummer_sum(a + 1.0, z)
+    one = math.exp(-s_shift)  # 1 in units of e^{s_shift}
+    s_f = (one + z * s_g) / a
     total_f = total_g = 0.0
     t_shift = d_shift[k]
     scale = t_shift

@@ -172,25 +172,30 @@ def gamma_fn(x: float) -> float:
     return math.exp(lg)
 
 
-def _ligamma_series_log(a: float, x: float) -> float:
-    # gamma(a,x) = x^a e^-x sum_{n>=0} x^n / (a (a+1) ... (a+n))
+def _kummer_sum(a: float, z: float) -> tuple[float, float]:
+    """(shift, s) with s e^shift = S(a, z) = sum_n z^n / (a)_{n+1}, a > 0.
+
+    Stops once the term ratio rho = z / (a + n) is below 1 and the geometric
+    bound term rho / (1 - rho) on the rest is at most 1e-17 of the sum.
+    """
     term = 1.0 / a
     s = term
     shift = 0.0
     n = 0
     while True:
         n += 1
-        term *= x / (a + n)
+        rho = z / (a + n)
+        term *= rho
         s += term
         if s > _EXP30:
             shift += 30.0
             s /= _EXP30
             term /= _EXP30
-        if term < 1e-17 * s:
+        if rho < 1.0 and term * rho <= 1e-17 * s * (1.0 - rho):
             break
         if n > MAX_SERIES_TERMS:
-            raise ConvergenceError("incomplete gamma series cap exceeded")
-    return a * math.log(x) - x + math.log(s) + shift
+            raise ConvergenceError("Kummer series term cap exceeded")
+    return shift, s
 
 
 def _ligamma_cf_log(a: float, x: float) -> float:
@@ -230,8 +235,9 @@ def lower_incomplete_gamma_log(a: float, x: float) -> float:
         raise DomainError(f"lower incomplete gamma requires x >= 0, got x={x}")
     if x == 0.0:
         return -math.inf
-    if x < a + 1.0:
-        return _ligamma_series_log(a, x)
+    if x < a + 1.0:  # gamma(a, x) = x^a e^-x S(a, x) (DLMF 8.7.1)
+        shift, s = _kummer_sum(a, x)
+        return a * math.log(x) - x + math.log(s) + shift
     return _ligamma_cf_log(a, x)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from struveint.bounds import eval_bound, get_bound
 from struveint.cli import main
 
 
@@ -103,6 +104,36 @@ def test_tightness(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "x,bound_over_reference"
     assert len(lines) == 3
+
+
+def test_tightness_two_sided_prints_binding_side(capsys):
+    # PRB-KL1 is 1/2 < x K_{nu+2} L_nu < C: where the lower side binds the
+    # ratio is lower / reference, below 1, not 1 + margin
+    xs = (0.01, 100.0, 1000.0)
+    code, out, _ = run(capsys, "tightness", "--bound", "PRB-KL1", "--nu", "1",
+                       "--xs", "0.01,100,1000")
+    assert code == 0
+    printed = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
+    reference = get_bound("PRB-KL1").reference
+    expected = []
+    for x in xs:
+        ref = reference(1.0, None, x, None)
+        low, high = (side.ratio_to(ref) for side in eval_bound("PRB-KL1", 1.0, None, x))
+        expected.append(low if 1.0 - low <= high - 1.0 else high)
+    assert printed == expected
+    assert printed[1] < 1.0 and printed[2] < 1.0
+
+
+def test_verify_subnormal_x_penalty_is_an_error_line(tmp_path, capsys):
+    # (2nu-1)(1-beta)x underflows to 0: a typed error, not a traceback
+    grid = tmp_path / "grid.txt"
+    grid.write_text("nu=2\nbeta=0.9\nx=5e-324\n")
+    code, _, err = run(capsys, "verify", "--grid", str(grid), "--bounds", "LB-2.2")
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: LB-2.2")
+    assert "Traceback" not in err
 
 
 def test_asymptotics(capsys):

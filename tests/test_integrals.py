@@ -1,11 +1,12 @@
 import math
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from struveint import integrals
+from struveint import integrals, specfun
 from struveint.errors import ConvergenceError, DomainError
 from struveint.integrals import (
     F,
@@ -64,6 +65,32 @@ def test_quad_error_estimate_invariant():
     res = integral_quad(IntegralSpec(1.0, 1.0, 0.5, 5.0), tol=1e-11)
     assert res.abs_error_estimate <= 1e-11 * abs(res.value.mantissa)
     assert res.node_count > 0
+
+
+def _oracle_points():
+    # seeded: nu in [-0.98, 30], beta in {0, 1, U(0,1), near 0, near 1}, x
+    # log-uniform on (1, 1000], plus the corners of that box
+    rng = random.Random(20260101)
+    betas = (lambda: 0.0, lambda: 1.0, rng.random,
+             lambda: rng.uniform(0.0, 1e-3), lambda: 1.0 - rng.uniform(0.0, 1e-3))
+    points = [(-0.98, 0.0, 1000.0), (30.0, 0.5, 1000.0), (0.0, 1.0, 1000.0),
+              (-0.98, 0.999, 500.0)]
+    for i in range(56):
+        nu = rng.uniform(-0.98, 30.0)
+        x = math.exp(rng.uniform(0.0, math.log(1000.0)))
+        points.append((nu, betas[i % 5](), x))
+    return points
+
+
+@pytest.mark.parametrize("nu,beta,x", _oracle_points())
+def test_quad_oracle_matches_engine_past_one(nu, beta, x):
+    # the one tanh-sinh path over [0, sqrt(x)] must agree with the engine
+    # within tol for x > 1 as well, with its error estimate inside tol
+    tol = 1e-12
+    for order, engine in ((nu, F), (nu + 1.0, G)):
+        res = integral_quad(IntegralSpec(nu, order, beta, x), tol=tol)
+        assert abs(res.value.ratio_to(engine(nu, beta, x)) - 1.0) <= tol, (order, engine)
+        assert res.abs_error_estimate <= tol * abs(res.value.mantissa)
 
 
 def test_quad_monotone_in_upper_limit():
@@ -220,6 +247,7 @@ def test_termwise_loops_raise_past_cap(monkeypatch, fn):
     outcomes = []
     for cap in range(1, 40):
         monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", cap)
+        monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", cap)
         try:
             fn(0.0, 1.0, 1.0)
         except ConvergenceError as exc:

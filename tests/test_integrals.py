@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from struveint import integrals, specfun
@@ -470,3 +470,145 @@ def test_termwise_engine_against_mpmath(fn, nu):
             ref = termwise_log_reference(fn, nu, beta, x)
             rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
             assert rel <= 1e-10, (fn, nu, beta, x, rel)
+
+
+# ---------------------------------------------------------------------------
+# the anchored pass: large x against 30-digit mpmath, K, and the head bound
+# ---------------------------------------------------------------------------
+
+LARGE_X_NUS = (-0.9, 0.0, 5.0, 30.0)
+LARGE_X_BETAS = (0.01, 0.3, 0.6, 0.9, 1.0)
+LARGE_XS = (300.0, 1000.0, 2000.0)
+
+
+@pytest.mark.parametrize("nu", LARGE_X_NUS)
+def test_termwise_engine_large_x_against_mpmath(nu):
+    # the anchored pass and its head stop keep 3e-13 out to x = 2000, the
+    # largest x that asymptotic_check evaluates
+    mp = pytest.importorskip("mpmath")
+    for beta in LARGE_X_BETAS:
+        for x in LARGE_XS:
+            for fn, got in zip(("F", "G"), integrals.fg_log(nu, beta, x)):
+                ref = termwise_log_reference(fn, nu, beta, x)
+                rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+                assert rel <= 3e-13, (fn, nu, beta, x, rel)
+
+
+def _pass_anchored_or_not(monkeypatch, anchored, nu, beta, x):
+    """(a_K, (ln F, ln G)) of one pass, anchored at every k_a > 0 or never;
+    the final tail check calls _tail_bound_log with a_K, then a_K + 1."""
+    bound = integrals._tail_bound_log
+    calls = []
+
+    def counted(m, a, z, rho):
+        calls.append(a)
+        return bound(m, a, z, rho)
+
+    monkeypatch.setattr(integrals, "_tail_bound_log", counted)
+    monkeypatch.setattr(integrals, "_ANCHOR_MIN", 0 if anchored else 10**9)
+    monkeypatch.setattr(integrals, "_ANCHOR_X", 0.0 if anchored else math.inf)
+    logs = integrals._termwise_pair_log(nu, beta, x)
+    return calls[-2], logs
+
+
+@pytest.mark.parametrize("nu,beta,x", [
+    # nu near -1 at moderate x: d_0 / a_0 is the peak, below any anchor
+    (-0.999, 0.0, 6.0), (-0.9849056937212035, 0.0, 6.010256933742996),
+    (-0.999, 0.6, 8.0), (-1.0 + 1e-12, 0.5, 40.0),
+    (0.0, 0.0, 150.0), (2.0, 0.3, 1000.0), (-0.9, 1.0, 300.0),
+    (30.0, 0.9, 2000.0), (10.0, 0.05, 500.0), (-0.5, 0.99, 700.0),
+])
+def test_anchor_moves_neither_last_index_nor_value(monkeypatch, nu, beta, x):
+    # the anchored pass keeps the unanchored pass's least possible sums, so
+    # its last index K, and its value to rounding
+    k_plain, plain = _pass_anchored_or_not(monkeypatch, False, nu, beta, x)
+    k_anchored, anchored = _pass_anchored_or_not(monkeypatch, True, nu, beta, x)
+    assert integrals._anchor_index(nu, 0.25 * x * x) > 0
+    assert k_anchored == k_plain
+    for got, want in zip(anchored, plain):
+        assert got == pytest.approx(want, rel=4e-16, abs=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1.0, 30.0, exclude_min=True),
+    st.floats(math.log(1e-3), math.log(2000.0)),
+)
+def test_anchor_index_sits_two_below_the_coefficient_peak(nu, log_x):
+    # k_a + 2 is the first k with r_k <= 1 (or k_a = 0 and r_2 <= 1)
+    q = 0.25 * math.exp(log_x) ** 2
+    k_a = integrals._anchor_index(nu, q)
+
+    def r(k):
+        return q / ((k + 1.5) * (k + nu + 1.5))
+
+    assert r(k_a + 2) <= 1.0
+    if k_a > 0:
+        assert r(k_a + 1) > 1.0
+
+
+def _kummer_s(mp, b, z):
+    """S(b, z) = z^-b e^z gamma(b, z) (DLMF 8.7.1), 1/b at z = 0."""
+    if z == 0:
+        return 1 / b
+    return mp.gammainc(b, 0, z) * mp.exp(z) / z**b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-1.0, 30.0, exclude_min=True),
+    st.floats(0.0, 1.0),
+    st.floats(math.log(20.0), math.log(1000.0)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_head_ratio_majorant(nu, beta, log_x, uk, uj):
+    # for 1 <= j <= k <= k_a the true T_{j-1} / T_j of F and of G is at most
+    # R = _head_factor (1/S(a_k + 1, z) + z)^2, the second leg's majorant
+    mp = pytest.importorskip("mpmath")
+    x = math.exp(log_x)
+    k_a = integrals._anchor_index(nu, 0.25 * x * x)
+    assume(k_a >= 1)
+    k = 1 + int(uk * (k_a - 1))
+    j = 1 + int(uj * (k - 1))
+    with mp.workdps(30):
+        nu_m, x_m = mp.mpf(nu), mp.mpf(x)
+        z = mp.mpf(beta) * x_m
+        half = mp.mpf(1) / 2
+        a_j = 2 * j + 2 * nu_m + 2
+        inv_r = (j + half) * (j + nu_m + half) / (x_m**2 / 4)  # d_{j-1} / d_j
+        ratio_f = inv_r * _kummer_s(mp, a_j - 2, z) / _kummer_s(mp, a_j, z)
+        ratio_g = (inv_r * (a_j + 1) / (a_j - 1)
+                   * _kummer_s(mp, a_j - 1, z) / _kummer_s(mp, a_j + 1, z))
+        a_k = 2 * k + 2 * nu_m + 2
+        n = 1 / _kummer_s(mp, a_k + 1, z) + z
+        bound = mp.mpf(integrals._head_factor(nu, x)) * n**2
+        assert ratio_f <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_f, bound)
+        assert ratio_g <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_g, bound)
+
+
+def test_head_stop_never_fires_at_beta_one():
+    # at beta = 1, R >= c (z/x)^2 = c >= 1 for every nu, so the second leg
+    # runs to k = 0.  At nu = -0.9 and x = 300 the k = 0 term alone is 82% of
+    # F, so a pass that stopped above it would miss by far more than 3e-13
+    mp = pytest.importorskip("mpmath")
+    nu, x = -0.9, 300.0
+    for any_nu in (nu, 0.0, 5.0, 30.0):
+        assert integrals._head_factor(any_nu, x) * x * x >= 1.0
+    assert integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
+    ref = termwise_log_reference("F", nu, 1.0, x)
+    assert abs(float(mp.expm1(mp.mpf(integrals.fg_log(nu, 1.0, x)[0]) - ref))) <= 3e-13
+    with mp.workdps(30):
+        nu_m = mp.mpf(nu)
+        t_0 = mp.gammainc(2 * nu_m + 2, 0, x) / (
+            2 ** (nu_m + 1) * mp.gamma(mp.mpf(3) / 2) * mp.gamma(nu_m + mp.mpf(3) / 2))
+        assert t_0 / mp.exp(ref) > 0.5
+
+
+def test_termwise_huge_x_raises_at_once():
+    # k_p past the term cap: the anchor raises before any loop runs
+    for x in (1e6, 1e200):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
+            F(1.0, 0.5, x)
+        assert time.perf_counter() - start < 0.05

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from struveint.scaled import ScaledReal
@@ -44,19 +44,25 @@ def test_mul_matches_floats(a, b):
     assert math.isclose(got, a * b, rel_tol=1e-13)
 
 
+# from_float rounds each input's base-e mantissa, v = m e^k, so a sum or
+# difference carries a few units of 2^-52 in |a| + |b|: all of a
+# near-cancelling result.  On 200,000 draws, half of them near-cancelling, the
+# worst was 2.5 units (5.5e-16 (|a| + |b|)).
+ADD_ROUNDING_UNITS = 4
+
+
 @given(signed, signed)
 @settings(max_examples=200)
+@example(1e-280, -1.0000000000000001e-280)
+@example(1e-280, 1.0000000000000001e-280)
 def test_add_sub_match_floats(a, b):
     sa, sb = ScaledReal.from_float(a), ScaledReal.from_float(b)
-    want = a + b
-    got = (sa + sb).to_float()
-    if want == 0.0:
-        assert abs(got) <= 1e-13 * max(abs(a), abs(b))
-    else:
-        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-300)
-    assert math.isclose((sa - sb).to_float(), a - b, rel_tol=1e-12, abs_tol=1e-300) or (
-        a - b == 0.0
-    )
+    slack = ADD_ROUNDING_UNITS * 2.0**-52 * (abs(a) + abs(b))
+    for got, want in (((sa + sb).to_float(), a + b), ((sa - sb).to_float(), a - b)):
+        if want == 0.0:
+            assert abs(got) <= 1e-13 * max(abs(a), abs(b))
+        else:
+            assert abs(got - want) <= 1e-12 * abs(want) + slack, (got, want)
 
 
 @given(signed_moderate, signed_moderate)

@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConvergenceError, DomainError, ValidityError
 from .integrals import fg_log
@@ -131,14 +131,13 @@ class BoundSpec:
     reference: Optional[Callable] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Margin:
+class Margin(NamedTuple):
     """Bound value against reference, with relative signed slack.
 
     signed_margin is (reference - bound)/reference for lower bounds and
     (bound - reference)/reference for upper bounds; for two-sided bounds it
     is the binding (smaller) of the two sides, with bound_value the binding
-    side's value.
+    side's value.  A named tuple, since check builds one per sweep row.
     """
 
     bound_value: ScaledReal
@@ -727,7 +726,8 @@ def check(
     if reference.mantissa == 0.0:
         raise ZeroDivisionError("reference value is zero")
     ref_log = math.log(reference.mantissa) + reference.exponent
-    if spec.side is Side.TWO_SIDED:
+    side = spec.side
+    if side is Side.TWO_SIDED:
         low, high = value
         margin_low = 1.0 - _ratio(low, ref_log)
         margin_high = _ratio(high, ref_log) - 1.0
@@ -740,5 +740,5 @@ def check(
     elif type(value) is tuple:  # RB-SEGURA: margin against the sharp form
         value = value[0]
     ratio = sign * _ratio(value, ref_log)
-    margin = (1.0 - ratio) if spec.side is Side.LOWER else (ratio - 1.0)
+    margin = (1.0 - ratio) if side is Side.LOWER else (ratio - 1.0)
     return Margin(ScaledReal.from_log(value, sign), reference, margin, margin > 0.0)

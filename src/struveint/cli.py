@@ -30,6 +30,18 @@ from .scaled import ScaledReal
 from .specfun import bessel_i_scaled, bessel_k_scaled, struve_l_scaled
 
 
+def _x_list(text: str) -> tuple[float, ...]:
+    """``--xs``: comma-separated reals, at least one; anything else is a
+    usage error."""
+    try:
+        xs = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of reals: {text!r}") from None
+    if not xs:
+        raise argparse.ArgumentTypeError("empty list")
+    return xs
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="struveint",
@@ -55,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tight.add_argument("--bound", required=True)
     p_tight.add_argument("--nu", type=float, required=True)
     p_tight.add_argument("--beta", type=float, default=None)
-    p_tight.add_argument("--xs", required=True, help="comma-separated x values")
+    p_tight.add_argument("--xs", type=_x_list, required=True, help="comma-separated x values")
     p_tight.add_argument("--x-star", type=float, default=None)
     p_tight.add_argument("--truncation", type=int, default=None)
 
@@ -132,16 +144,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_tightness(args) -> int:
-    xs = tuple(float(tok) for tok in args.xs.split(",") if tok.strip())
-    if not xs:
-        print("tightness: empty --xs", file=sys.stderr)
-        return 2
     spec = get_bound(args.bound)
     x_star = args.x_star
     if x_star is None and spec.uses_x_star and args.beta is not None:
         x_star = default_x_star(args.beta)
     profile = harness.tightness_profile(
-        args.bound, args.nu, args.beta, xs, x_star=x_star, truncation=args.truncation
+        args.bound, args.nu, args.beta, args.xs, x_star=x_star, truncation=args.truncation
     )
     print("x,bound_over_reference")
     for x, ratio in profile:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import tables
 from .bounds import (
@@ -160,8 +160,9 @@ class TableRow:
     metric: float
 
 
-@dataclass(frozen=True)
-class MarginRow:
+class MarginRow(NamedTuple):
+    """One sweep row; a named tuple, since verify_all builds one per check."""
+
     bound_id: str
     nu: float
     beta: Optional[float]
@@ -286,7 +287,7 @@ def verify_all(grid: GridSpec) -> Report:
                 else:
                     continue
                 for x in xs:
-                    margin = check(bound_id, nu, beta, x, x_star=x_star)
+                    margin = check(bound_id, nu, beta, x, x_star)
                     status = margin_status(margin)
                     counts[status] += 1
                     append(MarginRow(bound_id, nu, beta, x, x_star, margin, status))
@@ -461,11 +462,8 @@ def margins_csv(report: Report) -> str:
     log = math.log
     copysign = math.copysign
     points: dict = {}
-    for row in report.rows:
-        margin = row.margin
-        bound = margin.bound_value
-        ref = margin.reference_value
-        nu, beta, x = row.nu, row.beta, row.x
+    for bound_id, nu, beta, x, _, margin, status in report.rows:
+        bound, ref, signed_margin, _ = margin
         key = (nu, copysign(1.0, nu), beta, x)  # 0.0 and -0.0 print apart
         point = points.get(key)
         if point is None:
@@ -475,12 +473,12 @@ def margins_csv(report: Report) -> str:
         lines.append(
             "%s,%s,%.17g,%.17g,%.17g,%s"
             % (
-                row.bound_id,
+                bound_id,
                 point,
                 log(bound.mantissa) + bound.exponent if bound.mantissa > 0.0 else nan,
                 log(ref.mantissa) + ref.exponent if ref.mantissa > 0.0 else nan,
-                margin.signed_margin,
-                row.status,
+                signed_margin,
+                status,
             )
         )
     return "\n".join(lines) + "\n"

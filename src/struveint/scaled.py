@@ -36,9 +36,14 @@ def _normalize(mantissa: float, exponent: float) -> tuple[float, float]:
     return m, exponent + k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaledReal:
-    """A real number stored as ``mantissa * exp(exponent)``."""
+    """A real number stored as ``mantissa * exp(exponent)``.
+
+    Frozen, with two slots.  ``ScaledReal(m, e)`` is the public constructor;
+    ``from_log``, the constructor a verify sweep calls for every row, builds
+    through ``_build`` instead.
+    """
 
     mantissa: float
     exponent: float
@@ -61,13 +66,13 @@ class ScaledReal:
     def from_log(cls, log_value: float, sign: float = 1.0) -> "ScaledReal":
         """Build exp(log_value), optionally negated.  -inf maps to zero."""
         if log_value == -math.inf:
-            return cls.zero()
+            return _build(0.0, 0.0)
         k = math.floor(log_value)  # raises for +inf and nan
         m = math.exp(log_value - k)  # in [1, e]: the fraction lies in [0, 1)
         if m >= math.e:  # a fraction within an ulp of 1 rounds up to e
             m /= math.e
             k += 1
-        return cls(math.copysign(m, sign), float(k))
+        return _build(math.copysign(m, sign), float(k))
 
     # -- predicates ---------------------------------------------------------
 
@@ -189,3 +194,19 @@ class ScaledReal:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScaledReal({self.mantissa!r} * e^{self.exponent!r})"
+
+
+# The frozen __init__ assigns each field through object.__setattr__ and checks
+# nothing, so writing the two slots through their member descriptors builds the
+# same value in about half the time.
+_new = object.__new__
+_set_mantissa = ScaledReal.mantissa.__set__
+_set_exponent = ScaledReal.exponent.__set__
+
+
+def _build(mantissa: float, exponent: float) -> ScaledReal:
+    """``ScaledReal(mantissa, exponent)`` without the frozen ``__init__``."""
+    value = _new(ScaledReal)
+    _set_mantissa(value, mantissa)
+    _set_exponent(value, exponent)
+    return value

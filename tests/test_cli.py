@@ -106,6 +106,16 @@ def test_tightness(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("xs", ("a", ",", "1,b"))
+def test_tightness_bad_xs_is_a_usage_error(capsys, xs):
+    with pytest.raises(SystemExit) as exc:
+        main(["tightness", "--bound", "LB-2.3", "--nu", "1", "--beta", "0.5", "--xs", xs])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --xs" in captured.err
+
+
 def test_tightness_two_sided_prints_binding_side(capsys):
     # PRB-KL1 is 1/2 < x K_{nu+2} L_nu < C: where the lower side binds the
     # ratio is lower / reference, below 1, not 1 + margin

@@ -310,6 +310,25 @@ def test_margins_csv_fixed_text():
     )
 
 
+def test_margin_records_are_positional_immutable_tuples():
+    margin = Margin(ScaledReal(1.0, 0.0), ScaledReal(1.0, -2.0), 0.1, True)
+    row = MarginRow("UB-3.8", 10.0, 0.75, 20.0, 8.0, margin, "strict")
+    assert Margin._fields == ("bound_value", "reference_value", "signed_margin", "strict")
+    assert MarginRow._fields == ("bound_id", "nu", "beta", "x", "x_star", "margin", "status")
+    assert tuple(margin) == (ScaledReal(1.0, 0.0), ScaledReal(1.0, -2.0), 0.1, True)
+    assert margin == Margin(
+        bound_value=ScaledReal(1.0, 0.0), reference_value=ScaledReal(1.0, -2.0),
+        signed_margin=0.1, strict=True,
+    )
+    assert (row.x_star, row.margin, row.status) == (8.0, margin, "strict")
+    assert repr(margin).startswith("Margin(bound_value=ScaledReal(")
+    assert repr(row).startswith("MarginRow(bound_id='UB-3.8', nu=10.0, beta=0.75,")
+    for record, name in ((margin, "signed_margin"), (row, "status")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert margin._replace(strict=False).strict is False and margin.strict is True
+
+
 def test_default_sweep_lower_gamma_once_per_point(monkeypatch):
     # LB-2.1/2.2/2.6 and PB-2.7/2.8/2.9 share the cached gamma term: one lower
     # incomplete gamma per distinct (nu, beta, x), not one per check

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,3 +190,73 @@ def test_ratio_to_overflow_edge():
         for sign in (1.0, -1.0):
             with pytest.raises(OverflowError):
                 ScaledReal.from_log(num, sign=sign).ratio_to(ScaledReal.from_log(den))
+
+
+def _from_log_by_init(log_value, sign):
+    # from_log's arithmetic with the instance built by the public constructor
+    if log_value == -math.inf:
+        return ScaledReal(0.0, 0.0)
+    k = math.floor(log_value)
+    m = math.exp(log_value - k)
+    if m >= math.e:
+        m /= math.e
+        k += 1
+    return ScaledReal(math.copysign(m, sign), float(k))
+
+
+_below_integers = st.integers(-1_000_000, 1_000_000).map(
+    lambda k: math.nextafter(float(k), -math.inf)
+)
+# a fraction within an ulp of 1 rounds exp up to e: the m >= e branch
+_tiny_negative = st.floats(min_value=-(2.0**-52), max_value=-5e-324)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.just(-math.inf),
+        st.floats(min_value=-1e6, max_value=1e6),
+        _below_integers,
+        _tiny_negative,
+    ),
+    st.sampled_from((1.0, -1.0)),
+)
+@example(-math.inf, -1.0)
+@example(-1e-300, 1.0)
+@example(math.nextafter(1.0, -math.inf), -1.0)
+def test_from_log_matches_public_constructor(lv, sign):
+    built = ScaledReal.from_log(lv, sign)
+    expected = _from_log_by_init(lv, sign)
+    assert type(built) is ScaledReal
+    assert built.mantissa.hex() == expected.mantissa.hex()
+    assert built.exponent.hex() == expected.exponent.hex()
+    assert built == expected
+    assert hash(built) == hash(expected)
+
+
+@pytest.mark.parametrize(
+    "value",
+    (ScaledReal(1.5, -3.0), ScaledReal.from_log(-1e-300, -1.0), ScaledReal.from_log(-math.inf)),
+)
+def test_scaled_real_stays_frozen(value):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.mantissa = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        value.exponent = 1.0
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "value",
+    (ScaledReal(-1.5, 3.0), ScaledReal.from_log(1234.5, -1.0), ScaledReal.from_log(-math.inf)),
+)
+def test_scaled_real_copy_and_pickle_round_trip(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for twin in copies:
+        assert type(twin) is ScaledReal
+        assert (twin.mantissa, twin.exponent) == (value.mantissa, value.exponent)
+        assert twin == value and hash(twin) == hash(value)

@@ -57,6 +57,7 @@ from .errors import ConvergenceError, DomainError, ValidityError
 from .integrals import fg_log
 from .scaled import _LN_MAX, ScaledReal
 from .specfun import (
+    _require_finite,
     _struve_ladder_log,
     bessel_i_scaled_log,
     bessel_k_scaled_log,
@@ -117,7 +118,7 @@ class Target(str, Enum):
 class BoundSpec:
     """One catalog entry.  ``validity(nu, beta, x, x_star)`` is None where the
     hypothesis holds, else the failed clause; ``evaluate(nu, beta, x, x_star,
-    truncation)`` and ``reference(nu, beta, x, x_star)`` assume it holds."""
+    truncation)`` and ``reference(nu, beta, x)`` assume it holds."""
 
     bound_id: str
     side: Side
@@ -174,6 +175,7 @@ def margin_status(margin: Margin) -> str:
 
 def m_factor(nu: float, beta: float, x_star: float) -> float:
     """max{(2 nu + 3 + 2 x*)/(2 nu + 1), x*/((1 - beta) x* - 1)}."""
+    _require_finite("m_factor", nu, beta, x_star)
     if not nu > -0.5:
         raise DomainError(f"m_factor requires nu > -1/2, got {nu}")
     if not 0.0 < beta < 1.0:
@@ -189,6 +191,7 @@ def m_factor(nu: float, beta: float, x_star: float) -> float:
 
 def a_factor(nu: float) -> float:
     """2(nu+1) for nu >= 1/2, else 2 nu + 29 (valid for nu > -1/2)."""
+    _require_finite("a_factor", nu)
     if not nu > -0.5:
         raise DomainError(f"a_factor requires nu > -1/2, got {nu}")
     return 2.0 * (nu + 1.0) if nu >= 0.5 else 2.0 * nu + 29.0
@@ -203,6 +206,7 @@ def default_x_star(beta: float) -> float:
 
 def product_asymptote(kind: str, nu: float) -> ProductAsymptote:
     """Limiting coefficients of x K_{nu+1}(x) L_nu(x) for nu > -1/2."""
+    _require_finite("product_asymptote", nu)
     if not nu > -0.5:
         raise DomainError(f"product_asymptote requires nu > -1/2, got {nu}")
     if kind == "small_x":
@@ -269,18 +273,21 @@ def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) ->
     """ln(e^{-x} sum_k beta^k L_{nu+k+1}(x)).
 
     With ``truncation`` = K the sum takes exactly the first K terms
-    (k = 0..K-1), each order from its series.  Otherwise terms are added
-    until the geometric tail bound beta^k L_{nu+k+1}(x)/(1-beta) falls below
-    1e-12 of the partial sum; the bound is valid because L decreases in the
-    order along the summed terms (orders nu+k+2 >= 1/2 for every k >= 0 once
-    nu > -1).  For the same reason the first term is the largest, so the sum
-    is carried as a plain float in units of it.  The adaptive sum reads the
+    (k = 0..K-1), each order from its series; K is capped at the adaptive
+    sum's _LB23_TERM_CAP.  Otherwise terms are added until the geometric
+    tail bound beta^k L_{nu+k+1}(x)/(1-beta) falls below 1e-12 of the
+    partial sum; the bound is valid because L decreases in the order along
+    the summed terms (orders nu+k+2 >= 1/2 for every k >= 0 once nu > -1).
+    For the same reason the first term is the largest, so the sum is
+    carried as a plain float in units of it.  The adaptive sum reads the
     orders from one downward ladder of n = 16, 32, ... orders.
     """
-    if truncation is not None and int(truncation) < 1:
-        raise DomainError(f"truncation must be >= 1, got {truncation}")
     total = 1.0
     if truncation is not None:
+        if not truncation >= 1:
+            raise DomainError(f"truncation must be >= 1, got {truncation}")
+        if not truncation <= _LB23_TERM_CAP:
+            raise DomainError(f"truncation must be <= {_LB23_TERM_CAP}, got {truncation}")
         lead = struve_l_scaled_log(nu + 1.0, x)
         for k in range(1, int(truncation)):
             total += beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
@@ -431,10 +438,6 @@ def _eval_prb_kl1(nu, beta, x, x_star, truncation):
     return (-_LN2, _kl_upper_const_log(nu))
 
 
-def _eval_prb_kl0(nu, beta, x, x_star, truncation):
-    return 0.0
-
-
 def _eval_prb_kl2(nu, beta, x, x_star, truncation):
     return _kl_upper_const_log(nu) + math.log1p((2.0 * nu + 5.0) / x)
 
@@ -459,8 +462,8 @@ def _eval_nb311(nu, beta, x, x_star, truncation):
     return math.log(7.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
 
 
-def _eval_imon(nu, beta, x, x_star, truncation):
-    return 0.0
+def _eval_log_one(nu, beta, x, x_star, truncation):
+    return 0.0  # ln 1: PRB-KL0 and IMON bound by 1
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +489,7 @@ def _g_reference(nu: float, beta: float, x: float) -> ScaledReal:
 
 def _order_ratio(kernel_log):
     # f_nu(x) / f_{nu-1}(x) for a scaled kernel; the scalings cancel
-    def ref(nu, beta, x, x_star):
+    def ref(nu, beta, x):
         return ScaledReal.from_log(kernel_log(nu, x) - kernel_log(nu - 1.0, x))
 
     return ref
@@ -494,7 +497,7 @@ def _order_ratio(kernel_log):
 
 def _kl_product(k_shift: float, l_shift: float):
     # x K_{nu+k_shift}(x) L_{nu+l_shift}(x); the e^{+-x} scalings cancel
-    def ref(nu, beta, x, x_star):
+    def ref(nu, beta, x):
         return ScaledReal.from_log(
             math.log(x)
             + bessel_k_scaled_log(nu + k_shift, x)
@@ -506,7 +509,7 @@ def _kl_product(k_shift: float, l_shift: float):
 
 def _k_weighted(s: float):
     # e^{beta x} K_{nu+s}(x) x^{1-nu} F(nu, beta, x)
-    def ref(nu, beta, x, x_star):
+    def ref(nu, beta, x):
         f = _f_reference(nu, beta, x)
         return ScaledReal.from_log(
             (beta - 1.0) * x + (1.0 - nu) * math.log(x) + bessel_k_scaled_log(nu + s, x)
@@ -514,14 +517,6 @@ def _k_weighted(s: float):
         )
 
     return ref
-
-
-def _ref_f(nu, beta, x, x_star):
-    return _f_reference(nu, beta, x)
-
-
-def _ref_g(nu, beta, x, x_star):
-    return _g_reference(nu, beta, x)
 
 
 # ---------------------------------------------------------------------------
@@ -586,36 +581,36 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
     # nu ranges are (lo, lo closed?, hi, hi closed?); hi = None is no upper end
     # F = int_0^x e^{-bt} t^nu L_nu dt
     _row("LB-2.1", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, 0.0, True),
-         _eval_lb21, _ref_f, ("x->inf",)),
+         _eval_lb21, _f_reference, ("x->inf",)),
     _row("LB-2.2", Side.LOWER, Target.F_INTEGRAL, (1.5, True, None, False),
-         _eval_lb22, _ref_f, ("x->inf",)),
+         _eval_lb22, _f_reference, ("x->inf",)),
     _row("LB-2.3", Side.LOWER, Target.F_INTEGRAL, (-1.0, False, None, False),
-         _eval_lb23, _ref_f, ("x->inf",)),
+         _eval_lb23, _f_reference, ("x->inf",)),
     _row("LB-2.6", Side.LOWER, Target.F_INTEGRAL, (0.5, False, None, False),
-         _eval_lb26, _ref_f, ("x->inf",)),
+         _eval_lb26, _f_reference, ("x->inf",)),
     _row("LB-PRIOR", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_lb_prior, _ref_f),
+         _eval_lb_prior, _f_reference),
     _row("UB-2.4", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub24, _ref_f),
+         _eval_ub24, _f_reference),
     _row("UB-2.5", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub25, _ref_f),
+         _eval_ub25, _f_reference),
     _row("UB-GAU1", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
-         _eval_ub_gau1, _ref_f),
+         _eval_ub_gau1, _f_reference),
     _row("UB-GAU1-FULL", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
-         _eval_ub_gau1_full, _ref_f, ("x->inf",)),
+         _eval_ub_gau1_full, _f_reference, ("x->inf",)),
     _row("UB-GAU2", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
-         _eval_ub_gau2, _ref_f, ("x->inf",)),
+         _eval_ub_gau2, _f_reference, ("x->inf",)),
     _row("UB-ANU", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub_anu, _ref_f),
+         _eval_ub_anu, _f_reference),
     _row("UB-3.8", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub38, _ref_f, uses_x_star=True),
+         _eval_ub38, _f_reference, uses_x_star=True),
     # G: the same right sides, integrand t^nu L_{nu+1}
     _row("PB-2.7", Side.LOWER, Target.G_INTEGRAL, (-0.5, False, 0.0, True),
-         _eval_lb21, _ref_g),
+         _eval_lb21, _g_reference),
     _row("PB-2.8", Side.LOWER, Target.G_INTEGRAL, (1.5, True, None, False),
-         _eval_lb22, _ref_g),
+         _eval_lb22, _g_reference),
     _row("PB-2.9", Side.LOWER, Target.G_INTEGRAL, (0.5, False, None, False),
-         _eval_lb26, _ref_g),
+         _eval_lb26, _g_reference),
     # ratios of Struve and Bessel functions
     _row("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, (0.0, False, None, False),
          _eval_rb31, _order_ratio(struve_l_scaled_log), ("x->0", "x->inf")),
@@ -629,7 +624,7 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
     _row("PRB-KL1", Side.TWO_SIDED, Target.KL_PRODUCT, (-0.5, True, None, False),
          _eval_prb_kl1, _kl_product(2.0, 0.0), ("x->0", "x->inf")),
     _row("PRB-KL0", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
-         _eval_prb_kl0, _kl_product(1.0, 0.0)),
+         _eval_log_one, _kl_product(1.0, 0.0)),
     _row("PRB-KL2", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
          _eval_prb_kl2, _kl_product(3.0, 0.0)),
     _row("PRB-G1", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
@@ -645,7 +640,7 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
          _eval_nb311, _k_weighted(2.0)),
     # monotonicity in the order
     _row("IMON", Side.UPPER, Target.STRUVE_RATIO, (0.5, True, None, False),
-         _eval_imon, _order_ratio(struve_l_scaled_log)),
+         _eval_log_one, _order_ratio(struve_l_scaled_log)),
 )}
 
 
@@ -669,6 +664,8 @@ def _valid_spec(bound_id: str, nu, beta, x, x_star) -> BoundSpec:
     failure = spec.validity(nu, beta, x, x_star)
     if failure is not None:
         raise ValidityError(f"{bound_id}: {failure}")
+    if nu == math.inf or x == math.inf:  # the only non-finite values a hypothesis admits
+        raise DomainError(f"{bound_id} requires finite nu and x, got nu={nu}, x={x}")
     return spec
 
 
@@ -691,10 +688,10 @@ def eval_bound(
     """Evaluate the bound side at a point.
 
     Two-sided entries (PRB-KL1) return (lower, upper); RB-SEGURA returns its
-    (sharp, simple) pair of upper bounds.  LB-2.3 takes ``truncation`` = K to
-    sum exactly K terms (K = 5 reproduces the truncated reference bound used
-    by the relative-error tables); by default it truncates adaptively via the
-    geometric tail bound.
+    (sharp, simple) pair of upper bounds.  LB-2.3 takes ``truncation`` = K,
+    1 <= K <= 5000, to sum exactly K terms (K = 5 reproduces the truncated
+    reference bound used by the relative-error tables); by default it
+    truncates adaptively via the geometric tail bound.
     """
     spec = _valid_spec(bound_id, nu, beta, x, x_star)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
@@ -722,7 +719,7 @@ def check(
     """
     spec = _valid_spec(bound_id, nu, beta, x, x_star)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
-    reference = spec.reference(nu, beta, x, x_star)
+    reference = spec.reference(nu, beta, x)
     if reference.mantissa == 0.0:
         raise ZeroDivisionError("reference value is zero")
     ref_log = math.log(reference.mantissa) + reference.exponent

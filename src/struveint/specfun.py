@@ -147,7 +147,8 @@ def log_gamma(x: float) -> float:
 
     Cached: a sweep asks for the same few hundred orders over and over.
     """
-    if not x > 0.0:
+    if not 0.0 < x < math.inf:
+        _require_finite("log_gamma", x)
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     if x < 0.5:
         return log_gamma(x + 1.0) - math.log(x)
@@ -267,6 +268,7 @@ def pfq(
     """
     up = tuple(float(a) for a in upper)
     lo = tuple(float(b) for b in lower)
+    _require_finite("pFq", x, *up, *lo)
     if len(up) > len(lo) + 1:
         raise DomainError(f"pFq requires p <= q+1, got p={len(up)}, q={len(lo)}")
     for b in lo:

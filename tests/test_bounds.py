@@ -19,7 +19,9 @@ from struveint.bounds import (
 from struveint.errors import DomainError, ValidityError
 from struveint.integrals import F
 from struveint.scaled import ScaledReal
-from struveint.specfun import bessel_k_scaled, gamma_fn, struve_l, struve_l_scaled
+from struveint.specfun import (
+    bessel_k_scaled, gamma_fn, log_gamma, pfq, struve_l, struve_l_scaled,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -232,6 +234,39 @@ def test_lb23_truncated_reproduces_table_cell():
     l5 = eval_bound("LB-2.3", nu=1.0, beta=0.75, x=10.0, truncation=5)
     f = F(1.0, 0.75, 10.0)
     assert 1.0 - l5.ratio_to(f) == pytest.approx(0.3723, abs=1.5e-4)
+
+
+def test_lb23_truncation_capped_at_adaptive_term_cap():
+    # K is capped like the adaptive sum: each term is one more Struve series
+    assert eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=5000).mantissa > 0.0
+    with pytest.raises(DomainError, match="truncation must be <= 5000, got 5001"):
+        eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=5001)
+
+
+# entry points that must reject a non-finite argument before any loop or formula
+_NON_FINITE_ENTRIES = {
+    "log_gamma": log_gamma,
+    "gamma_fn": gamma_fn,
+    "pfq-x": lambda v: pfq((1.0,), (1.5, 2.0), v),
+    "pfq-upper": lambda v: pfq((v,), (1.5, 2.0), 0.5),
+    "pfq-lower": lambda v: pfq((1.0,), (v, 2.0), 0.5),
+    "m_factor-nu": lambda v: m_factor(v, 0.5, 5.0),
+    "m_factor-x_star": lambda v: m_factor(1.0, 0.5, v),
+    "a_factor": a_factor,
+    "product_asymptote-small_x": lambda v: product_asymptote("small_x", v),
+    "product_asymptote-large_x": lambda v: product_asymptote("large_x", v),
+    "check-LB-2.3-x": lambda v: check("LB-2.3", 1.0, 0.5, v),
+    "eval_bound-LB-2.3-x": lambda v: eval_bound("LB-2.3", 1.0, 0.5, v),
+    "eval_bound-IMON-nu": lambda v: eval_bound("IMON", v, None, 10.0),
+    "eval_bound-RB-3.1-x": lambda v: eval_bound("RB-3.1", 1.0, None, v),
+}
+
+
+@pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRIES))
+def test_non_finite_input_raises_domain_error(entry, value):
+    with pytest.raises(DomainError):
+        _NON_FINITE_ENTRIES[entry](value)
 
 
 def test_lb23_adaptive_dominates_truncated():

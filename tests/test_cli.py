@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import pytest
 
 from struveint.bounds import eval_bound, get_bound
@@ -127,11 +130,19 @@ def test_tightness_two_sided_prints_binding_side(capsys):
     reference = get_bound("PRB-KL1").reference
     expected = []
     for x in xs:
-        ref = reference(1.0, None, x, None)
+        ref = reference(1.0, None, x)
         low, high = (side.ratio_to(ref) for side in eval_bound("PRB-KL1", 1.0, None, x))
         expected.append(low if 1.0 - low <= high - 1.0 else high)
     assert printed == expected
     assert printed[1] < 1.0 and printed[2] < 1.0
+
+
+def test_tightness_truncation_above_cap_is_an_error_line(capsys):
+    code, out, err = run(capsys, "tightness", "--bound", "LB-2.3", "--nu", "1",
+                         "--beta", "0.5", "--xs", "10", "--truncation", "5001")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: truncation must be <= 5000, got 5001"]
 
 
 def test_verify_subnormal_x_penalty_is_an_error_line(tmp_path, capsys):
@@ -175,3 +186,26 @@ def test_verify_empty_bound_list_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert "grid bound list must be nonempty" in err
+
+
+def test_cli_snapshot_exit_codes(tmp_path):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_snapshot.py"
+    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    codes = module.snapshot(tmp_path)
+    assert codes == {
+        "verify": 0, "verify-ratios": 0, "verify-lb23-kl": 0, "verify-unknown": 1,
+        # Table 2 holds two printed errata beyond tolerance
+        "tables-csv": 1, "tables-md": 1, "tables-1": 0, "tables-2": 1,
+        "asymptotics": 0,
+        "eval-F": 0, "eval-F-1000": 0, "eval-G": 0, "eval-G-1000": 0,
+        "eval-L": 0, "eval-L-1000": 0, "eval-I": 0, "eval-K": 0,
+        "tightness-ub38": 0, "tightness-kl1": 0, "tightness-lb23-k5": 0,
+        "tightness-lb23-k5001": 1, "tightness-lb23-inf": 1,
+        "tightness-lb21-invalid": 1, "tightness-xs-a": 2,
+    }
+    for name, code in codes.items():
+        assert (tmp_path / f"{name}.code").read_text() == f"{code}\n"
+        assert (tmp_path / f"{name}.stdout").exists()
+        assert (tmp_path / f"{name}.stderr").exists()

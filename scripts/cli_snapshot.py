@@ -52,6 +52,10 @@ RUNS = (
     ("tightness-lb21-invalid", ["tightness", "--bound", "LB-2.1", "--nu", "1", "--beta", "0.5",
                                 "--xs", "1"]),
     ("tightness-xs-a", ["tightness", "--bound", "RB-3.1", "--nu", "1", "--xs", "a"]),
+    ("tightness-ub24-truncation", ["tightness", "--bound", "UB-2.4", "--nu", "1", "--beta",
+                                   "0.5", "--xs", "10", "--truncation", "5"]),
+    ("tightness-lb21-x-star", ["tightness", "--bound", "LB-2.1", "--nu", "-0.25", "--beta",
+                               "0.5", "--xs", "10", "--x-star", "9"]),
 )
 
 

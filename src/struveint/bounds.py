@@ -284,12 +284,16 @@ def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) ->
     """
     total = 1.0
     if truncation is not None:
+        try:
+            truncation = operator.index(truncation)
+        except TypeError:
+            raise DomainError(f"truncation must be an integer, got {truncation}") from None
         if not truncation >= 1:
             raise DomainError(f"truncation must be >= 1, got {truncation}")
         if not truncation <= _LB23_TERM_CAP:
             raise DomainError(f"truncation must be <= {_LB23_TERM_CAP}, got {truncation}")
         lead = struve_l_scaled_log(nu + 1.0, x)
-        for k in range(1, int(truncation)):
+        for k in range(1, truncation):
             total += beta**k * math.exp(struve_l_scaled_log(nu + k + 1.0, x) - lead)
         return lead + math.log(total)
     tail_rel = _LB23_TAIL_REL * (1.0 - beta) / beta
@@ -658,9 +662,14 @@ def get_bound(bound_id: str) -> BoundSpec:
         ) from None
 
 
-def _valid_spec(bound_id: str, nu, beta, x, x_star) -> BoundSpec:
-    """The catalog entry, once its hypothesis holds at the point."""
+def _valid_spec(bound_id: str, nu, beta, x, x_star, truncation) -> BoundSpec:
+    """The catalog entry, once it takes the family parameters given and its
+    hypothesis holds at the point."""
     spec = get_bound(bound_id)
+    if x_star is not None and not spec.uses_x_star:
+        raise ValidityError(f"{bound_id}: takes no x_star, got x_star={x_star}")
+    if truncation is not None and spec.evaluate is not _eval_lb23:
+        raise ValidityError(f"{bound_id}: takes no truncation, got truncation={truncation}")
     failure = spec.validity(nu, beta, x, x_star)
     if failure is not None:
         raise ValidityError(f"{bound_id}: {failure}")
@@ -689,11 +698,11 @@ def eval_bound(
 
     Two-sided entries (PRB-KL1) return (lower, upper); RB-SEGURA returns its
     (sharp, simple) pair of upper bounds.  LB-2.3 takes ``truncation`` = K,
-    1 <= K <= 5000, to sum exactly K terms (K = 5 reproduces the truncated
-    reference bound used by the relative-error tables); by default it
-    truncates adaptively via the geometric tail bound.
+    an integer 1 <= K <= 5000, to sum exactly K terms (K = 5 reproduces the
+    truncated reference bound used by the relative-error tables); by default
+    it truncates adaptively via the geometric tail bound.
     """
-    spec = _valid_spec(bound_id, nu, beta, x, x_star)
+    spec = _valid_spec(bound_id, nu, beta, x, x_star, truncation)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
     if type(value) is _Signed:
         return ScaledReal.from_log(*value)
@@ -717,7 +726,7 @@ def check(
     simple form dominates.  The ratio is formed from logs; the bound becomes
     a ScaledReal once, for the Margin.
     """
-    spec = _valid_spec(bound_id, nu, beta, x, x_star)
+    spec = _valid_spec(bound_id, nu, beta, x, x_star, truncation)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
     reference = spec.reference(nu, beta, x)
     if reference.mantissa == 0.0:

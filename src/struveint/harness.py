@@ -197,10 +197,6 @@ class Report:
     summary: dict
     max_table_deviation: float = 0.0
 
-    @property
-    def violated(self) -> int:
-        return self.summary.get("violated", 0)
-
 
 def truncated_sum_error(nu: float, beta: float, x: float) -> float:
     """Table-1 metric: 1 - L5/F with the five-term truncated Struve sum."""
@@ -446,15 +442,9 @@ def asymptotic_check() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: Optional[float]) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return format(value, ".17g")
-
-
 def margins_csv(report: Report) -> str:
-    # one %-format per row; %.17g prints nan as "nan", as _fmt does, and a
-    # beta-free bound's None beta is passed as nan.  Each logged value is ln
+    # one %-format per row; %.17g prints nan as "nan", and a beta-free
+    # bound's None beta is passed as nan.  Each logged value is ln
     # of a positive value (ln m + e, as ScaledReal.log_abs), nan otherwise.
     # The nu,beta,x field is formatted once per point.
     lines = ["bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status"]
@@ -491,12 +481,12 @@ def tables_csv(report: Report) -> str:
             ",".join(
                 (
                     str(row.which),
-                    _fmt(row.row.nu),
-                    _fmt(row.row.beta),
-                    _fmt(row.row.x),
-                    _fmt(row.row.metric),
-                    _fmt(row.expected),
-                    _fmt(row.deviation),
+                    format(row.row.nu, ".17g"),
+                    format(row.row.beta, ".17g"),
+                    format(row.row.x, ".17g"),
+                    format(row.row.metric, ".17g"),
+                    format(row.expected, ".17g"),
+                    format(row.deviation, ".17g"),
                 )
             )
         )
@@ -528,9 +518,9 @@ def limits_csv(report: Report) -> str:
                 (
                     row.name,
                     row.point.replace(",", ";"),
-                    _fmt(row.computed),
-                    _fmt(row.target),
-                    _fmt(row.tolerance),
+                    format(row.computed, ".17g"),
+                    format(row.target, ".17g"),
+                    format(row.tolerance, ".17g"),
                     "1" if row.ok else "0",
                 )
             )

@@ -36,17 +36,21 @@ def _normalize(mantissa: float, exponent: float) -> tuple[float, float]:
     return m, exponent + k
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScaledReal:
     """A real number stored as ``mantissa * exp(exponent)``.
 
-    Frozen, with two slots.  ``ScaledReal(m, e)`` is the public constructor;
-    ``from_log``, the constructor a verify sweep calls for every row, builds
-    through ``_build`` instead.
+    Frozen, with two slots.  ``ScaledReal(m, e)`` is the one constructor.
     """
 
     mantissa: float
     exponent: float
+
+    def __init__(self, mantissa: float, exponent: float) -> None:
+        # The generated frozen __init__ assigns through object.__setattr__ and
+        # checks nothing; the slots' member descriptors do the same faster.
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
 
     @classmethod
     def zero(cls) -> "ScaledReal":
@@ -58,21 +62,19 @@ class ScaledReal:
 
     @classmethod
     def from_float(cls, value: float) -> "ScaledReal":
-        if value == 0.0:
-            return cls.zero()
         return cls(*_normalize(value, 0.0))
 
     @classmethod
     def from_log(cls, log_value: float, sign: float = 1.0) -> "ScaledReal":
         """Build exp(log_value), optionally negated.  -inf maps to zero."""
         if log_value == -math.inf:
-            return _build(0.0, 0.0)
+            return cls(0.0, 0.0)
         k = math.floor(log_value)  # raises for +inf and nan
         m = math.exp(log_value - k)  # in [1, e]: the fraction lies in [0, 1)
         if m >= math.e:  # a fraction within an ulp of 1 rounds up to e
             m /= math.e
             k += 1
-        return _build(math.copysign(m, sign), float(k))
+        return cls(math.copysign(m, sign), float(k))
 
     # -- predicates ---------------------------------------------------------
 
@@ -116,8 +118,6 @@ class ScaledReal:
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "ScaledReal") -> "ScaledReal":
-        if self.is_zero or other.is_zero:
-            return ScaledReal.zero()
         return ScaledReal(
             *_normalize(self.mantissa * other.mantissa, self.exponent + other.exponent)
         )
@@ -125,8 +125,6 @@ class ScaledReal:
     def __truediv__(self, other: "ScaledReal") -> "ScaledReal":
         if other.is_zero:
             raise ZeroDivisionError("division by scaled zero")
-        if self.is_zero:
-            return ScaledReal.zero()
         return ScaledReal(
             *_normalize(self.mantissa / other.mantissa, self.exponent - other.exponent)
         )
@@ -196,17 +194,5 @@ class ScaledReal:
         return f"ScaledReal({self.mantissa!r} * e^{self.exponent!r})"
 
 
-# The frozen __init__ assigns each field through object.__setattr__ and checks
-# nothing, so writing the two slots through their member descriptors builds the
-# same value in about half the time.
-_new = object.__new__
 _set_mantissa = ScaledReal.mantissa.__set__
 _set_exponent = ScaledReal.exponent.__set__
-
-
-def _build(mantissa: float, exponent: float) -> ScaledReal:
-    """``ScaledReal(mantissa, exponent)`` without the frozen ``__init__``."""
-    value = _new(ScaledReal)
-    _set_mantissa(value, mantissa)
-    _set_exponent(value, exponent)
-    return value

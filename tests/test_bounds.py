@@ -241,6 +241,29 @@ def test_lb23_truncation_capped_at_adaptive_term_cap():
     assert eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=5000).mantissa > 0.0
     with pytest.raises(DomainError, match="truncation must be <= 5000, got 5001"):
         eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=5001)
+    # K counts terms: a fraction is refused, not cut down to the 2-term sum
+    with pytest.raises(DomainError, match="truncation must be an integer, got 2.5"):
+        eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=2.5)
+
+
+@pytest.mark.parametrize("entry", (check, eval_bound))
+@pytest.mark.parametrize("spec", list_bounds(), ids=lambda spec: spec.bound_id)
+def test_family_parameter_only_where_the_bound_has_it(entry, spec):
+    # x_star belongs to UB-3.8 and truncation to LB-2.3; any other bound names
+    # itself and refuses the parameter instead of ignoring it
+    nu, beta, x = 1.0, 0.5, 10.0
+    if spec.uses_x_star:
+        x_star = default_x_star(beta)
+        entry(spec.bound_id, nu, beta, x, x_star=x_star)
+    else:
+        x_star = None
+        with pytest.raises(ValidityError, match=f"^{spec.bound_id}: takes no x_star, got"):
+            entry(spec.bound_id, nu, beta, x, x_star=4.0)
+    if spec.bound_id == "LB-2.3":
+        entry(spec.bound_id, nu, beta, x, truncation=5)
+    else:
+        with pytest.raises(ValidityError, match=f"^{spec.bound_id}: takes no truncation, got"):
+            entry(spec.bound_id, nu, beta, x, x_star=x_star, truncation=5)
 
 
 # entry points that must reject a non-finite argument before any loop or formula

@@ -204,6 +204,8 @@ def test_cli_snapshot_exit_codes(tmp_path):
         "tightness-ub38": 0, "tightness-kl1": 0, "tightness-lb23-k5": 0,
         "tightness-lb23-k5001": 1, "tightness-lb23-inf": 1,
         "tightness-lb21-invalid": 1, "tightness-xs-a": 2,
+        # a family parameter the bound does not have
+        "tightness-ub24-truncation": 1, "tightness-lb21-x-star": 1,
     }
     for name, code in codes.items():
         assert (tmp_path / f"{name}.code").read_text() == f"{code}\n"

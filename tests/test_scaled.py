@@ -25,6 +25,11 @@ def test_zero_canonical():
     assert z.is_zero and z.mantissa == 0.0 and z.exponent == 0.0
     assert z.to_float() == 0.0
     assert ScaledReal.from_float(0.0).is_zero
+    # zero products, quotients and a negative zero normalize to the one +0.0 zero
+    x = ScaledReal.from_float(-3.5)
+    for value in (z * x, x * z, z / x, ScaledReal.from_float(-0.0)):
+        assert value == ScaledReal(0.0, 0.0)
+        assert value.mantissa.hex() == "0x0.0p+0" and value.exponent.hex() == "0x0.0p+0"
 
 
 @given(signed)
@@ -236,7 +241,13 @@ def test_from_log_matches_public_constructor(lv, sign):
 
 @pytest.mark.parametrize(
     "value",
-    (ScaledReal(1.5, -3.0), ScaledReal.from_log(-1e-300, -1.0), ScaledReal.from_log(-math.inf)),
+    (
+        ScaledReal(1.5, -3.0),
+        ScaledReal.from_log(-1e-300, -1.0),
+        ScaledReal.from_log(-math.inf),
+        ScaledReal.from_float(2.0) * ScaledReal.from_float(3.0),
+        ScaledReal.zero(),
+    ),
 )
 def test_scaled_real_stays_frozen(value):
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -248,7 +259,13 @@ def test_scaled_real_stays_frozen(value):
 
 @pytest.mark.parametrize(
     "value",
-    (ScaledReal(-1.5, 3.0), ScaledReal.from_log(1234.5, -1.0), ScaledReal.from_log(-math.inf)),
+    (
+        ScaledReal(-1.5, 3.0),
+        ScaledReal.from_log(1234.5, -1.0),
+        ScaledReal.from_log(-math.inf),
+        ScaledReal.from_float(2.0) * ScaledReal.from_float(3.0),
+        ScaledReal.zero(),
+    ),
 )
 def test_scaled_real_copy_and_pickle_round_trip(value):
     copies = [copy.copy(value), copy.deepcopy(value)]

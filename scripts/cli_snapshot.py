@@ -56,6 +56,9 @@ RUNS = (
                                    "0.5", "--xs", "10", "--truncation", "5"]),
     ("tightness-lb21-x-star", ["tightness", "--bound", "LB-2.1", "--nu", "-0.25", "--beta",
                                "0.5", "--xs", "10", "--x-star", "9"]),
+    ("tightness-imon-beta", ["tightness", "--bound", "IMON", "--nu", "1", "--beta", "0.5",
+                             "--xs", "5"]),
+    ("eval-L-beta", ["eval", "--fn", "L", "--nu", "0", "--beta", "0.5", "--x", "2"]),
 )
 
 

@@ -670,6 +670,8 @@ def _valid_spec(bound_id: str, nu, beta, x, x_star, truncation) -> BoundSpec:
         raise ValidityError(f"{bound_id}: takes no x_star, got x_star={x_star}")
     if truncation is not None and spec.evaluate is not _eval_lb23:
         raise ValidityError(f"{bound_id}: takes no truncation, got truncation={truncation}")
+    if beta is not None and not spec.uses_beta:
+        raise ValidityError(f"{bound_id}: takes no beta, got beta={beta}")
     failure = spec.validity(nu, beta, x, x_star)
     if failure is not None:
         raise ValidityError(f"{bound_id}: {failure}")

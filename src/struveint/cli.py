@@ -122,6 +122,9 @@ def _cmd_eval(args) -> int:
     if args.fn in ("F", "G") and beta is None:
         print("eval: --beta is required for F and G", file=sys.stderr)
         return 2
+    if args.fn not in ("F", "G") and beta is not None:
+        print(f"eval: {args.fn} takes no --beta", file=sys.stderr)
+        return 2
     if args.fn == "F":
         value = F(nu, beta, x)
     elif args.fn == "G":

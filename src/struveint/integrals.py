@@ -17,12 +17,13 @@ and for G a_k + 1 in place of a_k, with the k-th coefficient multiplied by
 x / (a_k + 1) (Gamma(k+nu+5/2) in place of Gamma(k+nu+3/2)).  G's Kummer
 sums are the midpoints of the downward recurrence that gives F's, so one
 pass returns both; each integral's tail is bounded and dropped on its own
-rule.  All terms are positive, beta = 0 and beta = 1 included, and the cost
-is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
-are kept.  For x above about 127 the pass starts two indices below the peak
-and sums the terms under it only until a proven bound puts the rest below
-1e-17 of the sum: at x = 1000 and nu = 2 it walks k = 368..705 for
-beta <= 0.6 instead of 0..705, and still all of them at beta = 1.
+rule; the forward loop keeps the bound it proved for the final check.  All
+terms are positive, beta = 0 and beta = 1 included, and the cost is O(x) per
+call: the coefficients peak near k = x/2 and about 0.7 x of them are kept.
+For x above about 127 the pass starts two indices below the peak and sums
+the terms under it only until a proven bound, for nu < 1/2 the lesser of
+two, puts the rest below 1e-17 of the sum: at x = 1000 and nu = 2 it walks
+k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at beta = 1.
 ``fg_log`` hands both logs to callers that need the pair, and
 ``integral_series`` is the engine's F entry point for 0 < beta < 1.  The
 other routes stay as oracles for the tests:
@@ -32,11 +33,7 @@ other routes stay as oracles for the tests:
 * ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0.
 
 Everything is computed in log/scaled arithmetic so x up to 1000 (integrand
-mass ~ exp((1-beta) x)) stays in range.  The quadrature applies t = u^2 to
-tame the t^(2 nu + 1) behaviour at the origin and integrates over the whole
-of [0, sqrt(x)] with one double-exponential (tanh-sinh) rule, which absorbs
-any remaining algebraic endpoint singularity; node sums are carried in log
-space.
+mass ~ exp((1-beta) x)) stays in range.
 """
 
 from __future__ import annotations
@@ -90,6 +87,8 @@ _ANCHOR_X = 2.0 * math.sqrt((_ANCHOR_MIN + 3.5) * (_ANCHOR_MIN + 2.5))
 # below k_a the pass makes its coefficients, and tests the head, this many
 # indices at a time (8, 16 and 32 timed alike at x in [100, 1000])
 _HEAD_CHUNK = 16
+# a (a + 1 - z) in the tail bound overflows once a = 2 nu + 2 passes 1.3e154
+_NU_MAX = 1e150
 
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
 # near the origin the integrand is t^(s-1) with s = weight_power + order + 2,
@@ -223,9 +222,7 @@ def _integrand_log(weight_power: float, order: float, beta: float):
         if 0.5 * t == 0.0:
             return _NEG_INF
         # e^{-beta t} t^a L(t) = e^{(1-beta) t} t^a (e^{-t} L(t))
-        return (
-            (1.0 - beta) * t + weight_power * math.log(t) + struve_l_scaled_log(order, t)
-        )
+        return (1.0 - beta) * t + weight_power * math.log(t) + struve_l_scaled_log(order, t)
 
     return logf
 
@@ -277,6 +274,16 @@ def _tail_bound_log(m: float, a: float, z: float, rho: float) -> float:
     return math.log(p) + log_u if p > 0.0 else _NEG_INF
 
 
+def _proven_tail_log(m: float, a: float, z: float, rho: float, lim: float, shift: float):
+    """shift + ``_tail_bound_log`` once that bound is proven <= lim, else None
+    (-inf at lim = 0, which passes only a zero tail).  The logs wait for the
+    screen m rho <= lim a, which U(a) >= 1/a makes necessary."""
+    if m * rho > lim * a:
+        return None
+    tail = _tail_bound_log(m, a, z, rho)
+    return shift + tail if not lim or tail <= math.log(lim) else None
+
+
 def _anchor_index(nu: float, q: float) -> int:
     """max(0, k_p - 2), with k_p the first k >= 0 at which the coefficient
     ratio r_k = q / ((k+3/2)(k+nu+3/2)) <= 1, from the root of
@@ -294,12 +301,18 @@ def _anchor_index(nu: float, q: float) -> int:
     return math.ceil(k_star) - 2 if k_star > 2.0 else 0
 
 
-def _head_factor(nu: float, x: float) -> float:
-    """c / x^2 with c = max(1, 3 / (2 nu + 2)): times (1/S(a_k + 1, z) + z)^2
-    it bounds T_{j-1} / T_j for every 1 <= j <= k, for F and for G alike (see
-    ``_termwise_pair_log``).
-    """
-    return max(1.0, 1.5 / (nu + 1.0)) / (x * x)
+def _head_bound(nu: float, k: int, rho: float) -> float:
+    """B with sum_{j<k} T_j <= B T_k for F and G, given rho = (1/S(a_k + 1, z)
+    + z)^2 / x^2: min(c rho / (1 - c rho), C_k rho / (1 - rho)), inf where
+    neither holds (see ``_termwise_pair_log``)."""
+    c = max(1.0, 1.5 / (nu + 1.0))
+    bound = c * rho / (1.0 - c * rho) if c * rho < 1.0 else math.inf
+    if nu < 0.5 and rho < 1.0:
+        # ln C_k, padded for the rounding of lgamma
+        terms = (math.lgamma(k + 1.5), math.lgamma(nu + 1.0), -math.lgamma(k + nu + 1.0))
+        log_c = sum(terms) - _LN_GAMMA_3_2 + 1e-12 * (1.0 + sum(map(abs, terms)))
+        bound = min(bound, math.exp(log_c) * rho / (1.0 - rho))
+    return bound
 
 
 def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
@@ -324,21 +337,19 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     about 127 at nu = 0) the pass starts at the anchor k_a = k_p - 2, else
     at k_a = 0.  d_{k_a} is the product of r_0 .. r_{k_a - 1}, four ratios
     per turn, with nothing stored, carried as a mantissa with a running
-    e^30 shift.  The
-    peaks of d_k / a_k and of G's d_k x / (a_k + 1)^2 lie at k = 0 (nu near
-    -1) or at most two indices below k_p, so their max over k = 0 and
-    k >= k_a is each integral's least possible sum, as over every k.
+    e^30 shift.  The peaks of d_k / a_k and of G's d_k x / (a_k + 1)^2 lie
+    at k = 0 (nu near -1) or at most two indices below k_p, so their max over
+    k = 0 and k >= k_a is each integral's least possible sum, as over every k.
 
     The forward loop runs from k_a to the last index K, the first at which
     both tails are dropped: for each integral, past the point where r_k <=
-    1/2 (its own ratio for G), the terms after K sum to at most d_K U(a_K)
-    r_K / (1 - r_K), with U(a) = min(e^z / a, (a+1) / (a (a+1-z)) if
+    1/2 (its own ratio for G), the terms after k sum to at most d_k U(a_k)
+    r_k / (1 - r_k), with U(a) = min(e^z / a, (a+1) / (a (a+1-z)) if
     a + 1 > z) from 1/a <= S(a, z) <= e^z / a, and that bound must be below
-    1e-17 of the least possible sum.  ``_tail_bound_log`` states the tail
-    bound once, in logs, for the forward loop and the final check; the loop
-    takes those logs only after the one-multiply screen d_K r / (1 - r) <=
-    1e-17 a_K max_k d_k / a_k passes, which U(a) >= 1/a makes necessary, so
-    the screen cannot move K.
+    1e-17 of the least possible sum.  ``_tail_bound_log`` states it once, in
+    logs, behind a one-multiply screen (``_proven_tail_log``).  The loop keeps
+    each integral's bound from the index where it was proven, which covers the
+    terms after K too, and the final check compares the kept bounds with the sums.
 
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
@@ -350,36 +361,38 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     K ulp(|ln T_k|), 1e-10 at x = 1000.
 
     The downward pass has two legs.  The first runs from K to k_a over the
-    stored coefficients.  The second runs below k_a, _HEAD_CHUNK indices at
-    a time, each coefficient by division, d_{k-1} = d_k / r_{k-1}, and stops
-    at a chunk boundary once the head sum_{j<k} T_j is proven below 1e-17
-    of the running sum, for F and for G.  The bound: the recurrence gives
-    S(b-1) / S(b) = N(b) / (b-1) exactly, with N(b) = 1/S(b) + z rising in b
-    (S falls in b), so T_{j-1} / T_j = c_j N(a_j) N(a_j - 1) / x^2 with
-    c_j = (2j+1) / (2j+2nu) <= c = max(1, 3 / (2nu + 2)), and G's ratio has
-    a smaller c_j and N(a_j + 1) N(a_j).  Hence for every j <= k both ratios
-    are at most R = c (1/S(a_k + 1, z) + z)^2 / x^2 (``_head_factor``), and
-    once R < 1 the head is at most T_k R / (1 - R).  R >= c beta^2, so where
-    c beta^2 >= 1 (beta near 1, or nu near -1) the test is skipped and the
-    leg runs to k = 0.  Raises ConvergenceError if either dropped tail
-    exceeds 1e-16 of its sum or a term cap is reached.
+    stored coefficients.  The second runs below k_a, _HEAD_CHUNK indices at a
+    time, each coefficient by division, d_{k-1} = d_k / r_{k-1}, and stops at
+    a chunk boundary once the head sum_{j<k} T_j is proven below 1e-17 of the
+    running sum, for F and for G.  The recurrence gives S(b-1) / S(b) =
+    N(b) / (b-1) exactly, with N(b) = 1/S(b) + z rising in b, so T_{j-1} /
+    T_j = c_j N(a_j) N(a_j - 1) / x^2 with c_j = (2j+1) / (2j+2nu), and G's
+    ratio has a smaller c_j and N(a_j + 1) N(a_j).  For j <= k both ratios
+    are thus at most c_j rho, rho = (1/S(a_k + 1, z) + z)^2 / x^2, and the
+    head is at most T_k times the lesser of c rho / (1 - c rho), c = max_j
+    c_j = max(1, 3 / (2nu + 2)), and C_k rho / (1 - rho) (``_head_bound``).
+    For nu < 1/2 every c_j > 1, so C_k = prod_{j<=k} c_j = Gamma(k+3/2)
+    Gamma(nu+1) / (Gamma(3/2) Gamma(k+nu+1)) tops every partial product; for
+    nu >= 1/2, C_k = 1.  rho >= beta^2, so at beta = 1 the leg runs to k = 0.
+    Raises ConvergenceError if either dropped tail exceeds 1e-16 of its sum
+    or a term cap is reached.
     """
     z = beta * x
     q = 0.25 * x * x
     a0 = 2.0 * nu + 2.0
-    log_d0 = a0 * math.log(x) - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
+    log_x = math.log(x)
+    log_d0 = a0 * log_x - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
     # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]} for k_a <= k <= K (the
     # second leg fills the slots below k_a); peak_f and peak_g are max_j
     # d_j / a_j for F and G over j = 0 and j >= k_a, in units of e^shift
     d_mant: list[float] = []
     d_shift: list[float] = []
     m, shift = 1.0, 0.0
-    peak_f = peak_g = head = 0.0
+    peak_f = peak_g = 0.0
     k_a = _anchor_index(nu, q) if x > _ANCHOR_X else 0
     if k_a > _ANCHOR_MIN:
         # d_{k_a} = m e^{log_d0 + shift}, the ratios four per turn; the peaks
-        # seed at k = 0, whose d_0 / a_0 tops the later peak for nu near -1;
-        # head = c / x^2 where the head test can pass (R >= c beta^2)
+        # seed at k = 0, whose d_0 / a_0 tops the later peak for nu near -1
         for k in range(k_a % 4):
             m *= q / ((k + 1.5) * (k + nu + 1.5))
         for k in range(k_a % 4, k_a, 4):
@@ -392,14 +405,11 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
                 shift += 30.0
         peak_f = math.exp(-shift) / a0
         peak_g = peak_f * x * a0 / ((a0 + 1.0) * (a0 + 1.0))
-        head = _head_factor(nu, x)
-        if head * z * z >= 1.0:
-            head = 0.0
         d_mant = [0.0] * k_a
         d_shift = [0.0] * k_a
     else:
         k_a = 0
-    done_f = done_g = False
+    tail_f = tail_g = None
     r = 2.0
     k = k_a
     while True:
@@ -415,23 +425,17 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
                 peak_g = c
         r = q / ((k + 1.5) * (k + nu + 1.5))
         if r <= 0.5:
-            # T_j <= d_j U_j e^{-z} with U_j decreasing in j and d_{j+1} / d_j
-            # <= r, so the terms after K sum to at most d_K U_K r / (1 - r);
-            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
-            # U(a) >= 1/a, so m rho <= lim a must hold before the logs are
-            # worth taking; a zero limit passes only a zero tail
-            if not done_f:
-                rho, lim = r / (1.0 - r), _EPS * peak_f
-                done_f = m * rho <= lim * a and (
-                    not lim or _tail_bound_log(m, a, z, rho) <= math.log(lim)
-                )
-            if not done_g:
+            # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
+            # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
+            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r
+            if tail_f is None:
+                tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
+            if tail_g is None:
                 r_g = q / ((k + 1.5) * (k + nu + 2.5))
-                m_g, rho, lim = m * x / (a + 1.0), r_g / (1.0 - r_g), _EPS * peak_g
-                done_g = m_g * rho <= lim * (a + 1.0) and (
-                    not lim or _tail_bound_log(m_g, a + 1.0, z, rho) <= math.log(lim)
+                tail_g = _proven_tail_log(
+                    m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
                 )
-            if done_f and done_g:
+            if tail_f is not None and tail_g is not None:
                 break
         m *= r
         if m < 1.0:
@@ -447,9 +451,6 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
         k += 1
         if k > MAX_SERIES_TERMS:
             raise ConvergenceError("termwise series term cap exceeded")
-    r_g = q / ((k + 1.5) * (k + nu + 2.5))
-    tail_f = shift + _tail_bound_log(m, a, z, r / (1.0 - r))
-    tail_g = shift + _tail_bound_log(m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g))
 
     # S(a_K + 1, z), summed directly, then downward in a: S = s e^{s_shift};
     # F's sum is total_f e^{log_d0 - z + t_shift} and G's x total_g e^{log_d0
@@ -479,12 +480,10 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
         if k == k_low:
             if k == 0:
                 break
-            if head:
-                n = one / s_g + z
-                rr = head * n * n
-                if rr < 1.0 and d * s_f * rr <= _EPS * total_f * (1.0 - rr) and (
-                    d * s_g / (a + 1.0) * rr <= _EPS * total_g * (1.0 - rr)
-                ):
+            if beta < 1.0:  # the head test needs rho < 1, and rho >= beta^2
+                n = (one / s_g + z) / x
+                b = _head_bound(nu, k, n * n)
+                if d * s_f * b <= _EPS * total_f and d * s_g / (a + 1.0) * b <= _EPS * total_g:
                     break
             m, shift = d_mant[k], d_shift[k]
             k_low = max(0, k - _HEAD_CHUNK)
@@ -506,10 +505,11 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
             s_shift += 30.0
 
     sum_f = math.log(total_f) + t_shift
-    sum_g = math.log(total_g) + math.log(x) + t_shift
-    for name, tail, log_sum in (("F", tail_f, sum_f), ("G", tail_g, sum_g)):
-        if tail > _LN_1E_16 + log_sum:
-            raise ConvergenceError(f"termwise series tail of {name} above 1e-16 of its sum")
+    sum_g = math.log(total_g) + log_x + t_shift
+    if tail_f > _LN_1E_16 + sum_f:
+        raise ConvergenceError("termwise series tail of F above 1e-16 of its sum")
+    if tail_g > _LN_1E_16 + sum_g:
+        raise ConvergenceError("termwise series tail of G above 1e-16 of its sum")
     return log_d0 - z + sum_f, log_d0 - z + sum_g
 
 
@@ -576,8 +576,8 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
 
 def _integral_pair_log(name: str, nu: float, beta: float, x: float) -> tuple[float, float]:
     """(ln F, ln G) with F/G argument checks; -inf for both at x = 0."""
-    if not nu > -1.0:
-        raise DomainError(f"{name} requires nu > -1, got {nu}")
+    if not -1.0 < nu <= _NU_MAX:
+        raise DomainError(f"{name} requires -1 < nu <= {_NU_MAX:g}, got {nu}")
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"{name} requires beta in [0, 1], got {beta}")
     if x < 0.0:

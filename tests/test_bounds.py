@@ -249,8 +249,9 @@ def test_lb23_truncation_capped_at_adaptive_term_cap():
 @pytest.mark.parametrize("entry", (check, eval_bound))
 @pytest.mark.parametrize("spec", list_bounds(), ids=lambda spec: spec.bound_id)
 def test_family_parameter_only_where_the_bound_has_it(entry, spec):
-    # x_star belongs to UB-3.8 and truncation to LB-2.3; any other bound names
-    # itself and refuses the parameter instead of ignoring it
+    # x_star belongs to UB-3.8, truncation to LB-2.3 and beta to the bounds
+    # whose target depends on it; any other bound names itself and refuses the
+    # parameter instead of ignoring it
     nu, beta, x = 1.0, 0.5, 10.0
     if spec.uses_x_star:
         x_star = default_x_star(beta)
@@ -264,6 +265,9 @@ def test_family_parameter_only_where_the_bound_has_it(entry, spec):
     else:
         with pytest.raises(ValidityError, match=f"^{spec.bound_id}: takes no truncation, got"):
             entry(spec.bound_id, nu, beta, x, x_star=x_star, truncation=5)
+    if not spec.uses_beta:
+        with pytest.raises(ValidityError, match=f"^{spec.bound_id}: takes no beta, got beta=0.5$"):
+            entry(spec.bound_id, nu, beta, x)
 
 
 # entry points that must reject a non-finite argument before any loop or formula
@@ -574,8 +578,9 @@ def test_catalog_at_smallest_subnormal_x_reports_no_false_violation():
                 x_star = default_x_star(beta) if spec.uses_x_star else None
                 if spec.validity(nu, beta, x, x_star) is not None:
                     continue
+                b = beta if spec.uses_beta else None
                 try:
-                    statuses.append(margin_status(check(spec.bound_id, nu, beta, x, x_star=x_star)))
+                    statuses.append(margin_status(check(spec.bound_id, nu, b, x, x_star=x_star)))
                 except OverflowError as exc:
                     raised.append(type(exc))
     assert "violated" not in statuses

@@ -85,6 +85,15 @@ def test_eval_requires_beta_for_f(capsys):
     assert "beta" in err
 
 
+@pytest.mark.parametrize("fn", ("L", "I", "K"))
+def test_eval_refuses_beta_for_kernels(capsys, fn):
+    # L, I and K have no beta; a given one is a usage error, not echoed
+    code, out, err = run(capsys, "eval", "--fn", fn, "--nu", "1", "--beta", "0.5", "--x", "5")
+    assert code == 2
+    assert out == ""
+    assert err == f"eval: {fn} takes no --beta\n"
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--which", "7"])
@@ -206,6 +215,7 @@ def test_cli_snapshot_exit_codes(tmp_path):
         "tightness-lb21-invalid": 1, "tightness-xs-a": 2,
         # a family parameter the bound does not have
         "tightness-ub24-truncation": 1, "tightness-lb21-x-star": 1,
+        "tightness-imon-beta": 1, "eval-L-beta": 2,
     }
     for name, code in codes.items():
         assert (tmp_path / f"{name}.code").read_text() == f"{code}\n"

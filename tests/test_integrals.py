@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import pathlib
 import random
+import re
 import time
 
 import pytest
@@ -271,27 +274,20 @@ def test_termwise_loops_raise_past_cap(monkeypatch, fn):
 def test_termwise_final_tail_check_raises(monkeypatch, fn, inflated):
     # a dropped tail above 1e-16 of its sum must raise, whichever integral's
     # tail it is and whichever half of the pass is asked for.  At nu = 1 F's
-    # a_k = 4 + 2k and G's a_k + 1 lie on disjoint lattices, and each
-    # integral's last bound call is its final check: only that one is inflated
-    bound = integrals._tail_bound_log
-    calls = []
-
-    def counted(m, a, z, rho):
-        calls.append(a)
-        return bound(m, a, z, rho)
-
-    monkeypatch.setattr(integrals, "_tail_bound_log", counted)
-    fn(1.0, 0.5, 20.0)
+    # a_k = 4 + 2k and G's a_k + 1 lie on disjoint lattices, and the final
+    # check reads the bound the forward loop kept for each integral: only the
+    # one kept for the inflated integral is inflated
+    proven = integrals._proven_tail_log
     parity = ("F", "G").index(inflated)
-    target = max(i for i, a in enumerate(calls) if (a - 4.0) % 2.0 == parity)
-    calls.clear()
 
-    def inflate(m, a, z, rho):
-        calls.append(a)
-        value = bound(m, a, z, rho)
-        return value + 60.0 if len(calls) - 1 == target else value
+    def inflate(m, a, z, rho, lim, shift):
+        tail = proven(m, a, z, rho, lim, shift)
+        if tail is not None and (a - 4.0) % 2.0 == parity:
+            return tail + 60.0
+        return tail
 
-    monkeypatch.setattr(integrals, "_tail_bound_log", inflate)
+    fn(1.0, 0.5, 20.0)
+    monkeypatch.setattr(integrals, "_proven_tail_log", inflate)
     with pytest.raises(ConvergenceError, match=f"tail of {inflated} above 1e-16"):
         fn(1.0, 0.5, 20.0)
 
@@ -495,20 +491,21 @@ def test_termwise_engine_large_x_against_mpmath(nu):
 
 
 def _pass_anchored_or_not(monkeypatch, anchored, nu, beta, x):
-    """(a_K, (ln F, ln G)) of one pass, anchored at every k_a > 0 or never;
-    the final tail check calls _tail_bound_log with a_K, then a_K + 1."""
-    bound = integrals._tail_bound_log
+    """(K, (ln F, ln G)) of one pass, anchored at every k_a > 0 or never; the
+    forward loop's last tail test is at K, F's at a_K or G's at a_K + 1."""
+    proven = integrals._proven_tail_log
     calls = []
 
-    def counted(m, a, z, rho):
+    def counted(m, a, z, rho, lim, shift):
         calls.append(a)
-        return bound(m, a, z, rho)
+        return proven(m, a, z, rho, lim, shift)
 
-    monkeypatch.setattr(integrals, "_tail_bound_log", counted)
+    monkeypatch.setattr(integrals, "_proven_tail_log", counted)
     monkeypatch.setattr(integrals, "_ANCHOR_MIN", 0 if anchored else 10**9)
     monkeypatch.setattr(integrals, "_ANCHOR_X", 0.0 if anchored else math.inf)
     logs = integrals._termwise_pair_log(nu, beta, x)
-    return calls[-2], logs
+    # (a - a_0) / 2 is K for F's a_K and K + 1/2 for G's
+    return round((calls[-1] - 2.0 * nu - 2.5) / 2.0), logs
 
 
 @pytest.mark.parametrize("nu,beta,x", [
@@ -564,7 +561,8 @@ def _kummer_s(mp, b, z):
 )
 def test_head_ratio_majorant(nu, beta, log_x, uk, uj):
     # for 1 <= j <= k <= k_a the true T_{j-1} / T_j of F and of G is at most
-    # R = _head_factor (1/S(a_k + 1, z) + z)^2, the second leg's majorant
+    # c_j rho, rho = (1/S(a_k + 1, z) + z)^2 / x^2 and c_j = (2j+1) / (2j+2nu),
+    # and each head sum_{i<k} T_i is at most T_k _head_bound(nu, k, rho)
     mp = pytest.importorskip("mpmath")
     x = math.exp(log_x)
     k_a = integrals._anchor_index(nu, 0.25 * x * x)
@@ -581,20 +579,39 @@ def test_head_ratio_majorant(nu, beta, log_x, uk, uj):
         ratio_g = (inv_r * (a_j + 1) / (a_j - 1)
                    * _kummer_s(mp, a_j - 1, z) / _kummer_s(mp, a_j + 1, z))
         a_k = 2 * k + 2 * nu_m + 2
-        n = 1 / _kummer_s(mp, a_k + 1, z) + z
-        bound = mp.mpf(integrals._head_factor(nu, x)) * n**2
+        s_g = _kummer_s(mp, a_k + 1, z)
+        rho = (1 / s_g + z) ** 2 / x_m**2
+        bound = (2 * j + 1) / (2 * j + 2 * nu_m) * rho
         assert ratio_f <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_f, bound)
         assert ratio_g <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_g, bound)
+        # the heads in units of d_k, S(b - 1) = (1 + z S(b)) / (b - 1) downward
+        s_f = (1 + z * s_g) / a_k
+        t_f, t_g = s_f, s_g / (a_k + 1)
+        head_f = head_g = mp.mpf(0)
+        d = mp.mpf(1)
+        for i in range(k - 1, -1, -1):
+            a_i = 2 * i + 2 * nu_m + 2
+            d *= (i + 3 * half) * (i + nu_m + 3 * half) / (x_m**2 / 4)
+            s_g = (1 + z * s_f) / (a_i + 1)
+            s_f = (1 + z * s_g) / a_i
+            head_f += d * s_f
+            head_g += d * s_g / (a_i + 1)
+        # rho rounded up, so the double-precision bound is no smaller
+        b = mp.mpf(integrals._head_bound(nu, k, math.nextafter(float(rho), math.inf)))
+        assert head_f <= b * t_f * (1 + mp.mpf(1e-12)), (k, head_f / t_f, b)
+        assert head_g <= b * t_g * (1 + mp.mpf(1e-12)), (k, head_g / t_g, b)
 
 
 def test_head_stop_never_fires_at_beta_one():
-    # at beta = 1, R >= c (z/x)^2 = c >= 1 for every nu, so the second leg
-    # runs to k = 0.  At nu = -0.9 and x = 300 the k = 0 term alone is 82% of
-    # F, so a pass that stopped above it would miss by far more than 3e-13
+    # at beta = 1, rho >= (z/x)^2 = 1 for every nu, so no head bound holds and
+    # the second leg runs to k = 0.  At nu = -0.9 and x = 300 the k = 0 term
+    # alone is 82% of F, so a pass that stopped above it would miss by far
+    # more than 3e-13
     mp = pytest.importorskip("mpmath")
     nu, x = -0.9, 300.0
     for any_nu in (nu, 0.0, 5.0, 30.0):
-        assert integrals._head_factor(any_nu, x) * x * x >= 1.0
+        for k in (1, 16, 100):
+            assert integrals._head_bound(any_nu, k, 1.0) == math.inf
     assert integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
     ref = termwise_log_reference("F", nu, 1.0, x)
     assert abs(float(mp.expm1(mp.mpf(integrals.fg_log(nu, 1.0, x)[0]) - ref))) <= 3e-13
@@ -605,6 +622,28 @@ def test_head_stop_never_fires_at_beta_one():
         assert t_0 / mp.exp(ref) > 0.5
 
 
+def test_head_stop_fires_for_nu_below_one_half(monkeypatch):
+    # at nu = -0.9, c = 15 puts c rho >= 1 for every beta >= 0.26; the product
+    # bound C_k rho / (1 - rho) still stops the second leg well above k = 0,
+    # and F and G keep 3e-13
+    mp = pytest.importorskip("mpmath")
+    nu, beta, x = -0.9, 0.5, 1000.0
+    head_bound = integrals._head_bound
+    tested = []
+
+    def recorded(nu, k, rho):
+        tested.append(k)
+        return head_bound(nu, k, rho)
+
+    monkeypatch.setattr(integrals, "_head_bound", recorded)
+    logs = integrals.fg_log(nu, beta, x)
+    # a leg that ran to k = 0 tested its last head at some k <= _HEAD_CHUNK
+    assert min(tested) > integrals._HEAD_CHUNK
+    for fn, got in zip(("F", "G"), logs):
+        ref = termwise_log_reference(fn, nu, beta, x)
+        assert abs(float(mp.expm1(mp.mpf(got) - ref))) <= 3e-13, (fn, got, ref)
+
+
 def test_termwise_huge_x_raises_at_once():
     # k_p past the term cap: the anchor raises before any loop runs
     for x in (1e6, 1e200):
@@ -612,3 +651,31 @@ def test_termwise_huge_x_raises_at_once():
         with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
             F(1.0, 0.5, x)
         assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize("entry", (F, G, integrals.fg_log))
+def test_huge_nu_raises_domain_error_at_once(entry):
+    # a = 2 nu + 2 past 1.3e154 overflows the tail bound's a (a + 1 - z); the
+    # argument check refuses nu above 1e150 before any loop runs
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"requires -1 < nu <= 1e\+150, got 1e\+300"):
+        entry(1e300, 0.5, 1.0)
+    assert time.perf_counter() - start < 0.05
+    assert all(math.isfinite(v) for v in integrals.fg_log(1e150, 0.5, 1.0))
+
+
+def test_engine_digest_is_deterministic_and_covers_every_result():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "engine_digest.py"
+    spec = importlib.util.spec_from_file_location("engine_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pts = [(1.0, 0.5, 5.0), (-0.9, 0.0, 300.0), (2.0, 1.0, 1000.0), (1e300, 0.5, 1.0)]
+    hexdigest, raises = module.digest(pts)
+    assert re.fullmatch("[0-9a-f]{64}", hexdigest)
+    assert module.digest(pts) == (hexdigest, raises)
+    assert raises == {"DomainError: F and G requires -1 < nu <= 1e+150, got 1e+300": 1}
+    # every result enters the digest, in order
+    assert module.digest(pts[:-1])[0] != hexdigest
+    assert module.digest(pts[::-1])[0] != hexdigest
+    # the default grid's 1,375 points, the sample and 18 edge points
+    assert len(module.points()) == 1375 + module.SAMPLE_SIZE + 18

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -114,11 +113,12 @@ class Target(str, Enum):
     K_WEIGHTED_INTEGRAL = "K-weighted-integral"
 
 
-@dataclass(frozen=True)
-class BoundSpec:
+class BoundSpec(NamedTuple):
     """One catalog entry.  ``validity(nu, beta, x, x_star)`` is None where the
     hypothesis holds, else the failed clause; ``evaluate(nu, beta, x, x_star,
-    truncation)`` and ``reference(nu, beta, x)`` assume it holds."""
+    truncation)`` and ``reference(nu, beta, x)`` assume it holds.  A named
+    tuple: ``spec._replace(...)`` makes a changed copy, and equality and the
+    repr take in every field, ``evaluate`` and ``reference`` too."""
 
     bound_id: str
     side: Side
@@ -128,8 +128,8 @@ class BoundSpec:
     uses_beta: bool
     uses_x_star: bool = False
     tight_limits: tuple[str, ...] = ()
-    evaluate: Optional[Callable] = field(default=None, compare=False, repr=False)
-    reference: Optional[Callable] = field(default=None, compare=False, repr=False)
+    evaluate: Optional[Callable] = None
+    reference: Optional[Callable] = None
 
 
 class Margin(NamedTuple):
@@ -147,8 +147,7 @@ class Margin(NamedTuple):
     strict: bool
 
 
-@dataclass(frozen=True)
-class ProductAsymptote:
+class ProductAsymptote(NamedTuple):
     """Limiting coefficients of x K_{nu+1}(x) L_nu(x).
 
     kind == "small_x": the product behaves like slope * x as x -> 0.

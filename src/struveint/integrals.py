@@ -39,7 +39,7 @@ mass ~ exp((1-beta) x)) stays in range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .scaled import ScaledReal
@@ -98,33 +98,43 @@ _NU_MAX = 1e150
 _QUAD_MIN_EXPONENT = 0.04
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Identifies integral_0^upper exp(-beta t) t^weight_power L_order(t) dt."""
-
+class _IntegralFields(NamedTuple):
     weight_power: float
     order: float
     beta: float
     upper: float
 
-    def __post_init__(self) -> None:
-        if not self.order > -1.5:
-            raise DomainError(f"Struve order must exceed -3/2, got {self.order}")
+
+class IntegralSpec(_IntegralFields):
+    """Identifies integral_0^upper exp(-beta t) t^weight_power L_order(t) dt.
+
+    A named tuple whose constructor (and so ``_replace``) checks the domain.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, weight_power: float, order: float, beta: float, upper: float):
+        if not order > -1.5:
+            raise DomainError(f"Struve order must exceed -3/2, got {order}")
         # integrand ~ t^(weight_power + order + 1) near 0
-        if not self.weight_power + self.order > -2.0:
+        if not weight_power + order > -2.0:
             raise DomainError(
                 "integral diverges: weight_power + order must exceed -2, got "
-                f"{self.weight_power} + {self.order}"
+                f"{weight_power} + {order}"
             )
-        if not 0.0 <= self.beta <= 1.0:
-            raise DomainError(f"beta must lie in [0, 1], got {self.beta}")
-        if not self.upper > 0.0:
-            raise DomainError(f"upper limit must be positive, got {self.upper}")
-        _require_finite("integral", self.weight_power, self.order, self.upper)
+        if not 0.0 <= beta <= 1.0:
+            raise DomainError(f"beta must lie in [0, 1], got {beta}")
+        if not upper > 0.0:
+            raise DomainError(f"upper limit must be positive, got {upper}")
+        _require_finite("integral", weight_power, order, upper)
+        return super().__new__(cls, weight_power, order, beta, upper)
+
+    @classmethod
+    def _make(cls, iterable) -> "IntegralSpec":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     """Quadrature outcome.
 
     ``abs_error_estimate`` is the rule's last halving gap, e^gap - 1 times

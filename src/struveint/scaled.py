@@ -12,7 +12,6 @@ a few ulps through long chains of multiplies and adds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = ["ScaledReal"]
 
@@ -36,21 +35,45 @@ def _normalize(mantissa: float, exponent: float) -> tuple[float, float]:
     return m, exponent + k
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class ScaledReal:
     """A real number stored as ``mantissa * exp(exponent)``.
 
     Frozen, with two slots.  ``ScaledReal(m, e)`` is the one constructor.
+    Equal and hashed by ``(mantissa, exponent)``, and only to another
+    ``ScaledReal``.
     """
 
+    __slots__ = ("mantissa", "exponent")
+    __match_args__ = ("mantissa", "exponent")
     mantissa: float
     exponent: float
 
     def __init__(self, mantissa: float, exponent: float) -> None:
-        # The generated frozen __init__ assigns through object.__setattr__ and
-        # checks nothing; the slots' member descriptors do the same faster.
+        # the slots' member descriptors write past the frozen __setattr__
         _set_mantissa(self, mantissa)
         _set_exponent(self, exponent)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        # imported on this error path alone: dataclasses costs ~10 ms to import
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.mantissa, self.exponent) == (other.mantissa, other.exponent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.mantissa, self.exponent))
+
+    def __reduce__(self):
+        return ScaledReal, (self.mantissa, self.exponent)
 
     @classmethod
     def zero(cls) -> "ScaledReal":

@@ -47,8 +47,8 @@ not depend on call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 from .scaled import ScaledReal
@@ -125,8 +125,7 @@ _TEMME_GAM2 = (
 )
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(NamedTuple):
     """Outcome of a truncated series summation."""
 
     value: ScaledReal

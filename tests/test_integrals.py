@@ -38,6 +38,16 @@ def test_spec_validation():
     IntegralSpec(weight_power=-0.9, order=-0.9, beta=0.0, upper=1.0)  # valid edge
 
 
+def test_spec_replace_checks_the_domain():
+    spec = IntegralSpec(1.0, 1.0, 0.5, 2.0)
+    moved = spec._replace(beta=1.0)
+    assert type(moved) is IntegralSpec and moved == IntegralSpec(1.0, 1.0, 1.0, 2.0)
+    with pytest.raises(DomainError):
+        spec._replace(beta=1.5)
+    with pytest.raises(DomainError):
+        spec._replace(upper=math.inf)
+
+
 def test_quad_oracle_rejects_nu_near_minus_one_promptly():
     # F's integrand t^(2nu+1) is too steep at the origin for the head walk
     # below nu = -0.98; the oracle says so at once instead of walking to its

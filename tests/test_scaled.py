@@ -277,3 +277,61 @@ def test_scaled_real_copy_and_pickle_round_trip(value):
         assert type(twin) is ScaledReal
         assert (twin.mantissa, twin.exponent) == (value.mantissa, value.exponent)
         assert twin == value and hash(twin) == hash(value)
+
+
+def test_scaled_real_is_no_tuple():
+    value = ScaledReal(1.0, 0.0)
+    assert value != (1.0, 0.0) and (1.0, 0.0) != value
+    assert ScaledReal.__match_args__ == ("mantissa", "exponent")
+    match value:
+        case ScaledReal(m, e):
+            assert (m, e) == (1.0, 0.0)
+    with pytest.raises(TypeError):
+        len(value)
+    with pytest.raises(TypeError):
+        iter(value)
+
+
+def test_scaled_real_fields_cannot_be_deleted():
+    value = ScaledReal(1.5, -3.0)
+    for name in ("mantissa", "exponent"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
+    assert (value.mantissa, value.exponent) == (1.5, -3.0)
+
+
+@pytest.mark.parametrize("k", (-700.0, -2.0, -1.0, 0.0, 1.0, 2.0, 700.0))
+def test_normalized_form_near_powers_of_e(k):
+    # floor(ln |v|) one too low leaves |m| at e (v = 0.3678794411714423 on
+    # CPython 3.11 / glibc), one too high leaves it below 1: both corrected
+    for sign in (1.0, -1.0):
+        v = sign * math.exp(k)
+        lower, higher = math.nextafter(v, 0.0), math.nextafter(v, 2.0 * v)
+        for u in (math.nextafter(lower, 0.0), lower, v, higher, math.nextafter(higher, 2.0 * v)):
+            s = ScaledReal.from_float(u)
+            assert 1.0 <= abs(s.mantissa) < math.e, (u, s)
+            assert s.exponent == round(s.exponent)
+            assert math.copysign(1.0, s.mantissa) == sign
+            assert math.isclose(s.log_abs(), math.log(abs(u)), rel_tol=1e-15, abs_tol=1e-15)
+
+
+def test_zero_and_range_branches():
+    zero, a = ScaledReal.zero(), ScaledReal.from_float(-3.0)
+    assert zero.log_abs() == -math.inf
+    assert (a + zero) is a and (zero + a) is a
+    negated = -zero
+    assert negated.is_zero and negated.mantissa.hex() == "0x0.0p+0"
+    # exact cancellation gives the canonical zero
+    total = a + ScaledReal.from_float(3.0)
+    assert total == ScaledReal(0.0, 0.0) and total.mantissa.hex() == "0x0.0p+0"
+    # an operand more than e^746 smaller is dropped: the larger comes back
+    big, small = ScaledReal.from_log(500.0, -1.0), ScaledReal.from_log(-300.0)
+    assert (big + small) is big and (small + big) is big
+    assert (small - big).log_abs() == big.log_abs()
+    # ratio_to: a zero numerator, a signed zero below e^-746, overflow past e^709.78
+    assert zero.ratio_to(a) == 0.0
+    tiny = ScaledReal.from_log(-400.0).ratio_to(ScaledReal.from_log(400.0, -1.0))
+    assert tiny == 0.0 and math.copysign(1.0, tiny) == -1.0
+    assert math.copysign(1.0, small.ratio_to(-big)) == 1.0
+    with pytest.raises(OverflowError, match="ratio exceeds double range"):
+        ScaledReal.from_log(400.0).ratio_to(ScaledReal.from_log(-400.0))

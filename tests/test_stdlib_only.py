@@ -1,5 +1,7 @@
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "struveint"
@@ -23,3 +25,21 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh process pays for every module `import struveint` pulls in;
+    # dataclasses and the inspect chain behind it took about 10 ms
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import struveint\n"
+        "struveint.list_bounds()\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,6 @@
 identity; a name that moves or changes shape makes ``run.py --trace 1`` read
 zero or fail.  This test keeps those hooks working."""
 
-import dataclasses
 import functools
 import gc
 import importlib.util
@@ -98,7 +97,7 @@ def test_default_sweep_validity_calls(monkeypatch):
 
     for bound_id, spec in list(bounds._CATALOG.items()):
         monkeypatch.setitem(
-            bounds._CATALOG, bound_id, dataclasses.replace(spec, validity=counted(spec.validity))
+            bounds._CATALOG, bound_id, spec._replace(validity=counted(spec.validity))
         )
     report = verify_all(default_grid())
     assert report.summary["checked"] == 16525

@@ -147,6 +147,11 @@ class Margin(NamedTuple):
     strict: bool
 
 
+# builds a named tuple without its generated __new__ frame: check makes one
+# Margin per sweep row
+_tuple_new = tuple.__new__
+
+
 class ProductAsymptote(NamedTuple):
     """Limiting coefficients of x K_{nu+1}(x) L_nu(x).
 
@@ -664,7 +669,7 @@ def get_bound(bound_id: str) -> BoundSpec:
 def _valid_spec(bound_id: str, nu, beta, x, x_star, truncation) -> BoundSpec:
     """The catalog entry, once it takes the family parameters given and its
     hypothesis holds at the point."""
-    spec = get_bound(bound_id)
+    spec = _CATALOG.get(bound_id) or get_bound(bound_id)  # get_bound names the known ids
     if x_star is not None and not spec.uses_x_star:
         raise ValidityError(f"{bound_id}: takes no x_star, got x_star={x_star}")
     if truncation is not None and spec.evaluate is not _eval_lb23:
@@ -739,13 +744,19 @@ def check(
         margin_low = 1.0 - _ratio(low, ref_log)
         margin_high = _ratio(high, ref_log) - 1.0
         if margin_low <= margin_high:
-            return Margin(ScaledReal.from_log(low), reference, margin_low, margin_low > 0.0)
-        return Margin(ScaledReal.from_log(high), reference, margin_high, margin_high > 0.0)
-    sign = 1.0
-    if type(value) is _Signed:
-        value, sign = value
-    elif type(value) is tuple:  # RB-SEGURA: margin against the sharp form
-        value = value[0]
-    ratio = sign * _ratio(value, ref_log)
-    margin = (1.0 - ratio) if side is Side.LOWER else (ratio - 1.0)
-    return Margin(ScaledReal.from_log(value, sign), reference, margin, margin > 0.0)
+            bound, margin = ScaledReal.from_log(low), margin_low
+        else:
+            bound, margin = ScaledReal.from_log(high), margin_high
+    else:
+        sign = 1.0
+        if type(value) is _Signed:
+            value, sign = value
+        elif type(value) is tuple:  # RB-SEGURA: margin against the sharp form
+            value = value[0]
+        d = value - ref_log  # _ratio's test, in place on the one-sided path
+        if d > _LN_MAX:
+            raise OverflowError("ratio exceeds double range")
+        ratio = sign * math.exp(d)
+        margin = (1.0 - ratio) if side is Side.LOWER else (ratio - 1.0)
+        bound = ScaledReal.from_log(value, sign)
+    return _tuple_new(Margin, (bound, reference, margin, margin > 0.0))

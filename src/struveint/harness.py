@@ -17,6 +17,7 @@ from . import tables
 from .bounds import (
     Margin,
     _f_reference,
+    _tuple_new,
     check,
     default_x_star,
     eval_bound,
@@ -161,7 +162,8 @@ class TableRow:
 
 
 class MarginRow(NamedTuple):
-    """One sweep row; a named tuple, since verify_all builds one per check."""
+    """One sweep row; a named tuple, since verify_all builds one per check
+    (through tuple.__new__, without the generated __new__ frame)."""
 
     bound_id: str
     nu: float
@@ -286,7 +288,8 @@ def verify_all(grid: GridSpec) -> Report:
                     margin = check(bound_id, nu, beta, x, x_star)
                     status = margin_status(margin)
                     counts[status] += 1
-                    append(MarginRow(bound_id, nu, beta, x, x_star, margin, status))
+                    row = (bound_id, nu, beta, x, x_star, margin, status)
+                    append(_tuple_new(MarginRow, row))
     counts["checked"] = len(rows)
     # the loops run in key order when each value list strictly increases
     if not (

@@ -97,7 +97,12 @@ class ScaledReal:
         if m >= math.e:  # a fraction within an ulp of 1 rounds up to e
             m /= math.e
             k += 1
-        return cls(math.copysign(m, sign), float(k))
+        # the slots written here, as __init__ would: one Python frame fewer
+        # on the sweep's hottest constructor
+        self = _new(cls)
+        _set_mantissa(self, math.copysign(m, sign))
+        _set_exponent(self, float(k))
+        return self
 
     # -- predicates ---------------------------------------------------------
 
@@ -217,5 +222,6 @@ class ScaledReal:
         return f"ScaledReal({self.mantissa!r} * e^{self.exponent!r})"
 
 
+_new = object.__new__
 _set_mantissa = ScaledReal.mantissa.__set__
 _set_exponent = ScaledReal.exponent.__set__

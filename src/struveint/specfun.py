@@ -430,7 +430,8 @@ def struve_l(nu: float, x: float) -> float:
 
 def struve_l_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * L_nu(x)); -inf at x = 0."""
-    _check_struve_args(nu, x)
+    if not (-1.5 < nu < math.inf and 0.0 <= x < math.inf):  # the checker's opening chain
+        _check_struve_args(nu, x)
     return _struve_l_raw(nu, x) - x
 
 
@@ -472,7 +473,8 @@ def bessel_i(nu: float, x: float) -> float:
 
 def bessel_i_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * I_nu(x)); -inf where I_nu(x) = 0."""
-    _check_bessel_i_args(nu, x)
+    if not (-1.0 <= nu < math.inf and 0.0 <= x < math.inf):  # where the checker passes
+        _check_bessel_i_args(nu, x)  # integer nu < -1 passes it too
     return _bessel_i_raw(nu, x) - x
 
 
@@ -586,8 +588,7 @@ def _bessel_k_scaled_log(nu: float, x: float) -> float:
 
 
 def _check_bessel_k_args(nu: float, x: float) -> None:
-    if -math.inf < nu < math.inf and 0.0 < x < math.inf:  # valid: one comparison chain
-        return
+    # called only where bessel_k_scaled_log's comparison chain fails
     _require_finite("Bessel K", nu, x)
     if not x > 0.0:
         raise DomainError(f"Bessel K requires x > 0, got x={x}")
@@ -595,7 +596,8 @@ def _check_bessel_k_args(nu: float, x: float) -> None:
 
 def bessel_k_scaled_log(nu: float, x: float) -> float:
     """ln(exp(x) * K_nu(x)), x > 0 (even in nu)."""
-    _check_bessel_k_args(nu, x)
+    if not (-math.inf < nu < math.inf and 0.0 < x < math.inf):  # valid: one comparison chain
+        _check_bessel_k_args(nu, x)
     return _bessel_k_scaled_log(nu, x)
 
 

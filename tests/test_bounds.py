@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from struveint import bounds
 from struveint.bounds import (
     INCONCLUSIVE_BAND,
     Side,
@@ -280,6 +281,7 @@ _NON_FINITE_ENTRIES = {
     "m_factor-nu": lambda v: m_factor(v, 0.5, 5.0),
     "m_factor-x_star": lambda v: m_factor(1.0, 0.5, v),
     "a_factor": a_factor,
+    "default_x_star": default_x_star,
     "product_asymptote-small_x": lambda v: product_asymptote("small_x", v),
     "product_asymptote-large_x": lambda v: product_asymptote("large_x", v),
     "check-LB-2.3-x": lambda v: check("LB-2.3", 1.0, 0.5, v),
@@ -430,11 +432,46 @@ def test_ub38_with_default_x_star():
     xs = default_x_star(beta)
     m = check("UB-3.8", nu=1.0, beta=beta, x=10.0, x_star=xs)
     assert m.strict
+    for beta in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(DomainError, match=r"^default_x_star requires 0 < beta < 1, got "):
+            default_x_star(beta)
 
 
 def test_unknown_bound_id():
-    with pytest.raises(KeyError, match="unknown bound id"):
-        eval_bound("LB-9.9", nu=1.0, beta=0.5, x=1.0)
+    known = ", ".join(sorted(ALL_IDS))
+    for call in (
+        lambda: get_bound("LB-9.9"),
+        lambda: check("LB-9.9", 1.0, 0.5, 1.0),
+        lambda: eval_bound("LB-9.9", nu=1.0, beta=0.5, x=1.0),
+    ):
+        with pytest.raises(KeyError) as exc:
+            call()
+        assert exc.value.args == (f"unknown bound id 'LB-9.9'; known: {known}",)
+
+
+@pytest.mark.parametrize("bound_id", ("LB-PRIOR", "PRB-KL1"))  # one-sided, two-sided
+@pytest.mark.parametrize(
+    "reference,error,message",
+    (
+        (ScaledReal(0.0, 0.0), ZeroDivisionError, "reference value is zero"),
+        # the bound is above e^-90 at this point, so bound/reference > e^709.78
+        (ScaledReal(1.0, -800.0), OverflowError, "ratio exceeds double range"),
+    ),
+)
+def test_check_refuses_a_reference_it_cannot_divide_by(
+    monkeypatch, bound_id, reference, error, message
+):
+    spec = get_bound(bound_id)
+    nu, x = 1.0, 5.0
+    beta = 0.5 if spec.uses_beta else None
+    bound = eval_bound(bound_id, nu, beta, x)
+    for value in bound if isinstance(bound, tuple) else (bound,):
+        assert value.log_abs() > -90.0
+    monkeypatch.setitem(
+        bounds._CATALOG, bound_id, spec._replace(reference=lambda nu, beta, x: reference)
+    )
+    with pytest.raises(error, match=f"^{message}$"):
+        check(bound_id, nu, beta, x)
 
 
 def test_g_bounds_strict():

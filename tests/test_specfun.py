@@ -299,6 +299,9 @@ def test_bessel_i_trivial_and_frozen():
 def test_bessel_i_negative_integer_reflection():
     for x in (0.5, 2.0, 10.0):
         assert bessel_i(-1.0, x) == pytest.approx(bessel_i(1.0, x), rel=1e-14)
+        # below -1 only integer orders are accepted, past the reader's fast chain
+        for n in (1.0, 2.0, 3.0):
+            assert specfun.bessel_i_scaled_log(-n, x) == specfun.bessel_i_scaled_log(n, x)
 
 
 def test_bessel_i_scaled_consistency():
@@ -531,6 +534,40 @@ def test_non_finite_input_is_domain_error(fn, args):
     # rejected up front: no series or quadrature loop may see nan or inf
     with pytest.raises(DomainError):
         fn(*args)
+
+
+_READER_REFUSALS = [
+    (reader, checker, args)
+    for reader, checker, bad in (
+        (specfun.struve_l_scaled_log, specfun._check_struve_args,
+         ((-1.5, 2.0), (math.nextafter(-1.5, -math.inf), 2.0), (1.0, -1.0), (1.0, -5e-324))),
+        (specfun.bessel_i_scaled_log, specfun._check_bessel_i_args,
+         ((math.nextafter(-1.0, -math.inf), 2.0), (-1.5, 2.0), (1.0, -1.0), (1.0, -5e-324))),
+        (specfun.bessel_k_scaled_log, specfun._check_bessel_k_args,
+         ((1.0, 0.0), (1.0, -0.0), (1.0, -1.0))),
+    )
+    for args in bad + tuple(
+        (v, 2.0) if slot == 0 else (1.0, v)
+        for slot in (0, 1)
+        for v in (math.nan, math.inf, -math.inf)
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "reader,checker,args",
+    _READER_REFUSALS,
+    ids=[f"{reader.__name__}{args}" for reader, _, args in _READER_REFUSALS],
+)
+def test_scaled_log_readers_refuse_as_their_checkers(reader, checker, args):
+    # each reader tests its arguments in one comparison chain and calls its
+    # checker only off that chain: the refusal is the checker's own
+    with pytest.raises(DomainError) as want:
+        checker(*args)
+    with pytest.raises(DomainError) as got:
+        reader(*args)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

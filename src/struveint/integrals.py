@@ -16,14 +16,15 @@ by term, each term in the Kummer form of the incomplete gamma function
 and for G a_k + 1 in place of a_k, with the k-th coefficient multiplied by
 x / (a_k + 1) (Gamma(k+nu+5/2) in place of Gamma(k+nu+3/2)).  G's Kummer
 sums are the midpoints of the downward recurrence that gives F's, so one
-pass returns both; each integral's tail is bounded and dropped on its own
-rule; the forward loop keeps the bound it proved for the final check.  All
-terms are positive, beta = 0 and beta = 1 included, and the cost is O(x) per
-call: the coefficients peak near k = x/2 and about 0.7 x of them are kept.
-For x above about 127 the pass starts two indices below the peak and sums
-the terms under it only until a proven bound, for nu < 1/2 the lesser of
-two, puts the rest below 1e-17 of the sum: at x = 1000 and nu = 2 it walks
-k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at beta = 1.
+pass returns both; each integral's tail has its own bound, G's tried only
+once F's is proven; the forward loop keeps the bounds it proved for the final
+check.  All terms are positive, beta = 0 and beta = 1 included, and the cost
+is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
+are kept.  For x above about 127 the pass starts two indices below the peak
+and sums the terms under it only until a proven bound, for nu < 1/2 the
+lesser of two, puts the rest below 1e-17 of the sum: at x = 1000 and nu = 2
+it walks k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at
+beta = 1.
 ``fg_log`` hands both logs to callers that need the pair, and
 ``integral_series`` is the engine's F entry point for 0 < beta < 1.  The
 other routes stay as oracles for the tests:
@@ -357,9 +358,15 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     r_k / (1 - r_k), with U(a) = min(e^z / a, (a+1) / (a (a+1-z)) if
     a + 1 > z) from 1/a <= S(a, z) <= e^z / a, and that bound must be below
     1e-17 of the least possible sum.  ``_tail_bound_log`` states it once, in
-    logs, behind a one-multiply screen (``_proven_tail_log``).  The loop keeps
-    each integral's bound from the index where it was proven, which covers the
-    terms after K too, and the final check compares the kept bounds with the sums.
+    logs, behind a one-multiply screen (``_proven_tail_log``).  F's proof is
+    tried first; G's only from the index where F's passed, and K is the first
+    index where G's passes too.  That is still the first index where both
+    pass: in this phase G's bound, d_k x / (a_k + 1) U(a_k + 1) rho_g, falls at
+    every step (d_k by r <= 1/2, U and rho_g with k), while its limit 1e-17
+    peak_g is fixed, a rescale moving d_k and peak_g together, so once it
+    passes it passes at every later index.  The loop keeps each integral's
+    bound from the index where it was proven, which covers the terms after K
+    too, and the final check compares the kept bounds with the sums.
 
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
@@ -437,16 +444,18 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
         if r <= 0.5:
             # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
             # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
-            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r
+            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
+            # G's bound falls at every step against a fixed limit, so once
+            # proven it stays proven: trying it only after F's leaves K alone
             if tail_f is None:
                 tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
-            if tail_g is None:
+            if tail_f is not None:
                 r_g = q / ((k + 1.5) * (k + nu + 2.5))
                 tail_g = _proven_tail_log(
                     m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
                 )
-            if tail_f is not None and tail_g is not None:
-                break
+                if tail_g is not None:
+                    break
         m *= r
         if m < 1.0:
             m *= _EXP30

@@ -156,7 +156,10 @@ def log_gamma(x: float) -> float:
     for i in range(1, 9):
         acc += _LANCZOS[i] / (xm + i)
     t = xm + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (xm + 0.5) * math.log(t) - t + math.log(acc)
+    lg = 0.5 * math.log(2.0 * math.pi) + (xm + 0.5) * math.log(t) - t + math.log(acc)
+    if lg == math.inf:  # x above about 2.55e305
+        raise OverflowError("ln Gamma(x) exceeds double range")
+    return lg
 
 
 # lnGamma(3/2) by the same Lanczos form as the lnGamma(nu + 3/2) beside it in

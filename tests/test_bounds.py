@@ -245,6 +245,9 @@ def test_lb23_truncation_capped_at_adaptive_term_cap():
     # K counts terms: a fraction is refused, not cut down to the 2-term sum
     with pytest.raises(DomainError, match="truncation must be an integer, got 2.5"):
         eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=2.5)
+    for bad in (0, -1):
+        with pytest.raises(DomainError, match=f"truncation must be >= 1, got {bad}$"):
+            eval_bound("LB-2.3", 1.0, 0.75, 10.0, truncation=bad)
 
 
 @pytest.mark.parametrize("entry", (check, eval_bound))
@@ -367,6 +370,30 @@ def test_product_asymptote():
         product_asymptote("large_x", -0.6)
     with pytest.raises(DomainError):
         product_asymptote("sideways", 1.0)
+
+
+@pytest.mark.parametrize("nu", (0.5, 1e3, 1e6, 1e10, 1e16, 1e100, 1e300))
+def test_product_asymptote_small_x_slope_against_mpmath(nu):
+    # Gamma(nu+1) / (sqrt(pi) Gamma(nu+3/2)), with digits beyond those of nu;
+    # the slope is exp of a log of size (ln nu) / 2, so it may lose a few ulp
+    # of that log
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40 + int(math.log10(nu))):
+        n = mp.mpf(nu)
+        ref = mp.exp(mp.loggamma(n + 1) - mp.loggamma(n + 1.5)) / mp.sqrt(mp.pi)
+        slope = product_asymptote("small_x", nu).slope
+        tol = 1e-15 * (1.0 + abs(float(mp.log(ref))))
+        assert abs(float(slope / ref - 1)) <= tol, (nu, slope)
+
+
+@pytest.mark.parametrize("entry", (check, eval_bound))
+@pytest.mark.parametrize("bound_id,beta", (
+    ("PRB-KL1", None), ("PRB-KL2", None), ("UB-GAU1-FULL", 0.5),
+))
+def test_order_past_log_gamma_range_raises_overflow(entry, bound_id, beta):
+    # lnGamma(nu + 1) overflows a double from nu ~ 2.55e305 on
+    with pytest.raises(OverflowError, match="ln Gamma\\(x\\) exceeds double range"):
+        entry(bound_id, 1e306, beta, 2.0)
 
 
 def test_product_asymptote_numeric_large_x():

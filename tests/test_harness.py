@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -392,10 +393,21 @@ def test_default_sweep_one_engine_pass_per_point(monkeypatch):
     assert g_misses == 1125
 
 
+def _default_points():
+    grid = default_grid()
+    return {
+        (nu, beta, x)
+        for nu in grid.nu_values
+        for beta in grid.beta_values
+        for x in grid.x_values
+    }
+
+
 def test_default_sweep_tail_tests(monkeypatch):
     # one pass per distinct (nu, beta, x) bounds each tail in logs only once
-    # the one-multiply screen passes: 2,846 forward-loop tests, and the final
-    # F and G checks of each of the 1,375 points read the bounds those proved
+    # the one-multiply screen passes, and G's only once F's is proven: 2,797
+    # forward-loop tests, and the final F and G checks of each of the 1,375
+    # points read the bounds those proved
     calls = []
     bound = integrals._tail_bound_log
 
@@ -404,17 +416,39 @@ def test_default_sweep_tail_tests(monkeypatch):
         return bound(m, a, z, rho)
 
     monkeypatch.setattr(integrals, "_tail_bound_log", counted)
-    grid = default_grid()
-    points = {
-        (nu, beta, x)
-        for nu in grid.nu_values
-        for beta in grid.beta_values
-        for x in grid.x_values
-    }
+    points = _default_points()
     for point in points:
         integrals._termwise_pair_log(*point)
     assert len(points) == 1375
-    assert len(calls) == 2846
+    assert len(calls) == 2797
+
+
+def test_default_sweep_tries_g_tail_only_after_f_proven(monkeypatch):
+    # G's tail bound falls at every step against a fixed limit, so the forward
+    # loop tries it only from the index where F's passed and stops at the first
+    # G pass: per point, failed F tries, one F pass at a_k, then G's tries from
+    # a_k + 1 (G's carry a_j + 1, an odd offset from a_0), the last one passing
+    proven = integrals._proven_tail_log
+    calls = []
+
+    def counted(m, a, z, rho, lim, shift):
+        tail = proven(m, a, z, rho, lim, shift)
+        calls.append((a, tail is not None))
+        return tail
+
+    monkeypatch.setattr(integrals, "_proven_tail_log", counted)
+    tries = 0
+    for nu, beta, x in _default_points():
+        calls.clear()
+        integrals._termwise_pair_log(nu, beta, x)
+        tries += len(calls)
+        word = "".join(
+            ("gG" if round(a - 2.0 * nu - 2.0) % 2 else "fF")[passed] for a, passed in calls
+        )
+        assert re.fullmatch("f*Fg*G", word), (nu, beta, x, word)
+        f_pass = word.index("F")
+        assert calls[f_pass + 1][0] == calls[f_pass][0] + 1.0, (nu, beta, x)
+    assert tries == 20232
 
 
 def test_default_sweep_log_gamma_once_per_argument():

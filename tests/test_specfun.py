@@ -84,6 +84,12 @@ def test_gamma_overflow_guard():
     with pytest.raises(OverflowError):
         gamma_fn(200.0)
     assert log_gamma(200.0) == pytest.approx(857.9336698258574, rel=1e-12)
+    # (x - 1/2) ln x - x passes the largest double from x ~ 2.558e305 on
+    x = 2.55e305
+    assert log_gamma(x) == pytest.approx(x * (math.log(x) - 1.0), rel=1e-14)
+    for x in (2.56e305, 1e306, 1.7e308):
+        with pytest.raises(OverflowError, match=r"^ln Gamma\(x\) exceeds double range$"):
+            log_gamma(x)
 
 
 # ---------------------------------------------------------------------------

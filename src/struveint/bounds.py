@@ -150,6 +150,13 @@ class Margin(NamedTuple):
 # builds a named tuple without its generated __new__ frame: check makes one
 # Margin per sweep row
 _tuple_new = tuple.__new__
+# module names for the per-row path (_valid_spec, check): a str Enum member
+# is a class attribute lookup, a math function a module attribute load
+_TWO_SIDED = Side.TWO_SIDED
+_LOWER = Side.LOWER
+_INF = math.inf
+_log = math.log
+_exp = math.exp
 
 
 class ProductAsymptote(NamedTuple):
@@ -577,11 +584,11 @@ def _row(
             f"{_exact(lo)} {'<=' if lo_closed else '<'} nu "
             f"{'<=' if hi_closed else '<'} {_exact(hi)}"
         )
-    above = operator.ge if lo_closed else operator.gt
-    below = operator.le if hi_closed else operator.lt
 
     def validity(nu, beta, x, x_star):
-        if not (above(nu, lo) and below(nu, hi)):
+        if not (
+            (nu >= lo if lo_closed else nu > lo) and (nu <= hi if hi_closed else nu < hi)
+        ):
             return f"requires {nu_text}, got nu={nu}"
         if uses_beta and (beta is None or not 0.0 < beta < 1.0):
             return f"requires 0 < beta < 1, got {beta}"
@@ -700,7 +707,7 @@ def _valid_spec(bound_id: str, nu, beta, x, x_star, truncation) -> BoundSpec:
     failure = spec.validity(nu, beta, x, x_star)
     if failure is not None:
         raise ValidityError(f"{bound_id}: {failure}")
-    if nu == math.inf or x == math.inf:  # the only non-finite values a hypothesis admits
+    if nu == _INF or x == _INF:  # the only non-finite values a hypothesis admits
         raise DomainError(f"{bound_id} requires finite nu and x, got nu={nu}, x={x}")
     return spec
 
@@ -758,9 +765,9 @@ def check(
     reference = spec.reference(nu, beta, x)
     if reference.mantissa == 0.0:
         raise ZeroDivisionError("reference value is zero")
-    ref_log = math.log(reference.mantissa) + reference.exponent
+    ref_log = _log(reference.mantissa) + reference.exponent
     side = spec.side
-    if side is Side.TWO_SIDED:
+    if side is _TWO_SIDED:
         low, high = value
         margin_low = 1.0 - _ratio(low, ref_log)
         margin_high = _ratio(high, ref_log) - 1.0
@@ -777,7 +784,7 @@ def check(
         d = value - ref_log  # _ratio's test, in place on the one-sided path
         if d > _LN_MAX:
             raise OverflowError("ratio exceeds double range")
-        ratio = sign * math.exp(d)
-        margin = (1.0 - ratio) if side is Side.LOWER else (ratio - 1.0)
+        ratio = sign * _exp(d)
+        margin = (1.0 - ratio) if side is _LOWER else (ratio - 1.0)
         bound = ScaledReal.from_log(value, sign)
     return _tuple_new(Margin, (bound, reference, margin, margin > 0.0))

@@ -90,17 +90,17 @@ class ScaledReal:
     @classmethod
     def from_log(cls, log_value: float, sign: float = 1.0) -> "ScaledReal":
         """Build exp(log_value), optionally negated.  -inf maps to zero."""
-        if log_value == -math.inf:
+        if log_value == _NEG_INF:
             return cls(0.0, 0.0)
-        k = math.floor(log_value)  # raises for +inf and nan
-        m = math.exp(log_value - k)  # in [1, e]: the fraction lies in [0, 1)
-        if m >= math.e:  # a fraction within an ulp of 1 rounds up to e
-            m /= math.e
+        k = _floor(log_value)  # raises for +inf and nan
+        m = _exp(log_value - k)  # in [1, e]: the fraction lies in [0, 1)
+        if m >= _E:  # a fraction within an ulp of 1 rounds up to e
+            m /= _E
             k += 1
         # the slots written here, as __init__ would: one Python frame fewer
         # on the sweep's hottest constructor
         self = _new(cls)
-        _set_mantissa(self, math.copysign(m, sign))
+        _set_mantissa(self, _copysign(m, sign))
         _set_exponent(self, float(k))
         return self
 
@@ -225,3 +225,9 @@ class ScaledReal:
 _new = object.__new__
 _set_mantissa = ScaledReal.mantissa.__set__
 _set_exponent = ScaledReal.exponent.__set__
+# from_log's math, read as module names on the sweep's hottest constructor
+_NEG_INF = -math.inf
+_E = math.e
+_floor = math.floor
+_exp = math.exp
+_copysign = math.copysign

@@ -34,10 +34,12 @@ K_nu(x) is Temme's method (J. Comput. Phys. 19, 1975; Numerical
 Recipes 6.7): at the order mu = |nu| - n, |mu| <= 1/2, Temme's series for
 x < 2 or Steed's evaluation of the continued fraction CF2 for x >= 2 gives
 K_mu and K_{mu+1}, and the recurrence K_{m+1} = K_{m-1} + (2m/x) K_m climbs
-the n steps to nu, upward being the stable direction for K.  The lower
-incomplete gamma uses the classical split: ascending series for x < a+1,
-Lentz continued fraction for the upper complement otherwise.  Gamma is a
-Lanczos rational approximation (g = 7, 9 terms), positive arguments only.
+the n steps to nu, upward being the stable direction for K; that base pair
+is cached per (mu, x), since the orders nu, nu+1, ... at one x share it.
+The lower incomplete gamma uses the classical split: ascending series for
+x < a+1, Lentz continued fraction for the upper complement otherwise.  Gamma
+is a Lanczos rational approximation (g = 7, 9 terms), positive arguments
+only.
 
 All functions are pure; none touch shared mutable state beyond memoization
 caches keyed by their arguments, so concurrent use is safe and results do
@@ -78,6 +80,8 @@ _LN2 = math.log(2.0)
 # x/2 is a normal double from here up; below it x/2 drops bits (the least
 # subnormal halves to 0), so the series take ln(x/2) as ln x - ln 2 there
 _TWO_MIN_NORMAL = 2.0**-1021
+# the kernel readers' comparison chains read one module name, not math.inf
+_INF = math.inf
 
 # Lanczos coefficients, g = 7, n = 9 (Godfrey's published set).
 _LANCZOS_G = 7.0
@@ -433,7 +437,7 @@ def struve_l(nu: float, x: float) -> float:
 
 def struve_l_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * L_nu(x)); -inf at x = 0."""
-    if not (-1.5 < nu < math.inf and 0.0 <= x < math.inf):  # the checker's opening chain
+    if not (-1.5 < nu < _INF and 0.0 <= x < _INF):  # the checker's opening chain
         _check_struve_args(nu, x)
     return _struve_l_raw(nu, x) - x
 
@@ -476,7 +480,7 @@ def bessel_i(nu: float, x: float) -> float:
 
 def bessel_i_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * I_nu(x)); -inf where I_nu(x) = 0."""
-    if not (-1.0 <= nu < math.inf and 0.0 <= x < math.inf):  # where the checker passes
+    if not (-1.0 <= nu < _INF and 0.0 <= x < _INF):  # where the checker passes
         _check_bessel_i_args(nu, x)  # integer nu < -1 passes it too
     return _bessel_i_raw(nu, x) - x
 
@@ -563,6 +567,17 @@ def _bessel_k_steed(mu: float, x: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=1 << 17)
+def _bessel_k_base(mu: float, x: float) -> tuple[float, float]:
+    """(ln(exp(x) K_mu(x)), K_{mu+1}(x) / K_mu(x)) for |mu| <= 1/2: Temme's
+    series for x < 2, Steed's CF2 otherwise.
+
+    Cached apart from the order recurrence: the orders nu, nu+1, nu+2, ...
+    at one x share their base mu, and each climbs from the same pair.
+    """
+    return (_bessel_k_temme if x < 2.0 else _bessel_k_steed)(mu, x)
+
+
+@lru_cache(maxsize=1 << 17)
 def _bessel_k_scaled_log(nu: float, x: float) -> float:
     """ln(exp(x) K_nu(x)) by Temme's series (x < 2) or Steed's CF2 (x >= 2)
     at the order mu = |nu| - n, |mu| <= 1/2, then n steps of
@@ -577,7 +592,7 @@ def _bessel_k_scaled_log(nu: float, x: float) -> float:
     if n > MAX_SERIES_TERMS:
         raise ConvergenceError("Bessel K order recurrence cap exceeded")
     mu = nu - n
-    log_k, ratio = (_bessel_k_temme if x < 2.0 else _bessel_k_steed)(mu, x)
+    log_k, ratio = _bessel_k_base(mu, x)
     m = 1.0  # K_{mu+n}/K_mu = m * 2**e
     e = 0
     two_over_x = 2.0 / x
@@ -599,7 +614,7 @@ def _check_bessel_k_args(nu: float, x: float) -> None:
 
 def bessel_k_scaled_log(nu: float, x: float) -> float:
     """ln(exp(x) * K_nu(x)), x > 0 (even in nu)."""
-    if not (-math.inf < nu < math.inf and 0.0 < x < math.inf):  # valid: one comparison chain
+    if not (-_INF < nu < _INF and 0.0 < x < _INF):  # valid: one comparison chain
         _check_bessel_k_args(nu, x)
     return _bessel_k_scaled_log(nu, x)
 

@@ -4,6 +4,8 @@ from typing import NamedTuple
 
 import pytest
 
+from struveint import specfun
+
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "specfun_golden.txt"
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py
@@ -13,6 +15,18 @@ ACCEPTANCE_VERDICTS: list[str] = []
 @pytest.fixture(scope="session")
 def acceptance_verdicts():
     return ACCEPTANCE_VERDICTS
+
+
+@pytest.fixture
+def cold_bessel_k():
+    """Both Bessel K caches cleared before and after the test: a warm order
+    or base would skip the loops a test patches or counts."""
+    caches = (specfun._bessel_k_scaled_log, specfun._bessel_k_base)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 class TableErratum(NamedTuple):

@@ -17,7 +17,7 @@ from struveint.bounds import (
     margin_status,
     product_asymptote,
 )
-from struveint.errors import DomainError, ValidityError
+from struveint.errors import ConvergenceError, DomainError, ValidityError
 from struveint.integrals import F
 from struveint.scaled import ScaledReal
 from struveint.specfun import (
@@ -299,6 +299,13 @@ _NON_FINITE_ENTRIES = {
 def test_non_finite_input_raises_domain_error(entry, value):
     with pytest.raises(DomainError):
         _NON_FINITE_ENTRIES[entry](value)
+
+
+def test_lb23_adaptive_sum_raises_past_term_cap(monkeypatch):
+    # beta = 3/4 needs far more than 3 terms for the 1e-12 tail
+    monkeypatch.setattr(bounds, "_LB23_TERM_CAP", 3)
+    with pytest.raises(ConvergenceError, match="LB-2.3 term cap exceeded"):
+        eval_bound("LB-2.3", 1.0, 0.75, 10.0)
 
 
 def test_lb23_adaptive_dominates_truncated():

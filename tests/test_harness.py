@@ -458,6 +458,26 @@ def test_default_sweep_log_gamma_once_per_argument():
     assert specfun.log_gamma.cache_info().misses <= 416
 
 
+def test_default_sweep_bessel_k_base_once_per_mu_x(monkeypatch, cold_bessel_k):
+    # the sweep asks ln(e^x K) at 800 distinct (order, x); the orders nu + k
+    # at one x share their base mu = |nu + k| - n, so Temme's series or
+    # Steed's CF2 runs once per distinct (mu, x): 200 times
+    calls = []
+
+    def counted(kernel):
+        def wrapper(mu, x):
+            calls.append((mu, x))
+            return kernel(mu, x)
+
+        return wrapper
+
+    for name in ("_bessel_k_temme", "_bessel_k_steed"):
+        monkeypatch.setattr(specfun, name, counted(getattr(specfun, name)))
+    verify_all(default_grid())
+    assert specfun._bessel_k_scaled_log.cache_info().misses == 800
+    assert len(calls) == len(set(calls)) == 200
+
+
 def test_concurrent_evaluation_bit_identical():
     # pure functions + memoization must give bit-identical results however
     # calls interleave across threads

@@ -188,6 +188,15 @@ def test_beta0_frozen_values():
     assert v.to_float() == pytest.approx(3.6270938131339531747, rel=1e-11)
 
 
+def test_beta0_large_x_rescales_pfq_sum():
+    # the 2F3 sum passes e^30 at x = 100, so pfq's rescale runs; the
+    # termwise engine gives the same ln F
+    v = integral_beta0(1.0, 100.0)
+    log_v = math.log(v.mantissa) + v.exponent
+    assert log_v == pytest.approx(integrals.fg_log(1.0, 0.0, 100.0)[0], rel=1e-15)
+    assert log_v == pytest.approx(101.37480112495713, rel=1e-15)
+
+
 def test_beta0_small_x_leading_order():
     for nu in (-0.5, 0.0, 1.5):
         x = 1e-5

@@ -140,6 +140,23 @@ def test_ligamma_domain():
         lower_incomplete_gamma(1.0, -0.1)
 
 
+@pytest.mark.parametrize(
+    "a,log_ref",
+    # ln gammainc(a, 0, 1/2) by mpmath at 40 digits, rounded to double
+    [(1e-14, 32.23619130191663), (3e-15, 33.44016410624257), (1e-20, 46.051701859880914)],
+)
+def test_ligamma_tiny_a_rescales_kummer_sum(a, log_ref):
+    # the Kummer sum's first term 1/a is above e^30, so its rescale runs
+    assert lower_incomplete_gamma_log(a, 0.5) == pytest.approx(log_ref, rel=1e-15)
+
+
+def test_ligamma_continued_fraction_raises_past_cap(monkeypatch):
+    # x > a + 1 takes the continued fraction, which needs 10 terms here
+    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", 5)
+    with pytest.raises(ConvergenceError, match="incomplete gamma continued fraction cap"):
+        lower_incomplete_gamma_log(10.0, 11.5)
+
+
 # ---------------------------------------------------------------------------
 # pFq
 # ---------------------------------------------------------------------------
@@ -184,6 +201,12 @@ def test_pfq_geometric_series():
     # 1F0(1; ; x) = 1/(1-x)
     res = pfq((1.0,), (), 0.5)
     assert res.value.to_float() == pytest.approx(2.0, rel=1e-13)
+
+
+def test_pfq_raises_past_term_cap(monkeypatch):
+    monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", 3)
+    with pytest.raises(ConvergenceError, match="pFq did not converge within 3 terms"):
+        pfq((1.0,), (1.5, 2.0), 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +513,14 @@ def test_bessel_k_subnormal_x_recurrence_raises():
         (20, 25.25, 1000.0, "order recurrence"),  # CF2 needs 7, then 25 steps
     ],
 )
-def test_bessel_k_loops_raise_past_cap(monkeypatch, cap, nu, x, loop):
+def test_bessel_k_loops_raise_past_cap(monkeypatch, cold_bessel_k, cap, nu, x, loop):
     # each loop must raise at its cap rather than return its last iterate
     monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", cap)
-    specfun._bessel_k_scaled_log.cache_clear()
-    try:
-        with pytest.raises(ConvergenceError, match=loop):
-            specfun.bessel_k_scaled_log(nu, x)
-    finally:
-        specfun._bessel_k_scaled_log.cache_clear()
+    with pytest.raises(ConvergenceError, match=loop):
+        specfun.bessel_k_scaled_log(nu, x)
 
 
-def test_bessel_k_huge_order_raises_promptly():
-    specfun._bessel_k_scaled_log.cache_clear()
+def test_bessel_k_huge_order_raises_promptly(cold_bessel_k):
     start = time.perf_counter()
     with pytest.raises(ConvergenceError):
         specfun.bessel_k_scaled_log(1e5, 1.0)

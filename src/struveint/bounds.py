@@ -53,9 +53,11 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConvergenceError, DomainError, ValidityError
-from .integrals import fg_log
+from .integrals import _LN_SQRT_PI, fg_log
 from .scaled import _LN_MAX, ScaledReal
 from .specfun import (
+    _INF,
+    _LN2,
     _require_finite,
     _struve_ladder_log,
     bessel_i_scaled_log,
@@ -84,8 +86,6 @@ __all__ = [
     "INCONCLUSIVE_BAND",
 ]
 
-_LN2 = math.log(2.0)
-_LN_SQRT_PI = 0.5 * math.log(math.pi)
 _LN_3_2 = math.log(1.5)
 _LN_15_8 = math.log(15.0 / 8.0)
 
@@ -154,7 +154,6 @@ _tuple_new = tuple.__new__
 # is a class attribute lookup, a math function a module attribute load
 _TWO_SIDED = Side.TWO_SIDED
 _LOWER = Side.LOWER
-_INF = math.inf
 _log = math.log
 _exp = math.exp
 

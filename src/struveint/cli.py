@@ -18,7 +18,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional
 
@@ -104,7 +103,7 @@ def _cmd_verify(args) -> int:
         grid = harness.default_grid()
     if args.bounds is not None:
         wanted = tuple(tok.strip() for tok in args.bounds.split(",") if tok.strip())
-        grid = dataclasses.replace(grid, bound_filter=wanted)
+        grid = harness.GridSpec(grid.nu_values, grid.beta_values, grid.x_values, wanted)
     report = harness.verify_all(grid)
     sys.stdout.write(harness.margins_csv(report))
     s = report.summary

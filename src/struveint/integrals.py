@@ -43,9 +43,11 @@ import math
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
-from .scaled import ScaledReal
+from .scaled import _NEG_INF, ScaledReal
 from .specfun import (
     MAX_SERIES_TERMS,
+    _EXP30,
+    _LN2,
     _kummer_sum,
     _require_finite,
     log_gamma,
@@ -67,11 +69,8 @@ __all__ = [
     "fg_log",
 ]
 
-_NEG_INF = -math.inf
 _LN_SQRT_PI = 0.5 * math.log(math.pi)
-_LN2 = math.log(2.0)
 _LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
-_EXP30 = math.exp(30.0)
 # the termwise engine drops a tail once its bound is below _EPS of the least
 # possible sum, and raises if a dropped tail comes out above 1e-16 of the sum
 _EPS = 1e-17

@@ -170,8 +170,6 @@ class ScaledReal:
         if shift < -746.0:
             return hi
         m = hi.mantissa + lo.mantissa * math.exp(shift)
-        if m == 0.0:
-            return ScaledReal.zero()
         return ScaledReal(*_normalize(m, hi.exponent))
 
     def __sub__(self, other: "ScaledReal") -> "ScaledReal":

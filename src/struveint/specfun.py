@@ -250,10 +250,7 @@ def lower_incomplete_gamma_log(a: float, x: float) -> float:
 
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """gamma(a, x) = integral_0^x exp(-t) t^(a-1) dt."""
-    lg = lower_incomplete_gamma_log(a, x)
-    if lg == -math.inf:
-        return 0.0
-    return math.exp(lg)
+    return math.exp(lower_incomplete_gamma_log(a, x))
 
 
 def _is_nonpositive_integer(b: float) -> bool:

@@ -10,13 +10,14 @@ harness reports them: (nu=10, beta=0.5, x=0.5) is printed 86.0701 and
 (nu=5, beta=0.75, x=0.5) is printed 92.3236, where the metric is 86.0705 and
 92.3240 to 4 decimals by an independent 50-digit computation.
 
-The fixture is a line-oriented text block so cells stay greppable and
-diffable: ``table,nu,beta,x,value``.
+Each table is stored as printed: one row of seven values, at ``TABLE_X``,
+per (nu, beta), rows in printed order (beta outer, nu inner).  The grid is
+stated once, in ``TABLE_NU``, ``TABLE_BETA`` and ``TABLE_X``; the cell dict
+is built from it at import, and a row or a table of the wrong length raises
+``ValueError``.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 __all__ = ["TABLE_NU", "TABLE_BETA", "TABLE_X", "cells", "cell_value"]
 
@@ -24,201 +25,71 @@ TABLE_NU = (1.0, 2.5, 5.0, 10.0)
 TABLE_BETA = (0.25, 0.5, 0.75)
 TABLE_X = (0.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0)
 
-_RAW = """\
-# table,nu,beta,x,value -- x columns 0.5,5,10,15,25,50,100 flattened per row
-1,1,0.25,0.5,0.2051
-1,1,0.25,5,0.1976
-1,1,0.25,10,0.1413
-1,1,0.25,15,0.1028
-1,1,0.25,25,0.0656
-1,1,0.25,50,0.0346
-1,1,0.25,100,0.0182
-1,2.5,0.25,0.5,0.1276
-1,2.5,0.25,5,0.1320
-1,2.5,0.25,10,0.1092
-1,2.5,0.25,15,0.0863
-1,2.5,0.25,25,0.0591
-1,2.5,0.25,50,0.0329
-1,2.5,0.25,100,0.0177
-1,5,0.25,0.5,0.0781
-1,5,0.25,5,0.0831
-1,5,0.25,10,0.0773
-1,5,0.25,15,0.0670
-1,5,0.25,25,0.0503
-1,5,0.25,50,0.0302
-1,5,0.25,100,0.0169
-1,10,0.25,0.5,0.0439
-1,10,0.25,5,0.0465
-1,10,0.25,10,0.0468
-1,10,0.25,15,0.0444
-1,10,0.25,25,0.0378
-1,10,0.25,50,0.0257
-1,10,0.25,100,0.0155
-1,1,0.5,0.5,0.2111
-1,1,0.5,5,0.2582
-1,1,0.5,10,0.2259
-1,1,0.5,15,0.1843
-1,1,0.5,25,0.1341
-1,1,0.5,50,0.0870
-1,1,0.5,100,0.0602
-1,2.5,0.5,0.5,0.1304
-1,2.5,0.5,5,0.1635
-1,2.5,0.5,10,0.1606
-1,2.5,0.5,15,0.1426
-1,2.5,0.5,25,0.1133
-1,2.5,0.5,50,0.0791
-1,2.5,0.5,100,0.0570
-1,5,0.5,0.5,0.0793
-1,5,0.5,5,0.0971
-1,5,0.5,10,0.1039
-1,5,0.5,15,0.1004
-1,5,0.5,25,0.0881
-1,5,0.5,50,0.0680
-1,5,0.5,100,0.0522
-1,10,0.5,0.5,0.0443
-1,10,0.5,5,0.0514
-1,10,0.5,10,0.0569
-1,10,0.5,15,0.0590
-1,10,0.5,25,0.0580
-1,10,0.5,50,0.0515
-1,10,0.5,100,0.0440
-1,1,0.75,0.5,0.2171
-1,1,0.75,5,0.3359
-1,1,0.75,10,0.3723
-1,1,0.75,15,0.3659
-1,1,0.75,25,0.3369
-1,1,0.75,50,0.2953
-1,1,0.75,100,0.2683
-1,2.5,0.75,0.5,0.1333
-1,2.5,0.75,5,0.2036
-1,2.5,0.75,10,0.2458
-1,2.5,0.75,15,0.2597
-1,2.5,0.75,25,0.2640
-1,2.5,0.75,50,0.2581
-1,2.5,0.75,100,0.2500
-1,5,0.75,0.5,0.0805
-1,5,0.75,5,0.1142
-1,5,0.75,10,0.1446
-1,5,0.75,15,0.1635
-1,5,0.75,25,0.1850
-1,5,0.75,50,0.2084
-1,5,0.75,100,0.2226
-1,10,0.75,0.5,0.0447
-1,10,0.75,5,0.0569
-1,10,0.75,10,0.0705
-1,10,0.75,15,0.0825
-1,10,0.75,25,0.1028
-1,10,0.75,50,0.1400
-1,10,0.75,100,0.1774
-2,1,0.25,0.5,9.4597
-2,1,0.25,5,0.3208
-2,1,0.25,10,0.0888
-2,1,0.25,15,0.0521
-2,1,0.25,25,0.0292
-2,1,0.25,50,0.0139
-2,1,0.25,100,0.0068
-2,2.5,0.25,0.5,17.4185
-2,2.5,0.25,5,0.9887
-2,2.5,0.25,10,0.3593
-2,2.5,0.25,15,0.2156
-2,2.5,0.25,25,0.1197
-2,2.5,0.25,50,0.0565
-2,2.5,0.25,100,0.0274
-2,5,0.25,0.5,30.7218
-2,5,0.25,5,2.1879
-2,5,0.25,10,0.8593
-2,5,0.25,15,0.5134
-2,5,0.25,25,0.2806
-2,5,0.25,50,0.1300
-2,5,0.25,100,0.0625
-2,10,0.25,0.5,57.3655
-2,10,0.25,5,4.7301
-2,10,0.25,10,1.9918
-2,10,0.25,15,1.1901
-2,10,0.25,25,0.6378
-2,10,0.25,50,0.2868
-2,10,0.25,100,0.1351
-2,1,0.5,0.5,14.2938
-2,1,0.5,5,0.5538
-2,1,0.5,10,0.1530
-2,1,0.5,15,0.0839
-2,1,0.5,25,0.0452
-2,1,0.5,50,0.0212
-2,1,0.5,100,0.0103
-2,2.5,0.5,0.5,26.1923
-2,2.5,0.5,5,1.5400
-2,2.5,0.5,10,0.5661
-2,2.5,0.5,15,0.3363
-2,2.5,0.5,25,0.1842
-2,2.5,0.5,50,0.0858
-2,2.5,0.5,100,0.0414
-2,5,0.5,0.5,46.1220
-2,5,0.5,5,3.3214
-2,5,0.5,10,1.3161
-2,5,0.5,15,0.7868
-2,5,0.5,25,0.4286
-2,5,0.5,50,0.1972
-2,5,0.5,100,0.0943
-2,10,0.5,0.5,86.0701
-2,10,0.5,5,7.1185
-2,10,0.5,10,3.0084
-2,10,0.5,15,1.8015
-2,10,0.5,25,0.9664
-2,10,0.5,50,0.4339
-2,10,0.5,100,0.2037
-2,1,0.75,0.5,28.8028
-2,1,0.75,5,1.3243
-2,1,0.75,10,0.4124
-2,1,0.75,15,0.2137
-2,1,0.75,25,0.1021
-2,1,0.75,50,0.0444
-2,1,0.75,100,0.0210
-2,2.5,0.75,0.5,52.5169
-2,2.5,0.75,5,3.2293
-2,2.5,0.75,10,1.2300
-2,2.5,0.75,15,0.7305
-2,2.5,0.75,25,0.3933
-2,2.5,0.75,50,0.1783
-2,2.5,0.75,100,0.0845
-2,5,0.75,0.5,92.3236
-2,5,0.75,5,6.7374
-2,5,0.75,10,2.7112
-2,5,0.75,15,1.6308
-2,5,0.75,25,0.8892
-2,5,0.75,50,0.4056
-2,5,0.75,100,0.1918
-2,10,0.75,0.5,172.1854
-2,10,0.75,5,14.2887
-2,10,0.75,10,6.0686
-2,10,0.75,15,3.6482
-2,10,0.75,25,1.9648
-2,10,0.75,50,0.8827
-2,10,0.75,100,0.4126
-"""
+# columns x = 0.5, 5, 10, 15, 25, 50, 100
+_PRINTED = {
+    1: (
+        # beta = 0.25; rows nu = 1, 2.5, 5, 10
+        (0.2051, 0.1976, 0.1413, 0.1028, 0.0656, 0.0346, 0.0182),
+        (0.1276, 0.1320, 0.1092, 0.0863, 0.0591, 0.0329, 0.0177),
+        (0.0781, 0.0831, 0.0773, 0.0670, 0.0503, 0.0302, 0.0169),
+        (0.0439, 0.0465, 0.0468, 0.0444, 0.0378, 0.0257, 0.0155),
+        # beta = 0.5; rows nu = 1, 2.5, 5, 10
+        (0.2111, 0.2582, 0.2259, 0.1843, 0.1341, 0.0870, 0.0602),
+        (0.1304, 0.1635, 0.1606, 0.1426, 0.1133, 0.0791, 0.0570),
+        (0.0793, 0.0971, 0.1039, 0.1004, 0.0881, 0.0680, 0.0522),
+        (0.0443, 0.0514, 0.0569, 0.0590, 0.0580, 0.0515, 0.0440),
+        # beta = 0.75; rows nu = 1, 2.5, 5, 10
+        (0.2171, 0.3359, 0.3723, 0.3659, 0.3369, 0.2953, 0.2683),
+        (0.1333, 0.2036, 0.2458, 0.2597, 0.2640, 0.2581, 0.2500),
+        (0.0805, 0.1142, 0.1446, 0.1635, 0.1850, 0.2084, 0.2226),
+        (0.0447, 0.0569, 0.0705, 0.0825, 0.1028, 0.1400, 0.1774),
+    ),
+    2: (
+        # beta = 0.25; rows nu = 1, 2.5, 5, 10
+        (9.4597, 0.3208, 0.0888, 0.0521, 0.0292, 0.0139, 0.0068),
+        (17.4185, 0.9887, 0.3593, 0.2156, 0.1197, 0.0565, 0.0274),
+        (30.7218, 2.1879, 0.8593, 0.5134, 0.2806, 0.1300, 0.0625),
+        (57.3655, 4.7301, 1.9918, 1.1901, 0.6378, 0.2868, 0.1351),
+        # beta = 0.5; rows nu = 1, 2.5, 5, 10
+        (14.2938, 0.5538, 0.1530, 0.0839, 0.0452, 0.0212, 0.0103),
+        (26.1923, 1.5400, 0.5661, 0.3363, 0.1842, 0.0858, 0.0414),
+        (46.1220, 3.3214, 1.3161, 0.7868, 0.4286, 0.1972, 0.0943),
+        (86.0701, 7.1185, 3.0084, 1.8015, 0.9664, 0.4339, 0.2037),
+        # beta = 0.75; rows nu = 1, 2.5, 5, 10
+        (28.8028, 1.3243, 0.4124, 0.2137, 0.1021, 0.0444, 0.0210),
+        (52.5169, 3.2293, 1.2300, 0.7305, 0.3933, 0.1783, 0.0845),
+        (92.3236, 6.7374, 2.7112, 1.6308, 0.8892, 0.4056, 0.1918),
+        (172.1854, 14.2887, 6.0686, 3.6482, 1.9648, 0.8827, 0.4126),
+    ),
+}
 
 
-@lru_cache(maxsize=1)
-def _parsed() -> dict[tuple[int, float, float, float], float]:
+def _build(
+    printed: dict[int, tuple[tuple[float, ...], ...]],
+) -> dict[tuple[int, float, float, float], float]:
+    """The (table, nu, beta, x) -> value dict of ``printed``, in printed order."""
+    grid = [(nu, beta) for beta in TABLE_BETA for nu in TABLE_NU]
     out: dict[tuple[int, float, float, float], float] = {}
-    for line in _RAW.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        which, nu, beta, x, value = line.split(",")
-        out[(int(which), float(nu), float(beta), float(x))] = float(value)
+    for which, rows in printed.items():
+        for (nu, beta), row in zip(grid, rows, strict=True):
+            for x, value in zip(TABLE_X, row, strict=True):
+                out[(which, nu, beta, x)] = value
     return out
 
 
+_CELLS = _build(_PRINTED)
+
+
 def cells(which: int) -> list[tuple[float, float, float, float]]:
-    """All (nu, beta, x, expected) cells of one table, in fixture order."""
+    """All (nu, beta, x, expected) cells of one table, in printed order."""
     if which not in (1, 2):
         raise ValueError(f"table must be 1 or 2, got {which}")
     return [
         (nu, beta, x, v)
-        for (w, nu, beta, x), v in _parsed().items()
+        for (w, nu, beta, x), v in _CELLS.items()
         if w == which
     ]
 
 
 def cell_value(which: int, nu: float, beta: float, x: float) -> float:
-    return _parsed()[(which, nu, beta, x)]
+    return _CELLS[(which, nu, beta, x)]

@@ -308,6 +308,20 @@ def test_lb23_adaptive_sum_raises_past_term_cap(monkeypatch):
         eval_bound("LB-2.3", 1.0, 0.75, 10.0)
 
 
+def test_lower_combination_of_equal_terms_is_zero(monkeypatch):
+    # LB-2.1 with its gamma term equal to its Struve term: the total is
+    # exactly 0, which eval_bound and check carry as a zero bound
+    monkeypatch.setattr(
+        bounds,
+        "_gamma_term_log",
+        lambda nu, beta, x: bounds._weighted_struve(nu, beta, x, 0.0),
+    )
+    assert eval_bound("LB-2.1", -0.25, 0.5, 1.0).is_zero
+    m = check("LB-2.1", -0.25, 0.5, 1.0)
+    assert m.bound_value.is_zero
+    assert m.signed_margin == 1.0 and m.strict
+
+
 def test_lb23_adaptive_dominates_truncated():
     full = eval_bound("LB-2.3", nu=1.0, beta=0.75, x=10.0)
     l5 = eval_bound("LB-2.3", nu=1.0, beta=0.75, x=10.0, truncation=5)

@@ -30,12 +30,31 @@ from tests.conftest import TABLE2_ERRATA, table2_metric_mpmath
 
 
 def test_fixture_has_168_cells():
-    assert len(tables.cells(1)) == 84
-    assert len(tables.cells(2)) == 84
+    grid = [
+        (nu, beta, x)
+        for beta in tables.TABLE_BETA
+        for nu in tables.TABLE_NU
+        for x in tables.TABLE_X
+    ]
+    assert len(grid) == 84
+    for which in (1, 2):
+        assert [cell[:3] for cell in tables.cells(which)] == grid
     with pytest.raises(ValueError):
         tables.cells(3)
     assert tables.cell_value(1, 1.0, 0.25, 0.5) == 0.2051
     assert tables.cell_value(2, 10.0, 0.75, 100.0) == 0.4126
+
+
+def test_fixture_of_wrong_length_is_refused():
+    rows = tables._PRINTED[1]
+    assert len(tables._build({1: rows})) == 84
+    short_row = rows[:-1] + (rows[-1][:6],)
+    with pytest.raises(ValueError):
+        tables._build({1: short_row})
+    with pytest.raises(ValueError):
+        tables._build({1: rows[:-1]})
+    with pytest.raises(ValueError):
+        tables._build({1: rows + (rows[-1],)})
 
 
 def test_reproduce_table1_all_cells():

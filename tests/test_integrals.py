@@ -262,6 +262,21 @@ def test_tanh_sinh_raises_when_unsettled():
         integrals._tanh_sinh_log(rough, 0.0, 1e-11)
 
 
+def test_quad_raises_when_every_node_underflows():
+    # at the least subnormal upper limit each node's t is 0 or 5e-324, whose
+    # half is 0, so every sum is empty and the rule cannot settle
+    with pytest.raises(ConvergenceError, match="halvings"):
+        integral_quad(IntegralSpec(1.0, 1.0, 0.5, 5e-324))
+
+
+def test_tanh_sinh_walk_raises_at_its_node_cap():
+    # t^-0.97's nodes stay within 55 of the peak until the cut-offs near
+    # |u| = 7 end the walk; at the finer halvings that edge lies past the
+    # 4000-node cap
+    with pytest.raises(ConvergenceError, match="truncation cap"):
+        integrals._tanh_sinh_log(lambda log_t: -0.97 * log_t, 0.0, 1e-11)
+
+
 @pytest.mark.parametrize("fn", (F, G))
 def test_termwise_loops_raise_past_cap(monkeypatch, fn):
     # as the cap rises, first the forward loop and then the Kummer sum must

@@ -33,7 +33,9 @@ side, target, nu interval (lo, lo closed?, hi, hi closed?), evaluator,
 reference and tight limits.  The hypothesis text and the validity predicate
 are both generated from that interval, so they cannot disagree.  They add
 0 < beta < 1 where the target depends on beta (F, G, the K-weighted
-integral), then x > 0; UB-3.8 alone adds its x_star clauses.
+integral), then x > 0; UB-3.8 alone adds its x_star clauses.  Fifteen
+rows build their evaluator from one of four shared forms and state the
+paper's constant in the row; the rest have their own ``_eval_*``.
 
 Margins are reported in relative units (signed difference over the
 reference).  Strictness is asserted with zero slack, but a margin whose
@@ -85,9 +87,6 @@ __all__ = [
     "REFERENCE_ACCURACY",
     "INCONCLUSIVE_BAND",
 ]
-
-_LN_3_2 = math.log(1.5)
-_LN_15_8 = math.log(15.0 / 8.0)
 
 REFERENCE_ACCURACY = 1e-9
 # margins smaller than 10x the reference accuracy are not trusted either way
@@ -253,13 +252,18 @@ def product_asymptote(kind: str, nu: float) -> ProductAsymptote:
 # ---------------------------------------------------------------------------
 # shared building blocks
 #
-# An evaluator returns ln b for a bound b > 0.  The two that subtract
-# (_lower_combination, _eval_ub_gau1_full) return a _Signed(ln|b|, sign), and
-# PRB-KL1 and RB-SEGURA return a pair of logs.  check takes the ratio to the
-# reference from the logs, and check and eval_bound build the ScaledReal.  The logs of
-# the scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
+# An evaluator returns ln b for a bound b > 0.  _lower_combination, the one
+# that subtracts, returns a _Signed(ln|b|, sign), and PRB-KL1 and RB-SEGURA
+# return a pair of logs.  check takes the ratio to the reference from the
+# logs, and check and eval_bound build the ScaledReal.  The logs of the
+# scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
 # (1-beta) x + nu ln x is added last and rounded once, at ulp(x) ~ 1e-13 for
 # x = 1000.
+#
+# Most rows take one of four forms, each filled in with the paper's constant
+# in the row: c e^{-bx} x^nu L_{nu+s} (_times_struve), a numerator over
+# (2nu+1)(1-b) with or without that Struve factor (_over_2nu1), a constant
+# (_constant) and ln(x/(2nu+c+x)) (_x_over).
 # ---------------------------------------------------------------------------
 
 
@@ -269,19 +273,43 @@ class _Signed(tuple):
     __slots__ = ()
 
 
-def _signed(log_unit: float, total: float) -> _Signed:
-    """total * e^{log_unit} for a plain float total."""
-    if total == 0.0:
-        return _Signed((-math.inf, 0.0))
-    return _Signed((log_unit + math.log(abs(total)), math.copysign(1.0, total)))
-
-
 def _weighted_struve(
     nu: float, beta: float, x: float, shift: float, factor: float = 1.0
 ) -> float:
     """ln(factor e^{-beta x} x^nu L_{nu+shift}(x)) for a factor > 0."""
     small = math.log(factor) + struve_l_scaled_log(nu + shift, x)
     return (1.0 - beta) * x + nu * math.log(x) + small
+
+
+def _times_struve(shift: float, coefficient):
+    """The evaluator of c e^{-bx} x^nu L_{nu+shift}, c = coefficient(nu, beta, x_star)."""
+
+    def evaluate(nu, beta, x, x_star, truncation):
+        return _weighted_struve(nu, beta, x, shift, coefficient(nu, beta, x_star))
+
+    return evaluate
+
+
+def _over_2nu1(numerator, shift: float | None = None):
+    """The evaluator of c = numerator(nu)/((2nu+1)(1-b)), times
+    e^{-bx} x^nu L_{nu+shift} unless shift is None."""
+
+    def evaluate(nu, beta, x, x_star, truncation):
+        c = numerator(nu) / ((2.0 * nu + 1.0) * (1.0 - beta))
+        return math.log(c) if shift is None else _weighted_struve(nu, beta, x, shift, c)
+
+    return evaluate
+
+
+def _constant(c: float):
+    """The evaluator of the constant c > 0."""
+    log_c = math.log(c)
+    return lambda nu, beta, x, x_star, truncation: log_c
+
+
+def _x_over(c: float):
+    """The evaluator of x/(2nu+c+x)."""
+    return lambda nu, beta, x, x_star, truncation: math.log(x) - math.log(2.0 * nu + c + x)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -352,7 +380,9 @@ def _lower_combination(nu: float, beta: float, x: float, coefficient: float) -> 
     gamma = _gamma_term_log(nu, beta, x)
     top = max(main, gamma)
     total = coefficient * math.exp(main - top) - math.exp(gamma - top)
-    return _signed(top - math.log1p(-beta), total)
+    if total == 0.0:
+        return _Signed((-math.inf, 0.0))
+    return _Signed((top - math.log1p(-beta) + math.log(abs(total)), math.copysign(1.0, total)))
 
 
 def _kl_upper_const_log(nu: float) -> float:
@@ -392,25 +422,6 @@ def _eval_lb26(nu, beta, x, x_star, truncation):
     return _lower_combination(nu, beta, x, coeff)
 
 
-def _eval_lb_prior(nu, beta, x, x_star, truncation):
-    return _weighted_struve(nu, beta, x, 1.0)
-
-
-def _eval_ub24(nu, beta, x, x_star, truncation):
-    c = (2.0 * nu + 29.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0, c)
-
-
-def _eval_ub25(nu, beta, x, x_star, truncation):
-    c = (2.0 * nu + 15.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 0.0, c)
-
-
-def _eval_ub_gau1(nu, beta, x, x_star, truncation):
-    c = 2.0 * (nu + 1.0) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0, c)
-
-
 def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
     # e^{-bx} x^nu (2(nu+1) L_{nu+1} - L_{nu+3} - x^{nu+2}/(sqrt(pi) 2^{nu+2}
     # (nu+1) Gamma(nu+5/2))) / ((2nu+1)(1-b)); each term in e^{-x} units
@@ -426,40 +437,20 @@ def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
         - x
     )
     # the first term is the largest: at least 3 L_{nu+3}, and 9 times the
-    # power term by the first term of the series for L_{nu+1}
+    # power term by the first term of the series for L_{nu+1}; so the total
+    # is at least 1 - 1/3 - 1/9 = 5/9 and its log is plain
     first = large + (c + math.log(2.0 * (nu + 1.0)) + struve_l_scaled_log(nu + 1.0, x))
     total = (
         1.0
         - math.exp(large + (c + struve_l_scaled_log(nu + 3.0, x)) - first)
         - math.exp(large + (c + power) - first)
     )
-    return _signed(first, total)
-
-
-def _eval_ub_gau2(nu, beta, x, x_star, truncation):
-    return _weighted_struve(nu, beta, x, 0.0, 1.0 / (1.0 - beta))
-
-
-def _eval_ub_anu(nu, beta, x, x_star, truncation):
-    c = a_factor(nu) / ((2.0 * nu + 1.0) * (1.0 - beta))
-    return _weighted_struve(nu, beta, x, 1.0, c)
-
-
-def _eval_ub38(nu, beta, x, x_star, truncation):
-    return _weighted_struve(nu, beta, x, 1.0, m_factor(nu, beta, x_star))
-
-
-def _eval_rb31(nu, beta, x, x_star, truncation):
-    return math.log(x) - math.log(2.0 * nu + 1.0 + x)
+    return first + math.log(total)
 
 
 def _eval_rb_aug18(nu, beta, x, x_star, truncation):
     i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
     return -math.log(i_ratio + 1.0 / x)
-
-
-def _eval_rb_nasell(nu, beta, x, x_star, truncation):
-    return math.log(x) - math.log(2.0 * nu + x)
 
 
 def _eval_rb_segura(nu, beta, x, x_star, truncation):
@@ -477,28 +468,8 @@ def _eval_prb_kl2(nu, beta, x, x_star, truncation):
     return _kl_upper_const_log(nu) + math.log1p((2.0 * nu + 5.0) / x)
 
 
-def _eval_prb_g1(nu, beta, x, x_star, truncation):
-    return _LN_3_2
-
-
 def _eval_prb_g2(nu, beta, x, x_star, truncation):
     return math.log(1.5 + 9.0 / x)
-
-
-def _eval_prb_g3(nu, beta, x, x_star, truncation):
-    return _LN_15_8
-
-
-def _eval_nb310(nu, beta, x, x_star, truncation):
-    return math.log(14.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
-
-
-def _eval_nb311(nu, beta, x, x_star, truncation):
-    return math.log(7.0 / ((2.0 * nu + 1.0) * (1.0 - beta)))
-
-
-def _eval_log_one(nu, beta, x, x_star, truncation):
-    return 0.0  # ln 1: PRB-KL0 and IMON bound by 1
 
 
 # ---------------------------------------------------------------------------
@@ -624,21 +595,22 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
     _row("LB-2.6", Side.LOWER, Target.F_INTEGRAL, (0.5, False, None, False),
          _eval_lb26, _f_reference, ("x->inf",)),
     _row("LB-PRIOR", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_lb_prior, _f_reference),
+         _times_struve(1.0, lambda nu, beta, x_star: 1.0), _f_reference),
     _row("UB-2.4", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub24, _f_reference),
+         _over_2nu1(lambda nu: 2.0 * nu + 29.0, 1.0), _f_reference),
     _row("UB-2.5", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub25, _f_reference),
+         _over_2nu1(lambda nu: 2.0 * nu + 15.0, 0.0), _f_reference),
     _row("UB-GAU1", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
-         _eval_ub_gau1, _f_reference),
+         _over_2nu1(lambda nu: 2.0 * (nu + 1.0), 1.0), _f_reference),
     _row("UB-GAU1-FULL", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
          _eval_ub_gau1_full, _f_reference, ("x->inf",)),
     _row("UB-GAU2", Side.UPPER, Target.F_INTEGRAL, (0.5, True, None, False),
-         _eval_ub_gau2, _f_reference, ("x->inf",)),
+         _times_struve(0.0, lambda nu, beta, x_star: 1.0 / (1.0 - beta)), _f_reference,
+         ("x->inf",)),
     _row("UB-ANU", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub_anu, _f_reference),
+         _over_2nu1(a_factor, 1.0), _f_reference),
     _row("UB-3.8", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
-         _eval_ub38, _f_reference, uses_x_star=True),
+         _times_struve(1.0, m_factor), _f_reference, uses_x_star=True),
     # G: the same right sides, integrand t^nu L_{nu+1}
     _row("PB-2.7", Side.LOWER, Target.G_INTEGRAL, (-0.5, False, 0.0, True),
          _eval_lb21, _g_reference),
@@ -648,34 +620,34 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
          _eval_lb26, _g_reference),
     # ratios of Struve and Bessel functions
     _row("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, (0.0, False, None, False),
-         _eval_rb31, _order_ratio(struve_l_scaled_log), ("x->0", "x->inf")),
+         _x_over(1.0), _order_ratio(struve_l_scaled_log), ("x->0", "x->inf")),
     _row("RB-AUG18", Side.LOWER, Target.STRUVE_RATIO, (0.0, True, None, False),
          _eval_rb_aug18, _order_ratio(struve_l_scaled_log)),
     _row("RB-NASELL", Side.LOWER, Target.BESSELI_RATIO, (0.0, False, None, False),
-         _eval_rb_nasell, _order_ratio(bessel_i_scaled_log)),
+         _x_over(0.0), _order_ratio(bessel_i_scaled_log)),
     _row("RB-SEGURA", Side.UPPER, Target.BESSELK_RATIO, (0.5, False, None, False),
          _eval_rb_segura, _order_ratio(bessel_k_scaled_log)),
     # products x K_{nu+k} L_{nu+l}
     _row("PRB-KL1", Side.TWO_SIDED, Target.KL_PRODUCT, (-0.5, True, None, False),
          _eval_prb_kl1, _kl_product(2.0, 0.0), ("x->0", "x->inf")),
     _row("PRB-KL0", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
-         _eval_log_one, _kl_product(1.0, 0.0)),
+         _constant(1.0), _kl_product(1.0, 0.0)),
     _row("PRB-KL2", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, None, False),
          _eval_prb_kl2, _kl_product(3.0, 0.0)),
     _row("PRB-G1", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
-         _eval_prb_g1, _kl_product(2.0, 0.0)),
+         _constant(1.5), _kl_product(2.0, 0.0)),
     _row("PRB-G2", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
          _eval_prb_g2, _kl_product(3.0, 0.0)),
     _row("PRB-G3", Side.UPPER, Target.KL_PRODUCT, (-0.5, True, 0.5, True),
-         _eval_prb_g3, _kl_product(3.0, 1.0)),
+         _constant(15.0 / 8.0), _kl_product(3.0, 1.0)),
     # e^{bx} K_{nu+s}(x) x^{1-nu} F
     _row("NB-3.10", Side.UPPER, Target.K_WEIGHTED_INTEGRAL, (-0.5, False, 0.5, True),
-         _eval_nb310, _k_weighted(3.0)),
+         _over_2nu1(lambda nu: 14.0), _k_weighted(3.0)),
     _row("NB-3.11", Side.UPPER, Target.K_WEIGHTED_INTEGRAL, (-0.5, False, 0.5, True),
-         _eval_nb311, _k_weighted(2.0)),
+         _over_2nu1(lambda nu: 7.0), _k_weighted(2.0)),
     # monotonicity in the order
     _row("IMON", Side.UPPER, Target.STRUVE_RATIO, (0.5, True, None, False),
-         _eval_log_one, _order_ratio(struve_l_scaled_log)),
+         _constant(1.0), _order_ratio(struve_l_scaled_log)),
 )}
 
 
@@ -709,14 +681,6 @@ def _valid_spec(bound_id: str, nu, beta, x, x_star, truncation) -> BoundSpec:
     if nu == _INF or x == _INF:  # the only non-finite values a hypothesis admits
         raise DomainError(f"{bound_id} requires finite nu and x, got nu={nu}, x={x}")
     return spec
-
-
-def _ratio(log_value: float, ref_log: float) -> float:
-    """e^{log_value - ref_log}, a bound over its reference."""
-    d = log_value - ref_log
-    if d > _LN_MAX:
-        raise OverflowError("ratio exceeds double range")
-    return math.exp(d)
 
 
 def eval_bound(
@@ -766,24 +730,23 @@ def check(
         raise ZeroDivisionError("reference value is zero")
     ref_log = _log(reference.mantissa) + reference.exponent
     side = spec.side
-    if side is _TWO_SIDED:
+    sign = 1.0
+    if type(value) is _Signed:
+        value, sign = value
+    elif type(value) is tuple and side is not _TWO_SIDED:  # RB-SEGURA: the sharp form
+        value = value[0]
+    # one overflow test for both paths, on the largest log exponentiated below
+    d = (max(value) if side is _TWO_SIDED else value) - ref_log
+    if d > _LN_MAX:
+        raise OverflowError("ratio exceeds double range")
+    if side is _TWO_SIDED:  # the binding side: the smaller margin
         low, high = value
-        margin_low = 1.0 - _ratio(low, ref_log)
-        margin_high = _ratio(high, ref_log) - 1.0
-        if margin_low <= margin_high:
-            bound, margin = ScaledReal.from_log(low), margin_low
-        else:
-            bound, margin = ScaledReal.from_log(high), margin_high
+        margin_low = 1.0 - _exp(low - ref_log)
+        margin_high = _exp(high - ref_log) - 1.0
+        value, margin = (low, margin_low) if margin_low <= margin_high else (high, margin_high)
     else:
-        sign = 1.0
-        if type(value) is _Signed:
-            value, sign = value
-        elif type(value) is tuple:  # RB-SEGURA: margin against the sharp form
-            value = value[0]
-        d = value - ref_log  # _ratio's test, in place on the one-sided path
-        if d > _LN_MAX:
-            raise OverflowError("ratio exceeds double range")
         ratio = sign * _exp(d)
         margin = (1.0 - ratio) if side is _LOWER else (ratio - 1.0)
-        bound = ScaledReal.from_log(value, sign)
-    return _tuple_new(Margin, (bound, reference, margin, margin > 0.0))
+    return _tuple_new(
+        Margin, (ScaledReal.from_log(value, sign), reference, margin, margin > 0.0)
+    )

@@ -184,7 +184,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except (ConvergenceError, KeyError, ArithmeticError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its key: print the message bare
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

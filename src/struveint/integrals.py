@@ -609,7 +609,10 @@ def _integral_pair_log(name: str, nu: float, beta: float, x: float) -> tuple[flo
 def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     """(ln F, ln G) at one point from one engine pass; -inf at x = 0.
 
-    Takes the arguments of ``F`` and ``G``; for callers that need both.
+    Takes the arguments of ``F`` and ``G``; for callers that need both.  A
+    log's absolute error is at least ulp(|log|): at beta = 1/2, x = 1, ln F
+    is off by 1.35e-9 at nu = 1e6, 2.0e-8 at 1e7 and 2.1e-6 at 1e9 against a
+    40-digit termwise reference.
     """
     return _integral_pair_log("F and G", nu, beta, x)
 

@@ -701,3 +701,50 @@ def test_lb21_no_false_violation_at_nu0_tiny_x():
 @pytest.mark.xfail(strict=True, reason="PB-2.7 cancels at nu = 0, x -> 0")
 def test_pb27_no_false_violation_at_nu0_tiny_x():
     assert margin_status(check("PB-2.7", 0.0, 0.1, 1e-90)) != "violated"
+
+
+def test_ub_gau1_full_over_its_first_term_lies_in_five_ninths_to_one():
+    # UB-GAU1 is UB-GAU1-FULL's first term, and the two terms it subtracts are
+    # at most 1/3 and 1/9 of it: the total stays positive, so its log is plain
+    for nu in (0.5, 1.0, 10.0, 1e3):
+        for beta in (1e-3, 0.5, 0.999):
+            for x in (5e-324, 1e-6, 1.0, 127.0, 1000.0):
+                full = eval_bound("UB-GAU1-FULL", nu, beta, x)
+                first = eval_bound("UB-GAU1", nu, beta, x)
+                assert 5.0 / 9.0 <= full.ratio_to(first) < 1.0, (nu, beta, x)
+
+
+# ---------------------------------------------------------------------------
+# large order: every bound below is a theorem, so "violated" is always false
+# ---------------------------------------------------------------------------
+
+_LARGE_ORDER_IDS = ("RB-3.1", "RB-NASELL", "RB-AUG18", "LB-2.3", "LB-PRIOR")
+
+
+def _violations_near(bound_id, nu0):
+    # 60 orders nu0 (1 + k 1e-15) at x = 0.5, 5, 50; beta = 1/2 where used
+    beta = 0.5 if get_bound(bound_id).uses_beta else None
+    return sum(
+        margin_status(check(bound_id, nu0 * (1.0 + k * 1e-15), beta, x)) == "violated"
+        for k in range(60)
+        for x in (0.5, 5.0, 50.0)
+    )
+
+
+@pytest.mark.parametrize("nu0", (1e4, 1e6))
+@pytest.mark.parametrize("bound_id", _LARGE_ORDER_IDS)
+def test_no_false_violation_at_moderately_large_order(bound_id, nu0):
+    assert _violations_near(bound_id, nu0) == 0
+
+
+# At nu = 1e8 the logs are about nu ln nu ~ 1.9e9 in size, and their ulp
+# (2.4e-7) swamps margins of 1e-9 to 1e-7: roundoff reads as a violation.
+# One marker per bound, to come off as each bound is cleared.
+_ULP_XFAIL = pytest.mark.xfail(strict=True, reason="log ulp exceeds the margin at nu = 1e8")
+
+
+@pytest.mark.parametrize(
+    "bound_id", [pytest.param(b, marks=_ULP_XFAIL) for b in _LARGE_ORDER_IDS]
+)
+def test_no_false_violation_at_order_1e8(bound_id):
+    assert _violations_near(bound_id, 1e8) == 0

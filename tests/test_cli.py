@@ -103,7 +103,7 @@ def test_usage_error_exits_2(capsys):
 def test_unknown_bound_exits_1(capsys):
     code, _, err = run(capsys, "verify", "--bounds", "LB-9.9")
     assert code == 1
-    assert "unknown bound id" in err
+    assert err.startswith("error: unknown bound id 'LB-9.9'")
 
 
 def test_tightness(capsys):

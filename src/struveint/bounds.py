@@ -344,6 +344,8 @@ def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) ->
     total = 1.0
     if truncation is not None:
         try:
+            if isinstance(truncation, bool):  # operator.index(True) is 1
+                raise TypeError
             truncation = operator.index(truncation)
         except TypeError:
             raise DomainError(f"truncation must be an integer, got {truncation}") from None
@@ -386,8 +388,12 @@ def _lower_combination(nu: float, beta: float, x: float, coefficient: float) -> 
 
 
 def _kl_upper_const_log(nu: float) -> float:
-    """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2)))."""
-    return _LN2 + log_gamma(nu + 2.0) - _LN_SQRT_PI - log_gamma(nu + 1.5)
+    """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))); from
+    ``_HALF_RATIO_SERIES_NU`` on as ln(nu+1) plus ``_log_gamma_half_ratio``,
+    since Gamma(nu+2) = (nu+1) Gamma(nu+1) and two lnGamma would cancel."""
+    if nu < _HALF_RATIO_SERIES_NU:
+        return _LN2 + log_gamma(nu + 2.0) - _LN_SQRT_PI - log_gamma(nu + 1.5)
+    return _LN2 + math.log1p(nu) + _log_gamma_half_ratio(nu) - _LN_SQRT_PI
 
 
 # ---------------------------------------------------------------------------

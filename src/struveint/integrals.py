@@ -25,7 +25,8 @@ and sums the terms under it only until a proven bound, for nu < 1/2 the
 lesser of two, puts the rest below 1e-17 of the sum: at x = 1000 and nu = 2
 it walks k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at
 beta = 1.
-``fg_log`` hands both logs to callers that need the pair, and
+``fg_log`` hands both logs to callers that need the pair, and shares the
+beta-free half of the pass among the beta of one (nu, x);
 ``integral_series`` is the engine's F entry point for 0 < beta < 1.  The
 other routes stay as oracles for the tests:
 
@@ -40,6 +41,7 @@ mass ~ exp((1-beta) x)) stays in range.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -87,6 +89,9 @@ _ANCHOR_X = 2.0 * math.sqrt((_ANCHOR_MIN + 3.5) * (_ANCHOR_MIN + 2.5))
 # below k_a the pass makes its coefficients, and tests the head, this many
 # indices at a time (8, 16 and 32 timed alike at x in [100, 1000])
 _HEAD_CHUNK = 16
+# ``fg_log`` keeps the beta-free half of the pass, a run, for this many
+# (nu, x): the paper's tables ask for 28 at once, the default sweep for 25
+_RUNS = 32
 # a (a + 1 - z) in the tail bound overflows once a = 2 nu + 2 passes 1.3e154
 _NU_MAX = 1e150
 
@@ -164,15 +169,10 @@ def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, float, i
         s = 0.5 * math.pi * math.sinh(u)
         if abs(s) > 350.0:
             return _NEG_INF
-        lc = math.log(math.cosh(u))
-        if s >= 0.0:
-            l1p = math.log1p(math.exp(-2.0 * s))
-            log_t = log_b - l1p
-            log_w = log_b + math.log(math.pi) + lc - 2.0 * s - 2.0 * l1p
-        else:
-            l1p = math.log1p(math.exp(2.0 * s))
-            log_t = log_b + 2.0 * s - l1p
-            log_w = log_b + math.log(math.pi) + lc + 2.0 * s - 2.0 * l1p
+        e = -2.0 * abs(s)  # ln of the lesser of e^(2s) and e^(-2s)
+        l1p = math.log1p(math.exp(e))
+        log_t = log_b + min(2.0 * s, 0.0) - l1p
+        log_w = log_b + math.log(math.pi) + math.log(math.cosh(u)) + e - 2.0 * l1p
         lf = logf_logt(log_t)
         return lf + log_w if lf != _NEG_INF else _NEG_INF
 
@@ -227,16 +227,6 @@ def _tanh_sinh_log(logf_logt, log_b: float, tol: float) -> tuple[float, float, i
     raise ConvergenceError("tanh-sinh sum did not settle within 10 halvings")
 
 
-def _integrand_log(weight_power: float, order: float, beta: float):
-    def logf(t: float) -> float:
-        if 0.5 * t == 0.0:
-            return _NEG_INF
-        # e^{-beta t} t^a L(t) = e^{(1-beta) t} t^a (e^{-t} L(t))
-        return (1.0 - beta) * t + weight_power * math.log(t) + struve_l_scaled_log(order, t)
-
-    return logf
-
-
 def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
     """Double-exponential quadrature oracle for the integral identified by
     ``spec``.
@@ -255,15 +245,19 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
             f"{_QUAD_MIN_EXPONENT - 2.0:g} (nu >= {0.5 * _QUAD_MIN_EXPONENT - 1.0:g} "
             f"for F), got {spec.weight_power} + {spec.order}"
         )
-    logf = _integrand_log(spec.weight_power, spec.order, spec.beta)
+    weight_power, order, beta, _ = spec
 
-    # t = u^2 tames the t^(2 nu + 1) behaviour at the origin: dt = 2 u du
+    # t = u^2 tames the t^(2 nu + 1) behaviour at the origin: dt = 2 u du, and
+    # e^{-beta t} t^a L(t) = e^{(1-beta) t} t^a (e^{-t} L(t))
     def logf_u(log_u: float) -> float:
         u = math.exp(log_u)
         t = u * u
-        if t == 0.0:
+        if 0.5 * t == 0.0:
             return _NEG_INF
-        return logf(t) + _LN2 + log_u
+        return (
+            (1.0 - beta) * t + weight_power * math.log(t) + struve_l_scaled_log(order, t)
+            + _LN2 + log_u
+        )
 
     log_total, gap, nodes = _tanh_sinh_log(logf_u, 0.5 * math.log(spec.upper), tol)
     value = ScaledReal.from_log(log_total)
@@ -325,7 +319,132 @@ def _head_bound(nu: float, k: int, rho: float) -> float:
     return bound
 
 
-def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
+def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
+    """The forward loop (see ``_termwise_pair_log``): (k_a, d_mant, d_shift,
+    K, tail_f, tail_g), K the first index where both tails are proven.
+
+    It has two phases.  Up to k_h, the first index where r <= 1/2, nothing
+    depends on beta; with z None the loop stops there and returns the run
+    (k_a, d_mant, d_shift, k_h, peak_f, peak_g).  From k_h on it tries the
+    tail proofs at z; r <= 1/2 there, so m only falls and the peaks change
+    only by e^30 at each shift.  Given a run, only the second phase runs,
+    its coefficients into new lists, which the run takes in once the loop
+    has returned.
+    """
+    if run is None:
+        # d_k = d_mant[k] e^{log_d0 + d_shift[k]} for k_a <= k <= K (the second
+        # leg fills the slots below k_a); peak_f and peak_g are max_j d_j / a_j
+        # for F and G over j = 0 and j >= k_a, in units of e^shift
+        d_mant: list[float] = []
+        d_shift: list[float] = []
+        m, shift = 1.0, 0.0
+        peak_f = peak_g = 0.0
+        k_a = _anchor_index(nu, q) if x > _ANCHOR_X else 0
+        if k_a > _ANCHOR_MIN:
+            # d_{k_a} = m e^{log_d0 + shift}, the ratios four per turn; the
+            # peaks seed at k = 0, whose d_0 / a_0 tops the later peak for nu
+            # near -1
+            for k in range(k_a % 4):
+                m *= q / ((k + 1.5) * (k + nu + 1.5))
+            for k in range(k_a % 4, k_a, 4):
+                m *= (
+                    q / ((k + 1.5) * (k + nu + 1.5)) * (q / ((k + 2.5) * (k + nu + 2.5)))
+                    * (q / ((k + 3.5) * (k + nu + 3.5))) * (q / ((k + 4.5) * (k + nu + 4.5)))
+                )
+                while m > _EXP30:
+                    m /= _EXP30
+                    shift += 30.0
+            peak_f = math.exp(-shift) / a0
+            peak_g = peak_f * x * a0 / ((a0 + 1.0) * (a0 + 1.0))
+            d_mant = [0.0] * k_a
+            d_shift = [0.0] * k_a
+        else:
+            k_a = 0
+        r = 2.0
+        k = k_a
+        while True:
+            a = a0 + 2.0 * k
+            d_mant.append(m)
+            d_shift.append(shift)
+            if r > 1.0:  # d_k / a_k tops its predecessors only after a ratio above 1
+                c = m / a
+                if c > peak_f:
+                    peak_f = c
+                c *= x * a / ((a + 1.0) * (a + 1.0))
+                if c > peak_g:
+                    peak_g = c
+            r = q / ((k + 1.5) * (k + nu + 1.5))
+            if r <= 0.5:
+                break
+            m *= r
+            if m < 1.0:
+                m *= _EXP30
+                shift -= 30.0
+                peak_f *= _EXP30
+                peak_g *= _EXP30
+            elif m > _EXP30:
+                m /= _EXP30
+                shift += 30.0
+                peak_f /= _EXP30
+                peak_g /= _EXP30
+            k += 1
+            if k > MAX_SERIES_TERMS:
+                raise ConvergenceError("termwise series term cap exceeded")
+        if z is None:
+            return k_a, d_mant, d_shift, k, peak_f, peak_g
+        new_mant, new_shift = d_mant, d_shift
+    else:
+        k_a, d_mant, d_shift, k_h, peak_f, peak_g = run
+        k = k_h
+        m, shift = d_mant[k], d_shift[k]
+        a = a0 + 2.0 * k
+        r = q / ((k + 1.5) * (k + nu + 1.5))
+        new_mant, new_shift = [], []
+    tail_f = None
+    while True:
+        # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
+        # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
+        # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
+        # G's bound falls at every step against a fixed limit, so once
+        # proven it stays proven: trying it only after F's leaves K alone
+        if tail_f is None:
+            tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
+        if tail_f is not None:
+            r_g = q / ((k + 1.5) * (k + nu + 2.5))
+            tail_g = _proven_tail_log(
+                m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
+            )
+            if tail_g is not None:
+                break
+        m *= r
+        if m < 1.0:
+            m *= _EXP30
+            shift -= 30.0
+            peak_f *= _EXP30
+            peak_g *= _EXP30
+        k += 1
+        if k > MAX_SERIES_TERMS:
+            raise ConvergenceError("termwise series term cap exceeded")
+        a = a0 + 2.0 * k
+        new_mant.append(m)
+        new_shift.append(shift)
+        r = q / ((k + 1.5) * (k + nu + 1.5))
+    if run is not None:
+        # the run's indices k_h + 1 .. K: any it holds already, from an earlier
+        # beta or a call on another thread, hold these same values, so the
+        # slices need no lock
+        d_shift[k_h + 1:k + 1] = new_shift
+        d_mant[k_h + 1:k + 1] = new_mant
+    return k_a, d_mant, d_shift, k, tail_f, tail_g
+
+
+@lru_cache(maxsize=_RUNS)
+def _run(nu: float, x: float):
+    """``fg_log``'s run at (nu, x), shared by every beta (see ``_forward``)."""
+    return _forward(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)
+
+
+def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[float, float]:
     r"""(ln F, ln G) at one (nu, beta, x), 0 <= beta <= 1, x > 0, in one pass.
 
     Termwise integration of the Struve series gives F = sum_k T_k with
@@ -367,6 +486,18 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     bound from the index where it was proven, which covers the terms after K
     too, and the final check compares the kept bounds with the sums.
 
+    Up to k_h, the first index where r <= 1/2, nothing in the forward loop
+    reads beta: not d_k, not the peaks.  That half is the run at (nu, x)
+    (``_forward`` with z None).  ``fg_log`` keeps runs in an lru cache,
+    ``_run``, and passes one in, so every beta at one (nu, x) shares it: a
+    later beta redoes only the loop from k_h on, where each step is a
+    multiply and the tail proofs, stores the coefficients past the run's last
+    one, and fills only the chunks below k_a that no earlier beta filled.
+    Every stored float comes from the same operations in the same order as
+    in a pass without a run, so the two return the same bits; ``F`` and
+    ``G`` pass no run.  A default sweep builds 275 runs for its 1,375
+    points, and the two tables and the limiting forms 31 for their 90.
+
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
     runs downward in a, the direction in which it only adds positive numbers
@@ -398,77 +529,8 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     a0 = 2.0 * nu + 2.0
     log_x = math.log(x)
     log_d0 = a0 * log_x - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
-    # forward: d_k = d_mant[k] e^{log_d0 + d_shift[k]} for k_a <= k <= K (the
-    # second leg fills the slots below k_a); peak_f and peak_g are max_j
-    # d_j / a_j for F and G over j = 0 and j >= k_a, in units of e^shift
-    d_mant: list[float] = []
-    d_shift: list[float] = []
-    m, shift = 1.0, 0.0
-    peak_f = peak_g = 0.0
-    k_a = _anchor_index(nu, q) if x > _ANCHOR_X else 0
-    if k_a > _ANCHOR_MIN:
-        # d_{k_a} = m e^{log_d0 + shift}, the ratios four per turn; the peaks
-        # seed at k = 0, whose d_0 / a_0 tops the later peak for nu near -1
-        for k in range(k_a % 4):
-            m *= q / ((k + 1.5) * (k + nu + 1.5))
-        for k in range(k_a % 4, k_a, 4):
-            m *= (
-                q / ((k + 1.5) * (k + nu + 1.5)) * (q / ((k + 2.5) * (k + nu + 2.5)))
-                * (q / ((k + 3.5) * (k + nu + 3.5))) * (q / ((k + 4.5) * (k + nu + 4.5)))
-            )
-            while m > _EXP30:
-                m /= _EXP30
-                shift += 30.0
-        peak_f = math.exp(-shift) / a0
-        peak_g = peak_f * x * a0 / ((a0 + 1.0) * (a0 + 1.0))
-        d_mant = [0.0] * k_a
-        d_shift = [0.0] * k_a
-    else:
-        k_a = 0
-    tail_f = tail_g = None
-    r = 2.0
-    k = k_a
-    while True:
-        a = a0 + 2.0 * k
-        d_mant.append(m)
-        d_shift.append(shift)
-        if r > 1.0:  # d_k / a_k tops its predecessors only after a ratio above 1
-            c = m / a
-            if c > peak_f:
-                peak_f = c
-            c *= x * a / ((a + 1.0) * (a + 1.0))
-            if c > peak_g:
-                peak_g = c
-        r = q / ((k + 1.5) * (k + nu + 1.5))
-        if r <= 0.5:
-            # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
-            # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
-            # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
-            # G's bound falls at every step against a fixed limit, so once
-            # proven it stays proven: trying it only after F's leaves K alone
-            if tail_f is None:
-                tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
-            if tail_f is not None:
-                r_g = q / ((k + 1.5) * (k + nu + 2.5))
-                tail_g = _proven_tail_log(
-                    m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
-                )
-                if tail_g is not None:
-                    break
-        m *= r
-        if m < 1.0:
-            m *= _EXP30
-            shift -= 30.0
-            peak_f *= _EXP30
-            peak_g *= _EXP30
-        elif m > _EXP30:
-            m /= _EXP30
-            shift += 30.0
-            peak_f /= _EXP30
-            peak_g /= _EXP30
-        k += 1
-        if k > MAX_SERIES_TERMS:
-            raise ConvergenceError("termwise series term cap exceeded")
+    k_a, d_mant, d_shift, k, tail_f, tail_g = _forward(nu, x, q, a0, z, run)
+    a = a0 + 2.0 * k
 
     # S(a_K + 1, z), summed directly, then downward in a: S = s e^{s_shift};
     # F's sum is total_f e^{log_d0 - z + t_shift} and G's x total_g e^{log_d0
@@ -503,15 +565,16 @@ def _termwise_pair_log(nu: float, beta: float, x: float) -> tuple[float, float]:
                 b = _head_bound(nu, k, n * n)
                 if d * s_f * b <= _EPS * total_f and d * s_g / (a + 1.0) * b <= _EPS * total_g:
                     break
-            m, shift = d_mant[k], d_shift[k]
             k_low = max(0, k - _HEAD_CHUNK)
-            for j in range(k - 1, k_low - 1, -1):
-                m /= q / ((j + 1.5) * (j + nu + 1.5))
-                if m < 1.0:
-                    m *= _EXP30
-                    shift -= 30.0
-                d_mant[j] = m
-                d_shift[j] = shift
+            if not d_mant[k_low]:  # a run keeps the chunks an earlier beta filled
+                m, shift = d_mant[k], d_shift[k]
+                for j in range(k - 1, k_low - 1, -1):
+                    m /= q / ((j + 1.5) * (j + nu + 1.5))
+                    if m < 1.0:
+                        m *= _EXP30
+                        shift -= 30.0
+                    d_shift[j] = shift
+                    d_mant[j] = m
         k -= 1
         a = a0 + 2.0 * k
         s_g = (one + z * s_f) / (a + 1.0)
@@ -592,29 +655,34 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
     return coeff * hyp.value
 
 
-def _integral_pair_log(name: str, nu: float, beta: float, x: float) -> tuple[float, float]:
-    """(ln F, ln G) with F/G argument checks; -inf for both at x = 0."""
+def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False):
+    """(ln F, ln G) with F/G argument checks; -inf for both at x = 0.  Only a
+    cached call reads or builds the run at (nu, x)."""
     if not -1.0 < nu <= _NU_MAX:
         raise DomainError(f"{name} requires -1 < nu <= {_NU_MAX:g}, got {nu}")
     if not 0.0 <= beta <= 1.0:
         raise DomainError(f"{name} requires beta in [0, 1], got {beta}")
     if x < 0.0:
         raise DomainError(f"{name} requires x >= 0, got {x}")
-    _require_finite(name, nu, x)
+    if not x < math.inf:  # nan or +inf; the test on nu refuses both for nu
+        raise DomainError(f"{name} requires finite arguments, got {(nu, x)}")
     if x == 0.0:
         return _NEG_INF, _NEG_INF
-    return _termwise_pair_log(nu, beta, x)
+    return _termwise_pair_log(nu, beta, x, _run(nu, x) if cached else None)
 
 
 def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     """(ln F, ln G) at one point from one engine pass; -inf at x = 0.
 
-    Takes the arguments of ``F`` and ``G``; for callers that need both.  A
-    log's absolute error is at least ulp(|log|): at beta = 1/2, x = 1, ln F
-    is off by 1.35e-9 at nu = 1e6, 2.0e-8 at 1e7 and 2.1e-6 at 1e9 against a
-    40-digit termwise reference.
+    Takes the arguments of ``F`` and ``G``; for callers that need both, or
+    that ask at several beta for one (nu, x).  The beta-free half of the
+    pass, its run, is kept for the last ``_RUNS`` (nu, x), so the later
+    beta skip it; the values are bit for bit those of ``F`` and ``G`` (see
+    ``_termwise_pair_log``).  A log's absolute error is at least ulp(|log|):
+    at beta = 1/2, x = 1, ln F is off by 1.35e-9 at nu = 1e6, 2.0e-8 at 1e7
+    and 2.1e-6 at 1e9 against a 40-digit termwise reference.
     """
-    return _integral_pair_log("F and G", nu, beta, x)
+    return _integral_pair_log("F and G", nu, beta, x, True)
 
 
 def F(nu: float, beta: float, x: float) -> ScaledReal:

@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
-from struveint import specfun
+from struveint import integrals, specfun
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "specfun_golden.txt"
 
@@ -27,6 +27,15 @@ def cold_bessel_k():
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+@pytest.fixture
+def cold_runs():
+    """The engine's run cache cleared before and after the test: a warm run
+    would skip the forward loop a test patches or counts."""
+    integrals._run.cache_clear()
+    yield
+    integrals._run.cache_clear()
 
 
 class TableErratum(NamedTuple):

@@ -251,6 +251,14 @@ def test_lb23_truncation_capped_at_adaptive_term_cap():
 
 
 @pytest.mark.parametrize("entry", (check, eval_bound))
+@pytest.mark.parametrize("flag", (True, False))
+def test_lb23_truncation_refuses_a_bool(entry, flag):
+    # operator.index(True) is 1: a bool must not pass as a one-term sum
+    with pytest.raises(DomainError, match=f"truncation must be an integer, got {flag}$"):
+        entry("LB-2.3", 1.0, 0.5, 1.0, truncation=flag)
+
+
+@pytest.mark.parametrize("entry", (check, eval_bound))
 @pytest.mark.parametrize("spec", list_bounds(), ids=lambda spec: spec.bound_id)
 def test_family_parameter_only_where_the_bound_has_it(entry, spec):
     # x_star belongs to UB-3.8, truncation to LB-2.3 and beta to the bounds
@@ -393,6 +401,18 @@ def test_product_asymptote():
         product_asymptote("sideways", 1.0)
 
 
+@pytest.mark.parametrize("nu", (15.0, 30.0, 1e4, 1e6, 1e8, 1e10, 1e15))
+def test_kl_upper_constant_against_mpmath(nu):
+    # PRB-KL1's and PRB-KL2's ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))):
+    # a difference of two lnGamma was off by 1.8e-11 at nu = 1e4 and 2.0e-5 at
+    # nu = 1e10
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        n = mp.mpf(nu)
+        ref = mp.log(2) + mp.loggamma(n + 2) - mp.log(mp.sqrt(mp.pi)) - mp.loggamma(n + 1.5)
+        assert abs(float(bounds._kl_upper_const_log(nu) - ref)) <= 1e-14
+
+
 @pytest.mark.parametrize("nu", (0.5, 1e3, 1e6, 1e10, 1e16, 1e100, 1e300))
 def test_product_asymptote_small_x_slope_against_mpmath(nu):
     # Gamma(nu+1) / (sqrt(pi) Gamma(nu+3/2)), with digits beyond those of nu;
@@ -408,13 +428,29 @@ def test_product_asymptote_small_x_slope_against_mpmath(nu):
 
 
 @pytest.mark.parametrize("entry", (check, eval_bound))
-@pytest.mark.parametrize("bound_id,beta", (
-    ("PRB-KL1", None), ("PRB-KL2", None), ("UB-GAU1-FULL", 0.5),
-))
+@pytest.mark.parametrize("bound_id,beta", (("UB-GAU1-FULL", 0.5),))
 def test_order_past_log_gamma_range_raises_overflow(entry, bound_id, beta):
     # lnGamma(nu + 1) overflows a double from nu ~ 2.55e305 on
     with pytest.raises(OverflowError, match="ln Gamma\\(x\\) exceeds double range"):
         entry(bound_id, 1e306, beta, 2.0)
+
+
+@pytest.mark.parametrize("bound_id", ("PRB-KL1", "PRB-KL2"))
+def test_kl_constant_past_log_gamma_range(bound_id):
+    # from nu = 15 on, PRB-KL1's and PRB-KL2's constant is ln(nu + 1) plus
+    # the large-nu series and needs no lnGamma, so it stays right where a
+    # difference of two lnGamma overflows (nu ~ 2.55e305) or cancels to 0
+    # (nu = 1e300).  check still refuses: K's order recurrence stops at its
+    # term cap
+    nu, x = 1e306, 2.0
+    upper = eval_bound(bound_id, nu, None, x)
+    upper = upper[1] if isinstance(upper, tuple) else upper
+    want = math.log(2.0 / math.sqrt(math.pi)) + 0.5 * math.log(nu)
+    if bound_id == "PRB-KL2":
+        want += math.log1p((2.0 * nu + 5.0) / x)
+    assert upper.log_abs() == pytest.approx(want, rel=1e-15)
+    with pytest.raises(ConvergenceError, match="Bessel K order recurrence cap exceeded"):
+        check(bound_id, nu, None, x)
 
 
 def test_product_asymptote_numeric_large_x():

@@ -389,15 +389,16 @@ def test_default_sweep_outcome():
     assert inconclusive == {("IMON", 0.5): 6, ("UB-GAU2", 0.5): 14}
 
 
-def test_default_sweep_one_engine_pass_per_point(monkeypatch):
+def test_default_sweep_one_engine_pass_per_point(monkeypatch, cold_runs):
     # F and G come from one pass per distinct (nu, beta, x): every G point is
-    # also an F point, so G's references are served from the shared cache
+    # also an F point, so G's references are served from the shared cache.
+    # The passes at one (nu, x) share its run, built once for the five beta
     calls = []
     engine = integrals._termwise_pair_log
 
-    def counted(nu, beta, x):
+    def counted(nu, beta, x, run=None):
         calls.append((nu, beta, x))
-        return engine(nu, beta, x)
+        return engine(nu, beta, x, run)
 
     monkeypatch.setattr(integrals, "_termwise_pair_log", counted)
     _clear_reference_caches()
@@ -405,11 +406,13 @@ def test_default_sweep_one_engine_pass_per_point(monkeypatch):
         verify_all(default_grid())
         pair = bounds._fg_reference_log.cache_info()
         g_misses = bounds._g_reference.cache_info().misses
+        runs = integrals._run.cache_info().misses
     finally:
         _clear_reference_caches()
     assert len(calls) == len(set(calls)) == 1375
     assert (pair.misses, pair.hits) == (1375, 1125)
     assert g_misses == 1125
+    assert runs == 275
 
 
 def _default_points():

@@ -277,14 +277,16 @@ def test_tanh_sinh_walk_raises_at_its_node_cap():
         integrals._tanh_sinh_log(lambda log_t: -0.97 * log_t, 0.0, 1e-11)
 
 
-@pytest.mark.parametrize("fn", (F, G))
-def test_termwise_loops_raise_past_cap(monkeypatch, fn):
+@pytest.mark.parametrize("fn", (F, G, integrals.fg_log))
+def test_termwise_loops_raise_past_cap(monkeypatch, cold_runs, fn):
     # as the cap rises, first the forward loop and then the Kummer sum must
-    # raise at it rather than return a partial sum, for F and for G alike
+    # raise at it rather than return a partial sum, for F and for G alike,
+    # and for fg_log from a run built under the same cap
     outcomes = []
     for cap in range(1, 40):
         monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", cap)
         monkeypatch.setattr(specfun, "MAX_SERIES_TERMS", cap)
+        integrals._run.cache_clear()
         try:
             fn(0.0, 1.0, 1.0)
         except ConvergenceError as exc:
@@ -301,6 +303,77 @@ def test_termwise_loops_raise_past_cap(monkeypatch, fn):
     assert first["termwise series term cap exceeded"] < first["Kummer series term cap exceeded"]
     assert first["Kummer series term cap exceeded"] < first["ok"]
     assert all(outcome == "ok" for outcome in outcomes[first["ok"]:])
+
+
+def test_run_extension_that_raises_leaves_the_run_whole(monkeypatch, cold_runs):
+    # at (0, 60) the run stops at k_h = 41, beta = 0 proves both tails at
+    # K = 68 and beta = 1 at 69.  With the cap at 68, beta = 1 raises on every
+    # call and the run keeps only what beta = 0 stored; below k_h no run is
+    # kept at all
+    nu, x = 0.0, 60.0
+    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 68)
+    assert integrals.fg_log(nu, 0.0, x) == integrals._termwise_pair_log(nu, 0.0, x)
+    run = integrals._run(nu, x)
+    assert (run[3], len(run[1]), len(run[2])) == (41, 69, 69)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
+            integrals.fg_log(nu, 1.0, x)
+        assert (len(run[1]), len(run[2])) == (69, 69)
+    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", specfun.MAX_SERIES_TERMS)
+    assert integrals.fg_log(nu, 1.0, x) == integrals._termwise_pair_log(nu, 1.0, x)
+    assert (len(run[1]), len(run[2])) == (70, 70)
+    integrals._run.cache_clear()
+    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 40)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
+            integrals.fg_log(nu, 0.0, x)
+        assert integrals._run.cache_info().currsize == 0
+
+
+RUN_NUS = (-0.99, 0.0, 2.5)
+RUN_XS = (5.0, 60.0, 300.0, 1000.0)
+# the default grid's five beta and both ends
+RUN_BETAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+@pytest.mark.parametrize("betas", (RUN_BETAS, RUN_BETAS[::-1]), ids=("ascending", "descending"))
+def test_fg_log_runs_match_the_uncached_engine_bit_for_bit(cold_runs, betas):
+    # the first beta at each (nu, x) builds its run; each later one reads it,
+    # and in ascending order beta = 1 needs a longer forward loop than the
+    # betas before it and extends the run they stored
+    grown = 0
+    for nu in RUN_NUS:
+        for x in RUN_XS:
+            lengths = []
+            for beta in betas:
+                got = integrals.fg_log(nu, beta, x)
+                assert repr(got) == repr(integrals._termwise_pair_log(nu, beta, x)), (nu, beta, x)
+                lengths.append(len(integrals._run(nu, x)[1]))
+            grown += lengths[-1] > lengths[0]
+    info = integrals._run.cache_info()
+    assert info.misses == len(RUN_NUS) * len(RUN_XS)
+    assert grown > 0 if betas[0] == 0.0 else grown == 0
+
+
+def test_f_and_g_leave_the_run_cache_alone(cold_runs):
+    integrals.fg_log(2.5, 0.5, 60.0)
+    before = integrals._run.cache_info()
+    for fn in (F, G):
+        for point in ((2.5, 0.25, 60.0), (0.0, 1.0, 5.0), (-0.5, 0.5, 300.0)):
+            fn(*point)
+    assert integrals._run.cache_info() == before
+
+
+def test_fg_log_shares_runs_across_threads(cold_runs):
+    # threads that read and extend one run at a time still get the engine's
+    # own bits
+    from concurrent.futures import ThreadPoolExecutor
+
+    points = [(nu, beta, x) for nu in (-0.5, 2.5) for x in (5.0, 300.0) for beta in RUN_BETAS]
+    want = [integrals._termwise_pair_log(*point) for point in points]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        got = list(pool.map(lambda point: integrals.fg_log(*point), points))
+    assert got == want
 
 
 @pytest.mark.parametrize("fn", (F, G))

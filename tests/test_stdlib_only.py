@@ -43,3 +43,20 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_compile_time_script_covers_every_module_import_loads():
+    # scripts/compile_time.py reports, last, the total over the modules that
+    # `import struveint` loads, one median per module before it
+    script = PACKAGE.parents[1] / "scripts" / "compile_time.py"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, str(script), "2"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    *modules, summary = proc.stdout.splitlines()
+    names = [line.split()[0] for line in modules]
+    assert "struveint.integrals" in names and "struveint.bounds" in names
+    assert summary.startswith("compile ") and summary.endswith(
+        f"over the {len(names)} modules import struveint loads"
+    )

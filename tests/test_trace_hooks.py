@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from struveint import bounds, harness, specfun
+from struveint import bounds, harness, integrals, specfun
 from struveint.bounds import Target, list_bounds
 from struveint.harness import GridSpec, default_grid, verify_all
 
@@ -117,4 +117,5 @@ def test_benchmark_cache_clearing_empties_every_cache():
         and getattr(obj, "__module__", "").startswith("struveint")
     ]
     assert specfun._struve_ladder_log in caches
+    assert integrals._run in caches
     assert {c.__qualname__ for c in caches if c.cache_info().currsize} == set()

@@ -114,7 +114,8 @@ def parse_grid_file(text: str) -> GridSpec:
     """Parse the line-oriented ``key=value`` grid format.
 
     Keys: ``nu``, ``beta``, ``x`` (comma-separated reals) and ``bounds``
-    (comma-separated ids).  Missing keys fall back to the default grid.
+    (comma-separated ids), each at most once.  Missing keys fall back to the
+    default grid.
     """
     base = default_grid()
     values: dict[str, str] = {}
@@ -128,6 +129,8 @@ def parse_grid_file(text: str) -> GridSpec:
         key = key.strip()
         if key not in ("nu", "beta", "x", "bounds"):
             raise ValueError(f"unknown grid key {key!r}")
+        if key in values:
+            raise ValueError(f"repeated grid key {key!r}")
         values[key] = val.strip()
 
     def floats(key: str, fallback: tuple[float, ...]) -> tuple[float, ...]:

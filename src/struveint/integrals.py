@@ -27,8 +27,8 @@ it walks k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at
 beta = 1.
 ``fg_log`` hands both logs to callers that need the pair, and shares the
 beta-free half of the pass among the beta of one (nu, x);
-``integral_series`` is the engine's F entry point for 0 < beta < 1.  The
-other routes stay as oracles for the tests:
+``integral_series`` is ``F`` restricted to 0 < beta < 1.  The other routes
+stay as oracles for the tests:
 
 * ``integral_quad``   -- double-exponential quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
@@ -595,19 +595,13 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
 
 
 def integral_series(nu: float, beta: float, x: float) -> ScaledReal:
-    """F by termwise integration in Kummer form; nu > -1, 0 < beta < 1, x > 0.
-
-    The same engine serves F and G for every beta in [0, 1]; this entry point
-    keeps the interior-beta domain of the incomplete-gamma series it names.
-    """
-    if not nu > -1.0:
-        raise DomainError(f"series route requires nu > -1, got {nu}")
+    """``F`` restricted to 0 < beta < 1 and x > 0, the interior-beta domain of
+    the incomplete-gamma series it names; F's argument checks do the rest."""
     if not 0.0 < beta < 1.0:
         raise DomainError(f"series route requires 0 < beta < 1, got {beta}")
     if not x > 0.0:
         raise DomainError(f"series route requires x > 0, got {x}")
-    _require_finite("series route", nu, x)
-    return ScaledReal.from_log(_termwise_pair_log(nu, beta, x)[0])
+    return ScaledReal.from_log(_integral_pair_log("series route", nu, beta, x)[0])
 
 
 def integral_beta1(nu: float, x: float) -> ScaledReal:

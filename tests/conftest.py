@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import pathlib
 from typing import NamedTuple
@@ -15,6 +16,16 @@ ACCEPTANCE_VERDICTS: list[str] = []
 @pytest.fixture(scope="session")
 def acceptance_verdicts():
     return ACCEPTANCE_VERDICTS
+
+
+@pytest.fixture(scope="session")
+def fingerprint():
+    """``scripts/fingerprint.py`` loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -784,3 +784,24 @@ _ULP_XFAIL = pytest.mark.xfail(strict=True, reason="log ulp exceeds the margin a
 )
 def test_no_false_violation_at_order_1e8(bound_id):
     assert _violations_near(bound_id, 1e8) == 0
+
+
+def test_catalog_digest_is_deterministic_and_covers_every_result(fingerprint):
+    def digest(calls):
+        return fingerprint.digest(fingerprint.catalog_stream(calls))
+
+    calls = list(fingerprint.calls())
+    # every call inside its hypothesis, each through eval_bound and check
+    assert len(calls) == 8628
+    assert sum(1 for _ in fingerprint.catalog_stream(calls)) == 17256
+    sample = [calls[0], calls[len(calls) // 2], calls[-1]]
+    count, hexdigest, raises = digest(sample)
+    assert count == 2 * len(sample)
+    assert digest(sample) == (count, hexdigest, raises)
+    # the first call is IMON at x = 5e-324: check's margin overflows where
+    # eval_bound's ln b does not
+    assert calls[0] == ("IMON", 0.5, None, 5e-324, None, None)
+    assert raises == {"OverflowError: ratio exceeds double range": 1}
+    # every result enters the digest, in order
+    assert digest(sample[:-1])[1] != hexdigest
+    assert digest(sample[::-1])[1] != hexdigest

@@ -1,5 +1,3 @@
-import importlib.util
-import pathlib
 
 import pytest
 
@@ -197,12 +195,10 @@ def test_verify_empty_bound_list_is_an_error(capsys):
     assert "grid bound list must be nonempty" in err
 
 
-def test_cli_snapshot_exit_codes(tmp_path):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "cli_snapshot.py"
-    spec = importlib.util.spec_from_file_location("cli_snapshot", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    codes = module.snapshot(tmp_path)
+def test_cli_snapshot_exit_codes(tmp_path, fingerprint):
+    count, _, raises = fingerprint.digest(fingerprint.cli_stream(tmp_path))
+    assert (count, raises) == (28, {})
+    codes = {name: int((tmp_path / f"{name}.code").read_text()) for name, _ in fingerprint.RUNS}
     assert codes == {
         "verify": 0, "verify-ratios": 0, "verify-lb23-kl": 0, "verify-unknown": 1,
         # Table 2 holds two printed errata beyond tolerance

@@ -169,6 +169,8 @@ def test_parse_grid_file():
         parse_grid_file("volume=11\n")
     with pytest.raises(ValueError):
         parse_grid_file("just some text\n")
+    with pytest.raises(ValueError, match="repeated grid key 'nu'"):
+        parse_grid_file("nu=1\nnu=2\n")
 
 
 def test_verify_restricted_grid_counts():

@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import pathlib
 import random
 import re
 import time
@@ -760,29 +758,31 @@ def test_termwise_huge_x_raises_at_once():
         assert time.perf_counter() - start < 0.05
 
 
-@pytest.mark.parametrize("entry", (F, G, integrals.fg_log))
+@pytest.mark.parametrize("entry", (F, G, integrals.fg_log, integral_series))
 def test_huge_nu_raises_domain_error_at_once(entry):
     # a = 2 nu + 2 past 1.3e154 overflows the tail bound's a (a + 1 - z); the
     # argument check refuses nu above 1e150 before any loop runs
-    start = time.perf_counter()
-    with pytest.raises(DomainError, match=r"requires -1 < nu <= 1e\+150, got 1e\+300"):
-        entry(1e300, 0.5, 1.0)
-    assert time.perf_counter() - start < 0.05
+    for nu in (1e300, 1e151):
+        message = r"requires -1 < nu <= 1e\+150, got " + re.escape(f"{nu}")
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=message):
+            entry(nu, 0.5, 1.0)
+        assert time.perf_counter() - start < 0.05
     assert all(math.isfinite(v) for v in integrals.fg_log(1e150, 0.5, 1.0))
 
 
-def test_engine_digest_is_deterministic_and_covers_every_result():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "engine_digest.py"
-    spec = importlib.util.spec_from_file_location("engine_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def test_engine_digest_is_deterministic_and_covers_every_result(fingerprint):
+    def digest(pts):
+        return fingerprint.digest(fingerprint.engine_stream(pts))
+
     pts = [(1.0, 0.5, 5.0), (-0.9, 0.0, 300.0), (2.0, 1.0, 1000.0), (1e300, 0.5, 1.0)]
-    hexdigest, raises = module.digest(pts)
+    count, hexdigest, raises = digest(pts)
+    assert count == len(pts)
     assert re.fullmatch("[0-9a-f]{64}", hexdigest)
-    assert module.digest(pts) == (hexdigest, raises)
+    assert digest(pts) == (count, hexdigest, raises)
     assert raises == {"DomainError: F and G requires -1 < nu <= 1e+150, got 1e+300": 1}
     # every result enters the digest, in order
-    assert module.digest(pts[:-1])[0] != hexdigest
-    assert module.digest(pts[::-1])[0] != hexdigest
+    assert digest(pts[:-1])[1] != hexdigest
+    assert digest(pts[::-1])[1] != hexdigest
     # the default grid's 1,375 points, the sample and 18 edge points
-    assert len(module.points()) == 1375 + module.SAMPLE_SIZE + 18
+    assert len(fingerprint.points()) == 1375 + fingerprint.SAMPLE_SIZE + 18

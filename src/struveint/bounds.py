@@ -455,7 +455,10 @@ def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
 
 
 def _eval_rb_aug18(nu, beta, x, x_star, truncation):
-    i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
+    try:
+        i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
+    except OverflowError:
+        raise OverflowError(f"RB-AUG18: I_(nu-1)/I_nu exceeds double range at x={x!r}") from None
     return -math.log(i_ratio + 1.0 / x)
 
 
@@ -707,11 +710,15 @@ def eval_bound(
     """
     spec = _valid_spec(bound_id, nu, beta, x, x_star, truncation)
     value = spec.evaluate(nu, beta, x, x_star, truncation)
-    if type(value) is _Signed:
-        return ScaledReal.from_log(*value)
-    if type(value) is tuple:
-        return (ScaledReal.from_log(value[0]), ScaledReal.from_log(value[1]))
-    return ScaledReal.from_log(value)
+    try:
+        if type(value) is _Signed:
+            return ScaledReal.from_log(*value)
+        if type(value) is tuple:
+            return (ScaledReal.from_log(value[0]), ScaledReal.from_log(value[1]))
+        return ScaledReal.from_log(value)
+    except OverflowError:  # a log of +inf: the bound, or a term of it, overflowed
+        message = f"{bound_id}: bound evaluation exceeds double range at x={x!r}"
+        raise OverflowError(message) from None
 
 
 def check(

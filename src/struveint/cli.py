@@ -33,7 +33,7 @@ def _x_list(text: str) -> tuple[float, ...]:
     """``--xs``: comma-separated reals, at least one; anything else is a
     usage error."""
     try:
-        xs = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        xs = tuple(float(tok) for tok in harness._split_list(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of reals: {text!r}") from None
     if not xs:
@@ -51,16 +51,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser("tables", help="reproduce the relative-error tables")
     p_tables.add_argument("--which", type=int, choices=(1, 2), default=None)
     p_tables.add_argument("--format", choices=("csv", "md"), default="csv")
+    p_tables.set_defaults(run=_cmd_tables)
 
     p_verify = sub.add_parser("verify", help="sweep the inequality catalog")
     p_verify.add_argument("--grid", type=str, default=None, help="grid file (key=value lines)")
     p_verify.add_argument("--bounds", type=str, default=None, help="comma-separated bound ids")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one function at a point")
     p_eval.add_argument("--fn", required=True, choices=("F", "G", "L", "I", "K"))
     p_eval.add_argument("--nu", type=float, required=True)
     p_eval.add_argument("--beta", type=float, default=None)
     p_eval.add_argument("--x", type=float, required=True)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_tight = sub.add_parser("tightness", help="bound/reference ratio trajectory")
     p_tight.add_argument("--bound", required=True)
@@ -69,8 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tight.add_argument("--xs", type=_x_list, required=True, help="comma-separated x values")
     p_tight.add_argument("--x-star", type=float, default=None)
     p_tight.add_argument("--truncation", type=int, default=None)
+    p_tight.set_defaults(run=_cmd_tightness)
 
-    sub.add_parser("asymptotics", help="check the limiting forms")
+    p_asym = sub.add_parser("asymptotics", help="check the limiting forms")
+    p_asym.set_defaults(run=_cmd_asymptotics)
     return parser
 
 
@@ -102,7 +107,7 @@ def _cmd_verify(args) -> int:
     else:
         grid = harness.default_grid()
     if args.bounds is not None:
-        wanted = tuple(tok.strip() for tok in args.bounds.split(",") if tok.strip())
+        wanted = harness._split_list(args.bounds)
         grid = harness.GridSpec(grid.nu_values, grid.beta_values, grid.x_values, wanted)
     report = harness.verify_all(grid)
     sys.stdout.write(harness.margins_csv(report))
@@ -153,9 +158,8 @@ def _cmd_tightness(args) -> int:
     profile = harness.tightness_profile(
         args.bound, args.nu, args.beta, args.xs, x_star=x_star, truncation=args.truncation
     )
-    print("x,bound_over_reference")
-    for x, ratio in profile:
-        print(f"{x:.17g},{ratio:.17g}")
+    lines = ("%.17g,%.17g" % point for point in profile)
+    sys.stdout.write(harness._csv("x,bound_over_reference", lines))
     return 0
 
 
@@ -173,16 +177,9 @@ def _cmd_asymptotics(_args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "tables": _cmd_tables,
-        "verify": _cmd_verify,
-        "eval": _cmd_eval,
-        "tightness": _cmd_tightness,
-        "asymptotics": _cmd_asymptotics,
-    }
     # DomainError is a ValueError; ArithmeticError covers overflow and x / 0
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ConvergenceError, KeyError, ArithmeticError, ValueError, OSError) as exc:
         # str() of a KeyError is the repr of its key: print the message bare
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

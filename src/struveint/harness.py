@@ -110,6 +110,12 @@ def default_grid() -> GridSpec:
     )
 
 
+def _split_list(text: str) -> tuple[str, ...]:
+    """The tokens of a comma-separated list, stripped; blank tokens are
+    skipped."""
+    return tuple(tok for tok in map(str.strip, text.split(",")) if tok)
+
+
 def parse_grid_file(text: str) -> GridSpec:
     """Parse the line-oriented ``key=value`` grid format.
 
@@ -136,13 +142,11 @@ def parse_grid_file(text: str) -> GridSpec:
     def floats(key: str, fallback: tuple[float, ...]) -> tuple[float, ...]:
         if key not in values:
             return fallback
-        return tuple(float(tok) for tok in values[key].split(",") if tok.strip())
+        return tuple(float(tok) for tok in _split_list(values[key]))
 
     bound_filter = base.bound_filter
     if "bounds" in values:
-        bound_filter = tuple(
-            tok.strip() for tok in values["bounds"].split(",") if tok.strip()
-        )
+        bound_filter = _split_list(values["bounds"])
     return GridSpec(
         nu_values=floats("nu", base.nu_values),
         beta_values=floats("beta", base.beta_values),
@@ -220,34 +224,38 @@ def simple_upper_error(nu: float, beta: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _summary(rows) -> dict:
+    """Verdict counts of rows that each carry an ``ok`` flag."""
+    ok = sum(row.ok for row in rows)
+    return {
+        "checked": len(rows),
+        "strict": ok,
+        "inconclusive": 0,
+        "violated": len(rows) - ok,
+    }
+
+
 def reproduce_table(which: int) -> Report:
     """Recompute one relative-error table and compare to the stored cells."""
     metric = truncated_sum_error if which == 1 else simple_upper_error
     rows = []
-    worst = 0.0
-    strict = 0
     for nu, beta, x, expected in tables.cells(which):
         value = metric(nu, beta, x)
         deviation = abs(value - expected)
-        worst = max(worst, deviation)
-        ok = deviation <= TABLE_TOLERANCE
-        strict += ok
         rows.append(
             TableCheckRow(
                 which=which,
                 row=TableRow(nu=nu, beta=beta, x=x, metric=value),
                 expected=expected,
                 deviation=deviation,
-                ok=ok,
+                ok=deviation <= TABLE_TOLERANCE,
             )
         )
-    summary = {
-        "checked": len(rows),
-        "strict": strict,
-        "inconclusive": 0,
-        "violated": len(rows) - strict,
-    }
-    return Report(rows=tuple(rows), summary=summary, max_table_deviation=worst)
+    return Report(
+        rows=tuple(rows),
+        summary=_summary(rows),
+        max_table_deviation=max(row.deviation for row in rows),
+    )
 
 
 def _sort_key(row: MarginRow):
@@ -433,14 +441,7 @@ def asymptotic_check() -> Report:
             target = 1.0 + (4.0 * nu * nu - 1.0) / (8.0 * x)
             record("besselk-large-x", f"nu={nu} x={x}", val, target, c / (x * x))
 
-    ok = sum(r.ok for r in rows)
-    summary = {
-        "checked": len(rows),
-        "strict": ok,
-        "inconclusive": 0,
-        "violated": len(rows) - ok,
-    }
-    return Report(rows=tuple(rows), summary=summary)
+    return Report(rows=tuple(rows), summary=_summary(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +449,17 @@ def asymptotic_check() -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _csv(header: str, lines: Iterable[str]) -> str:
+    """CSV text: the header line, then one line per row."""
+    return "\n".join((header, *lines)) + "\n"
+
+
 def margins_csv(report: Report) -> str:
     # one %-format per row; %.17g prints nan as "nan", and a beta-free
     # bound's None beta is passed as nan.  Each logged value is ln
     # of a positive value (ln m + e, as ScaledReal.log_abs), nan otherwise.
     # The nu,beta,x field is formatted once per point.
-    lines = ["bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status"]
+    lines = []
     nan = math.nan
     log = math.log
     copysign = math.copysign
@@ -477,26 +483,20 @@ def margins_csv(report: Report) -> str:
                 status,
             )
         )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "bound_id,nu,beta,x,bound_value_log,reference_value_log,rel_margin,status", lines
+    )
 
 
 def tables_csv(report: Report) -> str:
-    lines = ["table,nu,beta,x,metric,expected,abs_deviation"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.which),
-                    format(row.row.nu, ".17g"),
-                    format(row.row.beta, ".17g"),
-                    format(row.row.x, ".17g"),
-                    format(row.row.metric, ".17g"),
-                    format(row.expected, ".17g"),
-                    format(row.deviation, ".17g"),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "table,nu,beta,x,metric,expected,abs_deviation",
+        (
+            "%d,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g"
+            % (r.which, r.row.nu, r.row.beta, r.row.x, r.row.metric, r.expected, r.deviation)
+            for r in report.rows
+        ),
+    )
 
 
 def tables_markdown(report: Report) -> str:
@@ -517,21 +517,14 @@ def tables_markdown(report: Report) -> str:
 
 
 def limits_csv(report: Report) -> str:
-    lines = ["check,point,computed,target,tolerance,ok"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                (
-                    row.name,
-                    row.point.replace(",", ";"),
-                    format(row.computed, ".17g"),
-                    format(row.target, ".17g"),
-                    format(row.tolerance, ".17g"),
-                    "1" if row.ok else "0",
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "check,point,computed,target,tolerance,ok",
+        (
+            "%s,%s,%.17g,%.17g,%.17g,%d"
+            % (r.name, r.point.replace(",", ";"), r.computed, r.target, r.tolerance, r.ok)
+            for r in report.rows
+        ),
+    )
 
 
 def _short(v: float) -> str:

@@ -709,6 +709,39 @@ def test_catalog_at_smallest_subnormal_x_reports_no_false_violation():
     assert len(statuses) + len(raised) == 420  # every in-validity pair
 
 
+@pytest.mark.parametrize(
+    "bound_id, nu, beta",
+    (
+        ("LB-2.2", 1.5, 0.001),
+        ("PB-2.8", 1.5, 0.001),
+        ("LB-2.6", 1.5, 0.001),
+        ("PB-2.9", 1.5, 0.001),
+        ("PRB-G2", -0.5, None),
+        ("PRB-KL2", -0.5, None),
+        ("RB-SEGURA", 0.75, None),
+    ),
+)
+def test_eval_bound_names_the_bound_when_its_log_overflows(bound_id, nu, beta):
+    # 1/x overflows in a coefficient or a term, so the bound's log is +inf;
+    # the error names the bound and the point, not ScaledReal's conversion
+    message = f"^{bound_id}: bound evaluation exceeds double range at x=5e-324$"
+    with pytest.raises(OverflowError, match=message):
+        eval_bound(bound_id, nu, beta, 5e-324)
+
+
+@pytest.mark.parametrize("nu", (0.25, 1.0, 30.0))
+def test_rb_aug18_names_itself_when_the_i_ratio_overflows(nu):
+    # I_{nu-1}/I_nu ~ 2nu/x leaves double range at x = 5e-324
+    message = r"^RB-AUG18: I_\(nu-1\)/I_nu exceeds double range at x=5e-324$"
+    with pytest.raises(OverflowError, match=message):
+        eval_bound("RB-AUG18", nu, None, 5e-324)
+    with pytest.raises(OverflowError, match=message):
+        check("RB-AUG18", nu, None, 5e-324)
+    # at x = 1e-300 the ratio is finite and the bound is x/(2nu+1) to leading order
+    value = eval_bound("RB-AUG18", nu, None, 1e-300)
+    assert value.log_abs() == pytest.approx(math.log(1e-300 / (2.0 * nu + 1.0)), rel=1e-14)
+
+
 @pytest.mark.parametrize("x", (1e-300, 5e-324))
 @pytest.mark.parametrize("nu", (-0.99, -0.49, 0.0, 2.0, 10.0))
 def test_lb23_at_tiny_x(nu, x):

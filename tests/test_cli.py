@@ -116,7 +116,7 @@ def test_tightness(capsys):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("xs", ("a", ",", "1,b"))
+@pytest.mark.parametrize("xs", ("a", ",", "1,b", " 1, ,b "))
 def test_tightness_bad_xs_is_a_usage_error(capsys, xs):
     with pytest.raises(SystemExit) as exc:
         main(["tightness", "--bound", "LB-2.3", "--nu", "1", "--beta", "0.5", "--xs", xs])
@@ -193,6 +193,33 @@ def test_verify_empty_bound_list_is_an_error(capsys):
     assert code == 1
     assert out == ""
     assert "grid bound list must be nonempty" in err
+
+
+def test_comma_lists_strip_spaces_and_skip_blank_tokens(tmp_path, capsys):
+    # --xs, --bounds and a grid file's lists share one reader
+    code, out, _ = run(capsys, "tightness", "--bound", "RB-3.1", "--nu", "1", "--xs", " 1, ,2 ")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["x", "1", "2"]
+    grid = tmp_path / "grid.txt"
+    grid.write_text("nu=1.0\nbeta=0.5\nx = 5, ,10\n")
+    code, out, err = run(capsys, "verify", "--grid", str(grid), "--bounds", " IMON , ")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[0], row[1], row[3]) for row in rows] == [("IMON", "1", "5"), ("IMON", "1", "10")]
+    assert "checked 2 (bound, point) pairs" in err
+
+
+def test_comma_list_errors_keep_each_callers_exit(tmp_path, capsys):
+    # a bad --xs token is a usage error (exit 2, test_tightness_bad_xs_is_a_usage_error);
+    # a bad grid float and an all-blank --bounds are error lines (exit 1)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("x = 5, a\n")
+    code, out, err = run(capsys, "verify", "--grid", str(grid))
+    assert (code, out) == (1, "")
+    assert err == "error: could not convert string to float: 'a'\n"
+    code, out, err = run(capsys, "verify", "--bounds", " , ")
+    assert (code, out) == (1, "")
+    assert err == "error: grid bound list must be nonempty\n"
 
 
 def test_cli_snapshot_exit_codes(tmp_path, fingerprint):

@@ -171,6 +171,14 @@ def test_parse_grid_file():
         parse_grid_file("just some text\n")
     with pytest.raises(ValueError, match="repeated grid key 'nu'"):
         parse_grid_file("nu=1\nnu=2\n")
+    # list tokens are stripped and blank ones skipped
+    grid3 = parse_grid_file("x = 5, ,10\nbounds = IMON , ,RB-3.1\n")
+    assert grid3.x_values == (5.0, 10.0)
+    assert grid3.bound_filter == ("IMON", "RB-3.1")
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        parse_grid_file("x = 5, a\n")
+    with pytest.raises(DomainError, match="grid bound list must be nonempty"):
+        parse_grid_file("bounds = , \n")
 
 
 def test_verify_restricted_grid_counts():

@@ -494,8 +494,8 @@ ENGINE_BETAS = (0.0, 1e-12, 0.01, 0.5, 1.0)
 ENGINE_XS = (1e-8, 0.05, 5.0, 100.0, 1000.0)
 
 
-def termwise_log_reference(fn, nu, beta, x):
-    """ln F (fn "F") or ln G (fn "G") at 30 digits, with mpmath alone.
+def termwise_log_reference(fn, nu, beta, x, dps=30):
+    """ln F (fn "F") or ln G (fn "G") at ``dps`` digits, with mpmath alone.
 
     With mu = nu (F) or nu + 1 (G), the integrand t^nu L_mu(t) is
     sum_k c_k t^(a_k - 1), a_k = 2k + mu + nu + 2,
@@ -511,7 +511,7 @@ def termwise_log_reference(fn, nu, beta, x):
     """
     import mpmath as mp
 
-    with mp.workdps(30):
+    with mp.workdps(dps):
         nu_m, beta_m, x_m = mp.mpf(nu), mp.mpf(beta), mp.mpf(x)
         mu = nu_m if fn == "F" else nu_m + 1
         a0 = mu + nu_m + 2
@@ -571,6 +571,53 @@ def test_termwise_engine_against_mpmath(fn, nu):
             ref = termwise_log_reference(fn, nu, beta, x)
             rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
             assert rel <= 1e-10, (fn, nu, beta, x, rel)
+
+
+# ---------------------------------------------------------------------------
+# large order: F, G, L and I at beta = 1/2, x = 1 against 40-digit mpmath
+# ---------------------------------------------------------------------------
+
+
+def _large_order_error(fn, nu):
+    """|value / reference - 1| of F, G, L or I at beta = 1/2, x = 1; F and G
+    against the per-term gammainc sum, L and I against mpmath's own."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        if fn in ("F", "G"):
+            got = integrals.fg_log(nu, 0.5, 1.0)[fn == "G"]
+            ref = termwise_log_reference(fn, nu, 0.5, 1.0, dps=40)
+        elif fn == "L":
+            got = specfun.struve_l_scaled_log(nu, 1.0)
+            ref = mp.log(mp.struvel(nu, 1)) - 1
+        else:
+            got = specfun.bessel_i_scaled_log(nu, 1.0)
+            ref = mp.log(mp.besseli(nu, 1)) - 1
+        return float(abs(mp.expm1(mp.mpf(got) - ref)))
+
+
+@pytest.mark.parametrize("fn", ("F", "G", "L", "I"))
+def test_large_order_values_within_1e9(fn):
+    pytest.importorskip("mpmath")
+    errors = {nu: _large_order_error(fn, nu) for nu in (1e4, 1e5)}
+    assert max(errors.values()) <= 1e-9, errors
+
+
+# Every log is about nu ln nu in size: about 1.9e9 at nu = 1e8 and 2.1e10 at
+# 1e9, where its ulp (2.4e-7, 3.8e-6) alone exceeds 1e-9 of the value.  At
+# 1e6 and 1e7 the errors lie within one ulp of the log, so a marker there
+# could flip on any rounding change; they are left out.  One marker per
+# function, to come off as each is cleared.
+_LOG_ULP_XFAIL = pytest.mark.xfail(strict=True, reason="log ulp exceeds 1e-9 at nu >= 1e8")
+
+
+@pytest.mark.parametrize(
+    "fn", [pytest.param(fn, marks=_LOG_ULP_XFAIL) for fn in ("F", "G", "L", "I")]
+)
+def test_large_order_values_within_1e9_at_1e8_and_1e9(fn):
+    pytest.importorskip("mpmath")
+    errors = {nu: _large_order_error(fn, nu) for nu in (1e8, 1e9)}
+    assert max(errors.values()) <= 1e-9, errors
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,16 @@ grouped by message (a raise enters the digest as its type and message):
   (exit 2) come from argparse as SystemExit and are recorded like any other
   exit code.
 
+The engine's lines, the text its digest covers, go to OUT_DIR/engine.txt.
 Two checkouts that print the same lines return bit-identical (ln F, ln G),
 bounds and margins at every point, and byte-identical CLI output:
 
     PYTHONPATH=/path/to/other/src python scripts/fingerprint.py /tmp/fp-old
     PYTHONPATH=src python scripts/fingerprint.py /tmp/fp-new
     diff -r /tmp/fp-old /tmp/fp-new
+    python scripts/engine_change.py /tmp/fp-old /tmp/fp-new
+
+where the last line says how far the engine's logs moved.
 
 Stdlib only.
 """
@@ -157,9 +161,10 @@ def cli_stream(out_dir):
     return ((name, run, (out_dir, name, argv)) for name, argv in RUNS)
 
 
-def digest(stream) -> tuple[int, str, dict[str, int]]:
+def digest(stream, lines=None) -> tuple[int, str, dict[str, int]]:
     """(result count, sha256 hex over every ``key result`` line, raise count
-    by message) of a stream of (key, function, args)."""
+    by message) of a stream of (key, function, args); each line is also
+    written to the text file ``lines`` if one is given."""
     h = hashlib.sha256()
     raises = collections.Counter()
     count = 0
@@ -169,7 +174,10 @@ def digest(stream) -> tuple[int, str, dict[str, int]]:
         except (ArithmeticError, ValueError, RuntimeError) as exc:
             result = f"{type(exc).__name__}: {exc}"
             raises[result] += 1
-        h.update(f"{key} {result}\n".encode())
+        line = f"{key} {result}\n"
+        h.update(line.encode())
+        if lines is not None:
+            lines.write(line)
         count += 1
     return count, h.hexdigest(), dict(raises)
 
@@ -177,10 +185,13 @@ def digest(stream) -> tuple[int, str, dict[str, int]]:
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit("usage: python scripts/fingerprint.py OUT_DIR")
-    for name, stream in (("engine", engine_stream(points())),
-                         ("catalog", catalog_stream(calls())),
-                         ("cli", cli_stream(sys.argv[1]))):
-        count, hexdigest, raises = digest(stream)
-        print(f"{name}: {count} results, sha256 {hexdigest}")
-        for message, n in sorted(raises.items()):
-            print(f"  raised {n}: {message}")
+    out_dir = Path(sys.argv[1])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "engine.txt", "w", encoding="utf-8") as engine_lines:
+        for name, stream, lines in (("engine", engine_stream(points()), engine_lines),
+                                    ("catalog", catalog_stream(calls()), None),
+                                    ("cli", cli_stream(out_dir), None)):
+            count, hexdigest, raises = digest(stream, lines)
+            print(f"{name}: {count} results, sha256 {hexdigest}")
+            for message, n in sorted(raises.items()):
+                print(f"  raised {n}: {message}")

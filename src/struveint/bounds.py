@@ -454,18 +454,26 @@ def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
     return first + math.log(total)
 
 
+def _log1p_ratio(a, x):
+    """ln(1 + a/x), a, x > 0, through ln a - ln x only where a/x overflows."""
+    t = a / x
+    return math.log1p(t) if t < _INF else math.log(a) - math.log(x) + math.log1p(x / a)
+
+
 def _eval_rb_aug18(nu, beta, x, x_star, truncation):
-    try:
-        i_ratio = math.exp(bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x))
-    except OverflowError:
-        raise OverflowError(f"RB-AUG18: I_(nu-1)/I_nu exceeds double range at x={x!r}") from None
-    return -math.log(i_ratio + 1.0 / x)
+    # -ln(I_(nu-1)/I_nu + 1/x), through x I_(nu-1)/I_nu where the sum overflows
+    d = bessel_i_scaled_log(nu - 1.0, x) - bessel_i_scaled_log(nu, x)
+    total = math.exp(d) + 1.0 / x if d < _LN_MAX else _INF
+    if total < _INF:
+        return -math.log(total)
+    log_x = math.log(x)
+    return log_x - math.log1p(math.exp(d + log_x))
 
 
 def _eval_rb_segura(nu, beta, x, x_star, truncation):
     half = nu - 0.5
     sharp = math.log(half + math.hypot(half, x)) - math.log(x)
-    simple = math.log1p((2.0 * nu - 1.0) / x)
+    simple = _log1p_ratio(2.0 * nu - 1.0, x)
     return (sharp, simple)
 
 
@@ -474,11 +482,12 @@ def _eval_prb_kl1(nu, beta, x, x_star, truncation):
 
 
 def _eval_prb_kl2(nu, beta, x, x_star, truncation):
-    return _kl_upper_const_log(nu) + math.log1p((2.0 * nu + 5.0) / x)
+    return _kl_upper_const_log(nu) + _log1p_ratio(2.0 * nu + 5.0, x)
 
 
 def _eval_prb_g2(nu, beta, x, x_star, truncation):
-    return math.log(1.5 + 9.0 / x)
+    t = 9.0 / x  # ln(3/2 + 9/x) = ln(3/2) + ln(1 + 6/x)
+    return math.log(1.5 + t) if t < _INF else math.log(1.5) + _log1p_ratio(6.0, x)
 
 
 # ---------------------------------------------------------------------------

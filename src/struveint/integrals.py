@@ -20,11 +20,12 @@ pass returns both; each integral's tail has its own bound, G's tried only
 once F's is proven; the forward loop keeps the bounds it proved for the final
 check.  All terms are positive, beta = 0 and beta = 1 included, and the cost
 is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
-are kept.  For x above about 127 the pass starts two indices below the peak
-and sums the terms under it only until a proven bound, for nu < 1/2 the
-lesser of two, puts the rest below 1e-17 of the sum: at x = 1000 and nu = 2
-it walks k = 368..705 for beta <= 0.6 instead of 0..705, and all of them at
-beta = 1.
+are kept.  For x above about 127 the pass starts two indices below the peak,
+at a coefficient it reaches in closed form (a ratio of Pochhammer symbols,
+from Stirling's series), and sums the terms under it only until a proven
+bound, for nu < 1/2 the lesser of two, puts the rest below 1e-17 of the sum:
+at x = 1000 and nu = 2 it walks k = 368..705 for beta <= 0.6 instead of
+0..705, and all of them at beta = 1.
 ``fg_log`` hands both logs to callers that need the pair, and shares the
 beta-free half of the pass among the beta of one (nu, x);
 ``integral_series`` is ``F`` restricted to 0 < beta < 1.  The other routes
@@ -78,14 +79,17 @@ _LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 _EPS = 1e-17
 _LN_1E_16 = math.log(1e-16)
 # the termwise pass starts at the anchor k_a only when k_a > _ANCHOR_MIN.
-# Below that the head it can skip is too short to pay for reaching it: on one
-# core of a shared 2-vCPU host (CPython 3.11, min of 600 runs) anchored and
-# unanchored passes took the same time within 2% at k_a = 47-57 (x = 100-120),
-# and the anchored one 2-9% less at k_a = 67 (x = 140, beta <= 0.6)
+# 60 was the break-even when reaching d_{k_a} took k_a multiplies; in closed
+# form it costs ~6 us, so the break-even lies lower, but a lower gate would
+# anchor the x = 100 points of the default grid and the tables and move
+# their values by rounding, so it waits for its own measurement
 _ANCHOR_MIN = 60
 # the least x at which k_a can pass _ANCHOR_MIN (nu -> -1); below it the pass
 # skips the anchor's arithmetic
 _ANCHOR_X = 2.0 * math.sqrt((_ANCHOR_MIN + 3.5) * (_ANCHOR_MIN + 2.5))
+# the anchor multiplies out this many of its ratios and takes the rest in
+# closed form, from Stirling's series at arguments of at least 32.5
+_ANCHOR_HEAD = 32
 # below k_a the pass makes its coefficients, and tests the head, this many
 # indices at a time (8, 16 and 32 timed alike at x in [100, 1000])
 _HEAD_CHUNK = 16
@@ -305,6 +309,41 @@ def _anchor_index(nu: float, q: float) -> int:
     return math.ceil(k_star) - 2 if k_star > 2.0 else 0
 
 
+def _stirling_rest(t):
+    """ln Gamma(t) - (t - 1/2) ln t + t - ln(2 pi) / 2, four terms of
+    Stirling's series (DLMF 5.11.1): within 2e-17 for t >= 32.5."""
+    s = 1.0 / (t * t)
+    return (1.0 / 12.0 - s * (1.0 / 360.0 - s * (1.0 / 1260.0 - s / 1680.0))) / t
+
+
+def _anchor_coefficient(nu, x, q, k):
+    """(m, shift) with d_k / d_0 = r_0 ... r_{k-1} = m e^shift, shift a
+    multiple of 30, in O(1).  The first h = ``_ANCHOR_HEAD`` ratios are
+    multiplied out; the other n = k - h give n ln q - ln (u)_n - ln (u + nu)_n,
+    u = h + 3/2 (DLMF 5.2.5), by Stirling's series (DLMF 5.11.1): ln (u)_n =
+    n ln w + (u - 1/2) log1p(n/u) - n + mu(w) - mu(u), w = u + n.  The n-fold
+    logs join in one log1p, and one ``math.fsum`` adds every term."""
+    m, shift = 1.0, 0.0
+    for j in range(min(k, _ANCHOR_HEAD)):
+        m *= q / ((j + 1.5) * (j + nu + 1.5))
+        if m > _EXP30:
+            m /= _EXP30
+            shift += 30.0
+    n = k - _ANCHOR_HEAD
+    if n > 0:
+        half_x = 0.5 * x
+        c = k + 1.5 - half_x
+        e_1 = c / half_x
+        terms = [shift, math.log(m), 2.0 * n]
+        terms.append(-n * math.log1p(e_1 + (c + nu) / half_x * (1.0 + e_1)))
+        for u in (_ANCHOR_HEAD + 1.5, _ANCHOR_HEAD + 1.5 + nu):
+            terms += ((0.5 - u) * math.log1p(n / u), _stirling_rest(u) - _stirling_rest(u + n))
+        shift = 30.0 * (sum(terms) // 30.0)
+        terms.append(-shift)
+        m = math.exp(math.fsum(terms))
+    return m, shift
+
+
 def _head_bound(nu: float, k: int, rho: float) -> float:
     """B with sum_{j<k} T_j <= B T_k for F and G, given rho = (1/S(a_k + 1, z)
     + z)^2 / x^2: min(c rho / (1 - c rho), C_k rho / (1 - rho)), inf where
@@ -341,19 +380,9 @@ def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
         peak_f = peak_g = 0.0
         k_a = _anchor_index(nu, q) if x > _ANCHOR_X else 0
         if k_a > _ANCHOR_MIN:
-            # d_{k_a} = m e^{log_d0 + shift}, the ratios four per turn; the
-            # peaks seed at k = 0, whose d_0 / a_0 tops the later peak for nu
-            # near -1
-            for k in range(k_a % 4):
-                m *= q / ((k + 1.5) * (k + nu + 1.5))
-            for k in range(k_a % 4, k_a, 4):
-                m *= (
-                    q / ((k + 1.5) * (k + nu + 1.5)) * (q / ((k + 2.5) * (k + nu + 2.5)))
-                    * (q / ((k + 3.5) * (k + nu + 3.5))) * (q / ((k + 4.5) * (k + nu + 4.5)))
-                )
-                while m > _EXP30:
-                    m /= _EXP30
-                    shift += 30.0
+            # d_{k_a} = m e^{log_d0 + shift}; the peaks seed at k = 0, whose
+            # d_0 / a_0 tops the later peak for nu near -1
+            m, shift = _anchor_coefficient(nu, x, q, k_a)
             peak_f = math.exp(-shift) / a0
             peak_g = peak_f * x * a0 / ((a0 + 1.0) * (a0 + 1.0))
             d_mant = [0.0] * k_a
@@ -464,11 +493,12 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     (x^2/4) / ((k+3/2)(k+nu+3/2)) exceeds 1, that is up to k_p, the root of a
     quadratic (``_anchor_index``).  Once k_p - 2 > ``_ANCHOR_MIN`` (x above
     about 127 at nu = 0) the pass starts at the anchor k_a = k_p - 2, else
-    at k_a = 0.  d_{k_a} is the product of r_0 .. r_{k_a - 1}, four ratios
-    per turn, with nothing stored, carried as a mantissa with a running
-    e^30 shift.  The peaks of d_k / a_k and of G's d_k x / (a_k + 1)^2 lie
-    at k = 0 (nu near -1) or at most two indices below k_p, so their max over
-    k = 0 and k >= k_a is each integral's least possible sum, as over every k.
+    at k_a = 0.  d_{k_a} / d_0, the product of r_0 .. r_{k_a - 1}, is a
+    ratio of Pochhammer symbols, taken in O(1) from Stirling's series and
+    carried as a mantissa with an e^30 shift (``_anchor_coefficient``).
+    The peaks of d_k / a_k and of G's d_k x / (a_k + 1)^2 lie at k = 0 (nu
+    near -1) or at most two indices below k_p, so their max over k = 0 and
+    k >= k_a is each integral's least possible sum, as over every k.
 
     The forward loop runs from k_a to the last index K, the first at which
     both tails are dropped: for each integral, past the point where r_k <=

@@ -18,14 +18,23 @@ def acceptance_verdicts():
     return ACCEPTANCE_VERDICTS
 
 
-@pytest.fixture(scope="session")
-def fingerprint():
-    """``scripts/fingerprint.py`` loaded as a module."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "fingerprint.py"
-    spec = importlib.util.spec_from_file_location("fingerprint", path)
+def _script(name):
+    """``scripts/NAME.py`` loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def fingerprint():
+    return _script("fingerprint")
+
+
+@pytest.fixture(scope="session")
+def engine_change():
+    return _script("engine_change")
 
 
 @pytest.fixture

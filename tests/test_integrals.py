@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -642,6 +643,60 @@ def test_termwise_engine_large_x_against_mpmath(nu):
                 assert rel <= 3e-13, (fn, nu, beta, x, rel)
 
 
+@pytest.mark.parametrize("nu, tol", ((300.0, 1.5e-12), (2000.0, 5e-12)))
+def test_termwise_engine_large_x_large_order_against_mpmath(nu, tol):
+    # anchored passes whose Pochhammer (nu + 3/2)_k has a large argument;
+    # the error there is the ulp of ln F and ln G, which are thousands in
+    # size: at most 9.1e-13 at nu = 300 and 2.9e-12 at nu = 2000
+    mp = pytest.importorskip("mpmath")
+    for beta in (0.3, 1.0):
+        for x in (1000.0, 2000.0):
+            assert integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
+            for fn, got in zip(("F", "G"), integrals.fg_log(nu, beta, x)):
+                ref = termwise_log_reference(fn, nu, beta, x, dps=40)
+                rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+                assert rel <= tol, (fn, nu, beta, x, rel)
+
+
+def _anchor_points():
+    """(nu, x) for the anchor's closed form: a seeded sample of 2,000
+    anchored points, x in (_ANCHOR_X, 2000] and nu + 1 log-uniform on
+    [1e-7, 5001), the first anchor k_a = 61 at five orders, and nu within
+    1e-6 of -1."""
+    rng = random.Random(25)
+    points = []
+    while len(points) < 2000:
+        x = rng.uniform(integrals._ANCHOR_X, 2000.0)
+        nu = -1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(5001.0)))
+        if nu < 5000.0 and integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN:
+            points.append((nu, x))
+    # k_a = 61 where the root k* of (k + 3/2)(k + nu + 3/2) = x^2/4 is 62.5
+    points += [(nu, 2.0 * math.sqrt(64.0 * (64.0 + nu)))
+               for nu in (-1.0 + 1e-7, -0.5, 0.0, 30.0, 400.0)]
+    points += [(-1.0 + 5e-7, x) for x in (127.0, 500.0, 2000.0)]
+    return points
+
+
+def test_anchor_coefficient_against_pochhammer_product():
+    # the run's d_{k_a} / d_0 = m e^shift is prod_{j<k_a} (x^2/4) / ((j+3/2)
+    # (j+nu+3/2)) = (x^2/4)^k (3/2)_k^-1 (nu+3/2)_k^-1 (DLMF 5.2.5); the
+    # closed form keeps 2e-13 in the log, as the plain product did (1.0e-13)
+    mp = pytest.importorskip("mpmath")
+    errors = []
+    k_as = set()
+    with mp.workdps(50):
+        for nu, x in _anchor_points():
+            k_a, d_mant, d_shift = integrals._forward(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)[:3]
+            assert k_a == integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
+            k_as.add(k_a)
+            nu_m, x_m = mp.mpf(nu), mp.mpf(x)
+            ref = (k_a * mp.log(x_m * x_m / 4) - mp.log(mp.rf(mp.mpf(1.5), k_a))
+                   - mp.log(mp.rf(nu_m + mp.mpf(1.5), k_a)))
+            errors.append(float(abs(mp.log(d_mant[k_a]) + d_shift[k_a] - ref)))
+    assert integrals._ANCHOR_MIN + 1 in k_as
+    assert max(errors) <= 2e-13, max(errors)
+
+
 def _pass_anchored_or_not(monkeypatch, anchored, nu, beta, x):
     """(K, (ln F, ln G)) of one pass, anchored at every k_a > 0 or never; the
     forward loop's last tail test is at K, F's at a_K or G's at a_K + 1."""
@@ -833,3 +888,28 @@ def test_engine_digest_is_deterministic_and_covers_every_result(fingerprint):
     assert digest(pts[::-1])[1] != hexdigest
     # the default grid's 1,375 points, the sample and 18 edge points
     assert len(fingerprint.points()) == 1375 + fingerprint.SAMPLE_SIZE + 18
+
+
+def test_engine_lines_and_their_change(tmp_path, fingerprint, engine_change):
+    # the lines the digest covers go to engine.txt, and engine_change reads
+    # two such files back: the points that moved and the largest |d ln F| and
+    # |d ln G|, each at its point
+    pts = [(1.0, 0.5, 5.0), (-0.9, 0.0, 300.0), (1e300, 0.5, 1.0)]
+    old, new = tmp_path / "old", tmp_path / "new"
+    for out in (old, new):
+        out.mkdir()
+        with open(out / "engine.txt", "w", encoding="utf-8") as lines:
+            count, hexdigest, _ = fingerprint.digest(fingerprint.engine_stream(pts), lines)
+        text = (out / "engine.txt").read_bytes()
+        assert count == len(text.splitlines()) == 3
+        assert hashlib.sha256(text).hexdigest() == hexdigest
+    rows = engine_change.read(old)
+    assert engine_change.change(rows, rows).startswith("engine: 0 of 3 points moved;")
+    lf, lg = integrals.fg_log(-0.9, 0.0, 300.0)
+    moved = list(rows)
+    moved[1] = (rows[1][0], repr((lf + 0.25, lg - 0.5)))
+    moved[2] = (rows[2][0], repr((1.0, 2.0)))
+    assert engine_change.change(rows, moved) == (
+        "engine: 2 of 3 points moved; max |d ln F| 0.25 at (-0.9, 0.0, 300.0), "
+        "max |d ln G| 0.5 at (-0.9, 0.0, 300.0); 1 between a value and a raise"
+    )

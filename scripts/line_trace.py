@@ -9,9 +9,12 @@ use a thread pool); the executable lines of each module are those that
 ``code.co_lines()`` names in its compiled code objects.  Tracing starts
 before ``struveint`` is imported, so module-level lines count too.  Each
 unreached line prints as ``path:line: source``, followed by one summary
-line.  The exit code is pytest's.  Extra arguments go to pytest, after the
-tier-1 defaults (``-q --continue-on-collection-errors -p no:cacheprovider``).
-A full tier-1 run takes a few times its untraced time.
+line, then each unreached line that ``ACCEPTED`` does not name, as
+``not accepted: path: source``.  The exit code is pytest's if that is
+nonzero, else 1 if a line is not accepted, else 0: what CI's ``line-trace``
+job reports.  Extra arguments go to pytest, after the tier-1 defaults
+(``-q --continue-on-collection-errors -p no:cacheprovider``).  A full tier-1
+run takes a few times its untraced time.
 
 Stdlib only, apart from pytest itself.
 """
@@ -24,6 +27,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "struveint"
+
+# the unrun lines ROADMAP "Settled" accepts, as path: source; the line
+# number is left out, so an edit above an accepted line does not move it
+ACCEPTED = {
+    "src/struveint/cli.py: sys.exit(main())",
+    "src/struveint/specfun.py: c = tiny",
+    "src/struveint/specfun.py: d = tiny",
+}
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -77,17 +88,22 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
         threading.settrace(None)
 
-    unreached = 0
+    unreached = []  # path: source of each unrun line
     total = 0
     for path, file in sources.items():
         lines = executable_lines(file)
         total += len(lines)
         text = file.read_text().splitlines()
+        name = file.relative_to(ROOT)
         for line in sorted(lines - reached[path]):
-            unreached += 1
-            print(f"{file.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    print(f"{unreached} of {total} executable lines in src/struveint never ran")
-    return int(code)
+            source = text[line - 1].strip()
+            unreached.append(f"{name}: {source}")
+            print(f"{name}:{line}: {source}")
+    print(f"{len(unreached)} of {total} executable lines in src/struveint never ran")
+    stranded = [line for line in unreached if line not in ACCEPTED]
+    for line in stranded:
+        print(f"not accepted: {line}")
+    return int(code) or int(bool(stranded))
 
 
 if __name__ == "__main__":

@@ -55,11 +55,12 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ConvergenceError, DomainError, ValidityError
-from .integrals import _LN_SQRT_PI, fg_log
+from .integrals import fg_log
 from .scaled import _LN_MAX, ScaledReal
 from .specfun import (
     _INF,
     _LN2,
+    _LN_SQRT_PI,
     _require_finite,
     _struve_ladder_log,
     bessel_i_scaled_log,
@@ -388,11 +389,8 @@ def _lower_combination(nu: float, beta: float, x: float, coefficient: float) -> 
 
 
 def _kl_upper_const_log(nu: float) -> float:
-    """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))); from
-    ``_HALF_RATIO_SERIES_NU`` on as ln(nu+1) plus ``_log_gamma_half_ratio``,
-    since Gamma(nu+2) = (nu+1) Gamma(nu+1) and two lnGamma would cancel."""
-    if nu < _HALF_RATIO_SERIES_NU:
-        return _LN2 + log_gamma(nu + 2.0) - _LN_SQRT_PI - log_gamma(nu + 1.5)
+    """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))) as ln(nu+1) plus
+    ``_log_gamma_half_ratio``, since Gamma(nu+2) = (nu+1) Gamma(nu+1)."""
     return _LN2 + math.log1p(nu) + _log_gamma_half_ratio(nu) - _LN_SQRT_PI
 
 

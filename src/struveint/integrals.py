@@ -51,6 +51,8 @@ from .specfun import (
     MAX_SERIES_TERMS,
     _EXP30,
     _LN2,
+    _LN_GAMMA_3_2,
+    _LN_SQRT_PI,
     _kummer_sum,
     _require_finite,
     log_gamma,
@@ -72,8 +74,6 @@ __all__ = [
     "fg_log",
 ]
 
-_LN_SQRT_PI = 0.5 * math.log(math.pi)
-_LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 # the termwise engine drops a tail once its bound is below _EPS of the least
 # possible sum, and raises if a dropped tail comes out above 1e-16 of the sum
 _EPS = 1e-17
@@ -241,7 +241,7 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
     two successive sums agree to 0.2 ``tol`` in log; raises ConvergenceError
     if they do not within 10 halvings or a walk reaches its node cap.
     """
-    if tol < 1e-13:
+    if not tol >= 1e-13:
         raise DomainError(f"tol must be >= 1e-13, got {tol}")
     if spec.weight_power + spec.order + 2.0 < _QUAD_MIN_EXPONENT:
         raise DomainError(

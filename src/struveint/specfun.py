@@ -38,8 +38,8 @@ the n steps to nu, upward being the stable direction for K; that base pair
 is cached per (mu, x), since the orders nu, nu+1, ... at one x share it.
 The lower incomplete gamma uses the classical split: ascending series for
 x < a+1, Lentz continued fraction for the upper complement otherwise.  Gamma
-is a Lanczos rational approximation (g = 7, 9 terms), positive arguments
-only.
+and ln Gamma are the standard library's ``math.gamma`` and ``math.lgamma``,
+positive arguments only.
 
 All functions are pure; none touch shared mutable state beyond memoization
 caches keyed by their arguments, so concurrent use is safe and results do
@@ -77,25 +77,14 @@ MAX_SERIES_TERMS = 40_000
 
 _EXP30 = math.exp(30.0)
 _LN2 = math.log(2.0)
+_LN_SQRT_PI = 0.5 * math.log(math.pi)
+# lnGamma(3/2) = ln(sqrt(pi)/2); math.lgamma(1.5) is 2e-16 off it
+_LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 # x/2 is a normal double from here up; below it x/2 drops bits (the least
 # subnormal halves to 0), so the series take ln(x/2) as ln x - ln 2 there
 _TWO_MIN_NORMAL = 2.0**-1021
 # the kernel readers' comparison chains read one module name, not math.inf
 _INF = math.inf
-
-# Lanczos coefficients, g = 7, n = 9 (Godfrey's published set).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Taylor coefficients of 1/Gamma(1+z) about z = 0 (DLMF 5.7.1), computed with
 # mpmath at 40 digits and regrouped for _bessel_k_temme: the odd coefficients,
@@ -144,39 +133,27 @@ def _require_finite(what: str, *args: float) -> None:
             raise DomainError(f"{what} requires finite arguments, got {args}")
 
 
-@lru_cache(maxsize=1 << 14)
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos, evaluated in log form).
-
-    Cached: a sweep asks for the same few hundred orders over and over.
-    """
+    """ln Gamma(x) for x > 0 (``math.lgamma``); OverflowError from
+    x ~ 2.55e305 on, where ln Gamma(x) passes the largest double."""
     if not 0.0 < x < math.inf:
         _require_finite("log_gamma", x)
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    xm = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (xm + i)
-    t = xm + _LANCZOS_G + 0.5
-    lg = 0.5 * math.log(2.0 * math.pi) + (xm + 0.5) * math.log(t) - t + math.log(acc)
-    if lg == math.inf:  # x above about 2.55e305
-        raise OverflowError("ln Gamma(x) exceeds double range")
-    return lg
-
-
-# lnGamma(3/2) by the same Lanczos form as the lnGamma(nu + 3/2) beside it in
-# _struve_l_raw; the exact (ln pi)/2 - ln 2 differs from it by 2e-16
-_LOG_GAMMA_3_2 = log_gamma(1.5)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise OverflowError("ln Gamma(x) exceeds double range") from None
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0."""
-    lg = log_gamma(x)
-    if lg > 709.0:
-        raise OverflowError(f"Gamma({x}) exceeds double range; use log_gamma")
-    return math.exp(lg)
+    """Gamma(x) for x > 0 (``math.gamma``); OverflowError where Gamma(x)
+    passes the largest double, from x ~ 171.63 on and below x ~ 5.6e-309."""
+    if not 0.0 < x < math.inf:
+        log_gamma(x)  # raises its DomainError
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError(f"Gamma({x}) exceeds double range; use log_gamma") from None
 
 
 def _kummer_sum(a: float, z: float) -> tuple[float, float]:
@@ -265,13 +242,15 @@ def pfq(
 ) -> SeriesResult:
     """Generalized hypergeometric pFq by direct term-recurrence summation.
 
-    Requires p <= q+1, no nonpositive-integer lower parameter, and |x| < 1
-    when p = q+1.  Raises ConvergenceError if the term ratio has not fallen
-    below 1 within the term cap.
+    Requires p <= q+1, no nonpositive-integer lower parameter, |x| < 1 when
+    p = q+1, and a finite tol > 0.  Raises ConvergenceError if the term
+    ratio has not fallen below 1 within the term cap.
     """
     up = tuple(float(a) for a in upper)
     lo = tuple(float(b) for b in lower)
     _require_finite("pFq", x, *up, *lo)
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"pFq requires a finite tol > 0, got tol={tol}")
     if len(up) > len(lo) + 1:
         raise DomainError(f"pFq requires p <= q+1, got p={len(up)}, q={len(lo)}")
     for b in lo:
@@ -361,7 +340,7 @@ def _struve_l_raw(nu: float, x: float) -> float:
             return -math.inf
         raise DomainError(f"L_nu(0) diverges for nu <= -1 (nu={nu})")
     log_half = math.log(0.5 * x) if x >= _TWO_MIN_NORMAL else math.log(x) - _LN2
-    log_t0 = (nu + 1.0) * log_half - _LOG_GAMMA_3_2 - log_gamma(nu + 1.5)
+    log_t0 = (nu + 1.0) * log_half - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
     shift, s = _ascending_series(0.25 * x * x, 1.5, nu + 1.5)
     return log_t0 + shift + math.log(s)
 
@@ -416,7 +395,7 @@ def _struve_ladder_log(nu: float, x: float, n: int) -> tuple[float, ...]:
         shifts[k] = shift
     low_shift, low_s = _ascending_series(q, 1.5, nu + 2.5)
     lead = (  # x >= 4e-12 here, so x/2 is normal
-        (nu + 2.0) * math.log(0.5 * x) - _LOG_GAMMA_3_2 - log_gamma(nu + 2.5)
+        (nu + 2.0) * math.log(0.5 * x) - _LN_GAMMA_3_2 - log_gamma(nu + 2.5)
     ) + ((low_shift - x) + math.log(low_s))
     # the shifts are whole multiples of 30, so their differences are exact
     return tuple(lead + ((s - shift) + (v - logs[0])) for s, v in zip(shifts, logs))

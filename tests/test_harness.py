@@ -483,13 +483,6 @@ def test_default_sweep_tries_g_tail_only_after_f_proven(monkeypatch):
     assert tries == 20232
 
 
-def test_default_sweep_log_gamma_once_per_argument():
-    # a sweep asks lnGamma of 416 distinct arguments; each is computed once
-    specfun.log_gamma.cache_clear()
-    verify_all(default_grid())
-    assert specfun.log_gamma.cache_info().misses <= 416
-
-
 def test_default_sweep_bessel_k_base_once_per_mu_x(monkeypatch, cold_bessel_k):
     # the sweep asks ln(e^x K) at 800 distinct (order, x); the orders nu + k
     # at one x share their base mu = |nu + k| - n, so Temme's series or

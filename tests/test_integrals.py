@@ -66,6 +66,11 @@ def test_quad_tolerance_floor():
         integral_quad(IntegralSpec(1.0, 1.0, 0.5, 1.0), tol=1e-14)
 
 
+def test_quad_refuses_nan_tolerance():
+    with pytest.raises(DomainError, match="tol must be >= 1e-13, got nan"):
+        integral_quad(IntegralSpec(1.0, 1.0, 0.5, 1.0), tol=math.nan)
+
+
 def test_quad_vanishing_upper_limit():
     # F ~ x^{2 nu + 2} so at nu=1, x=1e-8 the value is ~1e-32
     res = integral_quad(IntegralSpec(1.0, 1.0, 0.25, 1e-8), tol=1e-11)

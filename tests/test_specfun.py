@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -78,6 +79,42 @@ def test_gamma_domain():
             gamma_fn(bad)
         with pytest.raises(DomainError):
             log_gamma(bad)
+
+
+def test_log_gamma_against_mpmath():
+    # 3,000 x log-uniform on [1e-300, 1e300], 3,000 uniform on (0, 30] and
+    # the multiples of 1/2 to 60, against 40-digit mpmath; the error is in
+    # units of max(1, |lnGamma|), so absolute near the zeros x = 1 and 2
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(26)
+    xs = [10.0 ** rng.uniform(-300.0, 300.0) for _ in range(3000)]
+    xs += [30.0 * (1.0 - rng.random()) for _ in range(3000)]
+    xs += [0.5 * k for k in range(1, 121)]
+
+    def error(x):
+        ref = mp.loggamma(x)
+        return float(abs(log_gamma(x) - ref) / max(1, abs(ref)))
+
+    with mp.workdps(40):
+        worst, at = max((error(x), x) for x in xs)
+        ref = float(mp.loggamma(1.5))
+    assert worst <= 2e-15, at
+    # lnGamma(3/2) is the exact (ln pi)/2 - ln 2, to the ulp
+    assert abs(specfun._LN_GAMMA_3_2 - ref) <= math.ulp(ref)
+
+
+@pytest.mark.parametrize("x", (20.5, 100.3, 150.7, 170.2, 171.5))
+def test_gamma_fn_against_mpmath(x):
+    # Gamma(171.5) = 9.48e307 still fits a double
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        assert float(abs(gamma_fn(x) / mp.gamma(x) - 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("x", (171.63, 200.0, 5.5e-309))
+def test_gamma_fn_raises_past_double_range(x):
+    with pytest.raises(OverflowError, match=r"exceeds double range; use log_gamma$"):
+        gamma_fn(x)
 
 
 def test_gamma_overflow_guard():
@@ -195,6 +232,12 @@ def test_pfq_parameter_validation():
         pfq((1.0,), (-3.0,), 0.1)
     with pytest.raises(DomainError):
         pfq((1.0, 2.0), (1.5,), 1.0)  # p = q+1 needs |x| < 1
+
+
+@pytest.mark.parametrize("tol", (math.nan, 0.0, -1.0))
+def test_pfq_refuses_tol_not_positive(tol):
+    with pytest.raises(DomainError, match="pFq requires a finite tol > 0"):
+        pfq((1.0,), (1.5, 2.0), 0.5, tol=tol)
 
 
 def test_pfq_geometric_series():

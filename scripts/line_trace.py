@@ -11,10 +11,11 @@ before ``struveint`` is imported, so module-level lines count too.  Each
 unreached line prints as ``path:line: source``, followed by one summary
 line, then each unreached line that ``ACCEPTED`` does not name, as
 ``not accepted: path: source``.  The exit code is pytest's if that is
-nonzero, else 1 if a line is not accepted, else 0: what CI's ``line-trace``
-job reports.  Extra arguments go to pytest, after the tier-1 defaults
-(``-q --continue-on-collection-errors -p no:cacheprovider``).  A full tier-1
-run takes a few times its untraced time.
+nonzero, else 1 if a line is not accepted, else 0: the verdict of CI's
+Python 3.12 tier-1 step, which runs this script.  Extra arguments go to
+pytest, after the tier-1 defaults (``-q --continue-on-collection-errors
+-p no:cacheprovider``).  A full tier-1 run takes a few times its untraced
+time.
 
 Stdlib only, apart from pytest itself.
 """

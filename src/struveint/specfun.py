@@ -220,6 +220,11 @@ def lower_incomplete_gamma_log(a: float, x: float) -> float:
     if x == 0.0:
         return -math.inf
     if x < a + 1.0:  # gamma(a, x) = x^a e^-x S(a, x) (DLMF 8.7.1)
+        if a < 1e-300:
+            # S's first term 1/a would overflow: S(a, x) = (1 + x S(a+1, x)) / a
+            # (DLMF 8.8.1), and S(a+1, x) < e at x < 1, so its shift is 0
+            _, s = _kummer_sum(a + 1.0, x)
+            return a * math.log(x) - x + math.log1p(x * s) - math.log(a)
         shift, s = _kummer_sum(a, x)
         return a * math.log(x) - x + math.log(s) + shift
     return _ligamma_cf_log(a, x)
@@ -603,7 +608,8 @@ def bessel_k_scaled_log(nu: float, x: float) -> float:
 
     The log's absolute error is at least ulp(|log|), and |log| grows like
     nu ln nu: against 40-digit mpmath (x = 0.5, 50, 1000) it is up to 5.4e-12
-    at nu = 1e4; from nu = 1e5 the order recurrence raises ConvergenceError.
+    at nu = 1e4; from |nu| = 40,000.5 the order recurrence raises
+    ConvergenceError.
     """
     if not (-_INF < nu < _INF and 0.0 < x < _INF):  # valid: one comparison chain
         _check_bessel_k_args(nu, x)

@@ -48,9 +48,9 @@ def test_spec_replace_checks_the_domain():
 
 
 def test_quad_oracle_rejects_nu_near_minus_one_promptly():
-    # F's integrand t^(2nu+1) is too steep at the origin for the head walk
-    # below nu = -0.98; the oracle says so at once instead of walking to its
-    # node cap
+    # F's integrand t^(2nu+1) is too steep at the origin for the tanh-sinh
+    # rule below nu = -0.98; the oracle says so at once instead of running
+    # its 10 halvings
     for nu in (-0.99, -0.995):
         for beta in (0.01, 1.0):
             start = time.perf_counter()
@@ -257,13 +257,29 @@ def test_f_and_g_never_use_quadrature(monkeypatch):
 
 
 def test_tanh_sinh_raises_when_unsettled():
-    # a rough integrand: the trapezoid sums never agree to tol, so after the
-    # last halving the walker must raise rather than return its last sum
+    # a rough integrand, and t^-0.97, whose mass near 0 lies past the window:
+    # the trapezoid sums never agree to tol, so after the last halving the
+    # rule must raise rather than return its last sum
     def rough(log_t):
         return math.sin(1e6 * math.exp(log_t))
 
-    with pytest.raises(ConvergenceError, match="halvings"):
-        integrals._tanh_sinh_log(rough, 0.0, 1e-11)
+    for logf in (rough, lambda log_t: -0.97 * log_t):
+        with pytest.raises(ConvergenceError, match="did not settle within 10 halvings"):
+            integrals._tanh_sinh_log(logf, 0.0, 1e-11)
+
+
+@pytest.mark.parametrize("centre", (-171.0, -120.0))
+def test_tanh_sinh_finds_a_second_mode(centre):
+    # f(t) = 1 + exp(-((ln t - c)/w)^2)/t on [0, 1], integral 1 + w sqrt(pi):
+    # the bump near t = e^c, deep in the rule's tail toward t = 0, holds most
+    # of the mass
+    w = 3.0
+
+    def logf(log_t):
+        return math.log1p(math.exp(-(((log_t - centre) / w) ** 2) - log_t))
+
+    log_total, _, _ = integrals._tanh_sinh_log(logf, 0.0, 1e-12)
+    assert abs(math.exp(log_total) / (1.0 + w * math.sqrt(math.pi)) - 1.0) <= 1e-12
 
 
 def test_quad_raises_when_every_node_underflows():
@@ -271,14 +287,6 @@ def test_quad_raises_when_every_node_underflows():
     # half is 0, so every sum is empty and the rule cannot settle
     with pytest.raises(ConvergenceError, match="halvings"):
         integral_quad(IntegralSpec(1.0, 1.0, 0.5, 5e-324))
-
-
-def test_tanh_sinh_walk_raises_at_its_node_cap():
-    # t^-0.97's nodes stay within 55 of the peak until the cut-offs near
-    # |u| = 7 end the walk; at the finer halvings that edge lies past the
-    # 4000-node cap
-    with pytest.raises(ConvergenceError, match="truncation cap"):
-        integrals._tanh_sinh_log(lambda log_t: -0.97 * log_t, 0.0, 1e-11)
 
 
 @pytest.mark.parametrize("fn", (F, G, integrals.fg_log))

@@ -178,13 +178,23 @@ def test_ligamma_domain():
 
 
 @pytest.mark.parametrize(
-    "a,log_ref",
-    # ln gammainc(a, 0, 1/2) by mpmath at 40 digits, rounded to double
-    [(1e-14, 32.23619130191663), (3e-15, 33.44016410624257), (1e-20, 46.051701859880914)],
+    "a,x,log_ref",
+    # ln gammainc(a, 0, x) by mpmath at 40 digits, rounded to double
+    [(1e-14, 0.5, 32.23619130191663), (3e-15, 0.5, 33.44016410624257),
+     (1e-20, 0.5, 46.051701859880914), (1e-308, 0.999, 709.1962086421661),
+     (5.6e-309, 0.5, 709.776027137419), (1e-320, 0.5, 736.8272408909739),
+     (1e-320, 1e-300, 736.8272408909739), (5e-324, 0.999, 744.4400719213812)],
 )
-def test_ligamma_tiny_a_rescales_kummer_sum(a, log_ref):
-    # the Kummer sum's first term 1/a is above e^30, so its rescale runs
-    assert lower_incomplete_gamma_log(a, 0.5) == pytest.approx(log_ref, rel=1e-15)
+def test_ligamma_tiny_a_rescales_kummer_sum(a, x, log_ref):
+    # the Kummer sum's first term 1/a is above e^30, so its rescale runs;
+    # below a = 1e-300, where 1/a overflows, S(a, x) comes from S(a + 1, x)
+    assert lower_incomplete_gamma_log(a, x) == pytest.approx(log_ref, rel=1e-15)
+
+
+def test_ligamma_raises_where_gamma_overflows():
+    # ln gamma(1e-310, 1/2) is about 713.8, past double range
+    with pytest.raises(OverflowError):
+        lower_incomplete_gamma(1e-310, 0.5)
 
 
 def test_ligamma_continued_fraction_raises_past_cap(monkeypatch):

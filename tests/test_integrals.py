@@ -257,15 +257,28 @@ def test_f_and_g_never_use_quadrature(monkeypatch):
 
 
 def test_tanh_sinh_raises_when_unsettled():
-    # a rough integrand, and t^-0.97, whose mass near 0 lies past the window:
-    # the trapezoid sums never agree to tol, so after the last halving the
-    # rule must raise rather than return its last sum
+    # a rough integrand: the trapezoid sums never agree to tol, so after the
+    # last halving the rule must raise rather than return its last sum
     def rough(log_t):
         return math.sin(1e6 * math.exp(log_t))
 
-    for logf in (rough, lambda log_t: -0.97 * log_t):
-        with pytest.raises(ConvergenceError, match="did not settle within 10 halvings"):
-            integrals._tanh_sinh_log(logf, 0.0, 1e-11)
+    with pytest.raises(ConvergenceError, match="did not settle within 10 halvings"):
+        integrals._tanh_sinh_log(rough, 0.0, 1e-11)
+
+
+def test_tanh_sinh_walk_raises_at_its_node_cap():
+    # t^-0.97's mass near 0 lies past the window, so the sums never settle;
+    # the rule must raise once it has placed every multiple of 2^-10 in the
+    # window, and place no node beyond that cap
+    calls = []
+
+    def logf(log_t):
+        calls.append(log_t)
+        return -0.97 * log_t
+
+    with pytest.raises(ConvergenceError, match="did not settle within 10 halvings"):
+        integrals._tanh_sinh_log(logf, 0.0, 1e-11)
+    assert len(calls) == 2 * int(math.asinh(700.0 / math.pi) * 1024) + 1
 
 
 @pytest.mark.parametrize("centre", (-171.0, -120.0))

@@ -33,8 +33,8 @@ side, target, nu interval (lo, lo closed?, hi, hi closed?), evaluator,
 reference and tight limits.  The hypothesis text and the validity predicate
 are both generated from that interval, so they cannot disagree.  They add
 0 < beta < 1 where the target depends on beta (F, G, the K-weighted
-integral), then x > 0; UB-3.8 alone adds its x_star clauses.  Fifteen
-rows build their evaluator from one of four shared forms and state the
+integral), then x > 0; UB-3.8 alone adds its x_star clauses.  Twenty-one
+rows build their evaluator from one of five shared forms and state the
 paper's constant in the row; the rest have their own ``_eval_*``.
 
 Margins are reported in relative units (signed difference over the
@@ -253,18 +253,19 @@ def product_asymptote(kind: str, nu: float) -> ProductAsymptote:
 # ---------------------------------------------------------------------------
 # shared building blocks
 #
-# An evaluator returns ln b for a bound b > 0.  _lower_combination, the one
-# that subtracts, returns a _Signed(ln|b|, sign), and PRB-KL1 and RB-SEGURA
+# An evaluator returns ln b for a bound b > 0.  _lower, the one form that
+# subtracts, returns a _Signed(ln|b|, sign), and PRB-KL1 and RB-SEGURA
 # return a pair of logs.  check takes the ratio to the reference from the
 # logs, and check and eval_bound build the ScaledReal.  The logs of the
 # scaled kernels (e^{-x} L, e^{+x} K) stay small, so the large part
 # (1-beta) x + nu ln x is added last and rounded once, at ulp(x) ~ 1e-13 for
 # x = 1000.
 #
-# Most rows take one of four forms, each filled in with the paper's constant
+# Most rows take one of five forms, each filled in with the paper's constant
 # in the row: c e^{-bx} x^nu L_{nu+s} (_times_struve), a numerator over
 # (2nu+1)(1-b) with or without that Struve factor (_over_2nu1), a constant
-# (_constant) and ln(x/(2nu+c+x)) (_x_over).
+# (_constant), ln(x/(2nu+c+x)) (_x_over) and the lower bounds of F and G,
+# (c e^{-bx} x^nu L_nu - gamma term)/(1-b) (_lower).
 # ---------------------------------------------------------------------------
 
 
@@ -311,6 +312,32 @@ def _constant(c: float):
 def _x_over(c: float):
     """The evaluator of x/(2nu+c+x)."""
     return lambda nu, beta, x, x_star, truncation: math.log(x) - math.log(2.0 * nu + c + x)
+
+
+def _lower(penalty=None, rows: str = ""):
+    """The evaluator of (c e^{-bx} x^nu L_nu(x) - gamma term) / (1 - b), as
+    (ln|b|, sign) in units of the larger of the two terms: c = 1, or
+    c = 1 - penalty(nu)/((2nu-1)(1-b)x), whose denominator raises an
+    OverflowError naming ``rows`` where it underflows to 0 (subnormal x)."""
+
+    def evaluate(nu, beta, x, x_star, truncation):
+        c = 1.0
+        if penalty is not None:
+            d = (2.0 * nu - 1.0) * (1.0 - beta) * x
+            if d == 0.0:
+                raise OverflowError(
+                    f"{rows}: 1/((2nu-1)(1-beta)x) exceeds double range at x={x!r}"
+                )
+            c = 1.0 - penalty(nu) / d
+        main = _weighted_struve(nu, beta, x, 0.0)
+        gamma = _gamma_term_log(nu, beta, x)
+        top = max(main, gamma)
+        total = c * math.exp(main - top) - math.exp(gamma - top)
+        if total == 0.0:
+            return _Signed((-math.inf, 0.0))
+        return _Signed((top - math.log1p(-beta) + math.log(abs(total)), math.copysign(1.0, total)))
+
+    return evaluate
 
 
 @lru_cache(maxsize=1 << 16)
@@ -376,18 +403,6 @@ def _struve_sum_log(nu: float, beta: float, x: float, truncation: int | None) ->
     return lead + math.log(total)
 
 
-def _lower_combination(nu: float, beta: float, x: float, coefficient: float) -> _Signed:
-    """(coefficient * e^{-bx} x^nu L_nu(x) - gamma term) / (1 - beta), in
-    units of the larger of the two terms."""
-    main = _weighted_struve(nu, beta, x, 0.0)
-    gamma = _gamma_term_log(nu, beta, x)
-    top = max(main, gamma)
-    total = coefficient * math.exp(main - top) - math.exp(gamma - top)
-    if total == 0.0:
-        return _Signed((-math.inf, 0.0))
-    return _Signed((top - math.log1p(-beta) + math.log(abs(total)), math.copysign(1.0, total)))
-
-
 def _kl_upper_const_log(nu: float) -> float:
     """ln(2 Gamma(nu+2) / (sqrt(pi) Gamma(nu+3/2))) as ln(nu+1) plus
     ``_log_gamma_half_ratio``, since Gamma(nu+2) = (nu+1) Gamma(nu+1)."""
@@ -399,31 +414,8 @@ def _kl_upper_const_log(nu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eval_lb21(nu, beta, x, x_star, truncation):
-    return _lower_combination(nu, beta, x, 1.0)
-
-
-def _lb_denominator(names: str, nu: float, beta: float, x: float) -> float:
-    """(2nu-1)(1-beta)x under the 1/x penalties of LB-2.2 and LB-2.6;
-    OverflowError where it underflows to 0 (subnormal x)."""
-    d = (2.0 * nu - 1.0) * (1.0 - beta) * x
-    if d == 0.0:
-        raise OverflowError(f"{names}: 1/((2nu-1)(1-beta)x) exceeds double range at x={x!r}")
-    return d
-
-
-def _eval_lb22(nu, beta, x, x_star, truncation):
-    coeff = 1.0 - 4.0 * nu * nu / _lb_denominator("LB-2.2/PB-2.8", nu, beta, x)
-    return _lower_combination(nu, beta, x, coeff)
-
-
 def _eval_lb23(nu, beta, x, x_star, truncation):
     return (1.0 - beta) * x + nu * math.log(x) + _struve_sum_log(nu, beta, x, truncation)
-
-
-def _eval_lb26(nu, beta, x, x_star, truncation):
-    coeff = 1.0 - 2.0 * nu * (2.0 * nu + 27.0) / _lb_denominator("LB-2.6/PB-2.9", nu, beta, x)
-    return _lower_combination(nu, beta, x, coeff)
 
 
 def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
@@ -603,13 +595,14 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
     # nu ranges are (lo, lo closed?, hi, hi closed?); hi = None is no upper end
     # F = int_0^x e^{-bt} t^nu L_nu dt
     _row("LB-2.1", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, 0.0, True),
-         _eval_lb21, _f_reference, ("x->inf",)),
+         _lower(), _f_reference, ("x->inf",)),
     _row("LB-2.2", Side.LOWER, Target.F_INTEGRAL, (1.5, True, None, False),
-         _eval_lb22, _f_reference, ("x->inf",)),
+         _lower(lambda nu: 4.0 * nu * nu, "LB-2.2/PB-2.8"), _f_reference, ("x->inf",)),
     _row("LB-2.3", Side.LOWER, Target.F_INTEGRAL, (-1.0, False, None, False),
          _eval_lb23, _f_reference, ("x->inf",)),
     _row("LB-2.6", Side.LOWER, Target.F_INTEGRAL, (0.5, False, None, False),
-         _eval_lb26, _f_reference, ("x->inf",)),
+         _lower(lambda nu: 2.0 * nu * (2.0 * nu + 27.0), "LB-2.6/PB-2.9"), _f_reference,
+         ("x->inf",)),
     _row("LB-PRIOR", Side.LOWER, Target.F_INTEGRAL, (-0.5, False, None, False),
          _times_struve(1.0, lambda nu, beta, x_star: 1.0), _f_reference),
     _row("UB-2.4", Side.UPPER, Target.F_INTEGRAL, (-0.5, False, None, False),
@@ -629,11 +622,11 @@ _CATALOG: dict[str, BoundSpec] = {spec.bound_id: spec for spec in (
          _times_struve(1.0, m_factor), _f_reference, uses_x_star=True),
     # G: the same right sides, integrand t^nu L_{nu+1}
     _row("PB-2.7", Side.LOWER, Target.G_INTEGRAL, (-0.5, False, 0.0, True),
-         _eval_lb21, _g_reference),
+         _lower(), _g_reference),
     _row("PB-2.8", Side.LOWER, Target.G_INTEGRAL, (1.5, True, None, False),
-         _eval_lb22, _g_reference),
+         _lower(lambda nu: 4.0 * nu * nu, "LB-2.2/PB-2.8"), _g_reference),
     _row("PB-2.9", Side.LOWER, Target.G_INTEGRAL, (0.5, False, None, False),
-         _eval_lb26, _g_reference),
+         _lower(lambda nu: 2.0 * nu * (2.0 * nu + 27.0), "LB-2.6/PB-2.9"), _g_reference),
     # ratios of Struve and Bessel functions
     _row("RB-3.1", Side.LOWER, Target.STRUVE_RATIO, (0.0, False, None, False),
          _x_over(1.0), _order_ratio(struve_l_scaled_log), ("x->0", "x->inf")),

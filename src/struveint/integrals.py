@@ -79,10 +79,9 @@ __all__ = [
 _EPS = 1e-17
 _LN_1E_16 = math.log(1e-16)
 # the termwise pass starts at the anchor k_a only when k_a > _ANCHOR_MIN.
-# 60 was the break-even when reaching d_{k_a} took k_a multiplies; in closed
-# form it costs ~6 us, so the break-even lies lower, but a lower gate would
-# anchor the x = 100 points of the default grid and the tables and move
-# their values by rounding, so it waits for its own measurement
+# Gates of 20 to 40 ran 1.04-1.10x slower at x = 70 to 100 than 60 does, and
+# moved the values by up to 2.8e-14 in a log: the anchor's fixed cost (~6 us)
+# outweighs the coefficients it skips there
 _ANCHOR_MIN = 60
 # the least x at which k_a can pass _ANCHOR_MIN (nu -> -1); below it the pass
 # skips the anchor's arithmetic
@@ -205,8 +204,8 @@ def integral_quad(spec: IntegralSpec, tol: float = 1e-11) -> QuadratureResult:
     two successive sums agree to 0.2 ``tol`` in log; raises ConvergenceError
     if they do not within 10 halvings.
     """
-    if not tol >= 1e-13:
-        raise DomainError(f"tol must be >= 1e-13, got {tol}")
+    if not 1e-13 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 1e-13, got {tol}")
     if spec.weight_power + spec.order + 2.0 < _QUAD_MIN_EXPONENT:
         raise DomainError(
             "integral_quad supports weight_power + order >= "

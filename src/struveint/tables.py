@@ -12,14 +12,14 @@ harness reports them: (nu=10, beta=0.5, x=0.5) is printed 86.0701 and
 
 Each table is stored as printed: one row of seven values, at ``TABLE_X``,
 per (nu, beta), rows in printed order (beta outer, nu inner).  The grid is
-stated once, in ``TABLE_NU``, ``TABLE_BETA`` and ``TABLE_X``; the cell dict
-is built from it at import, and a row or a table of the wrong length raises
-``ValueError``.
+stated once, in ``TABLE_NU``, ``TABLE_BETA`` and ``TABLE_X``; ``cells`` reads
+the printed rows against it, and a row or a table of the wrong length raises
+``ValueError`` there.
 """
 
 from __future__ import annotations
 
-__all__ = ["TABLE_NU", "TABLE_BETA", "TABLE_X", "cells", "cell_value"]
+__all__ = ["TABLE_NU", "TABLE_BETA", "TABLE_X", "cells"]
 
 TABLE_NU = (1.0, 2.5, 5.0, 10.0)
 TABLE_BETA = (0.25, 0.5, 0.75)
@@ -64,32 +64,13 @@ _PRINTED = {
 }
 
 
-def _build(
-    printed: dict[int, tuple[tuple[float, ...], ...]],
-) -> dict[tuple[int, float, float, float], float]:
-    """The (table, nu, beta, x) -> value dict of ``printed``, in printed order."""
-    grid = [(nu, beta) for beta in TABLE_BETA for nu in TABLE_NU]
-    out: dict[tuple[int, float, float, float], float] = {}
-    for which, rows in printed.items():
-        for (nu, beta), row in zip(grid, rows, strict=True):
-            for x, value in zip(TABLE_X, row, strict=True):
-                out[(which, nu, beta, x)] = value
-    return out
-
-
-_CELLS = _build(_PRINTED)
-
-
 def cells(which: int) -> list[tuple[float, float, float, float]]:
     """All (nu, beta, x, expected) cells of one table, in printed order."""
     if which not in (1, 2):
         raise ValueError(f"table must be 1 or 2, got {which}")
+    grid = [(nu, beta) for beta in TABLE_BETA for nu in TABLE_NU]
     return [
-        (nu, beta, x, v)
-        for (w, nu, beta, x), v in _CELLS.items()
-        if w == which
+        (nu, beta, x, value)
+        for (nu, beta), row in zip(grid, _PRINTED[which], strict=True)
+        for x, value in zip(TABLE_X, row, strict=True)
     ]
-
-
-def cell_value(which: int, nu: float, beta: float, x: float) -> float:
-    return _CELLS[(which, nu, beta, x)]

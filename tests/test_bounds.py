@@ -21,7 +21,8 @@ from struveint.errors import ConvergenceError, DomainError, ValidityError
 from struveint.integrals import F
 from struveint.scaled import ScaledReal
 from struveint.specfun import (
-    bessel_k_scaled, gamma_fn, log_gamma, pfq, struve_l, struve_l_scaled,
+    bessel_k_scaled, gamma_fn, log_gamma, lower_incomplete_gamma_log, pfq, struve_l,
+    struve_l_scaled,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -676,6 +677,46 @@ def test_weighted_struve_bounds_match_scaled_formulas(bound_id):
                 checked += 1
     assert checked >= 100
     assert worst <= 1e-13
+
+
+# the coefficient c of c e^{-bx} x^nu L_nu in the lower bounds of F, and the
+# G row that bounds G by the same right side
+_LOWER_COEFFICIENT = {
+    "LB-2.1": lambda nu, b, x: 1.0,
+    "LB-2.2": lambda nu, b, x: 1 - 4 * nu**2 / ((2 * nu - 1) * (1 - b) * x),
+    "LB-2.6": lambda nu, b, x: 1 - 2 * nu * (2 * nu + 27) / ((2 * nu - 1) * (1 - b) * x),
+}
+_SAME_RIGHT_SIDE = {"LB-2.1": "PB-2.7", "LB-2.2": "PB-2.8", "LB-2.6": "PB-2.9"}
+
+
+@pytest.mark.parametrize("bound_id", sorted(_LOWER_COEFFICIENT))
+def test_lower_bounds_match_scaled_formula(bound_id):
+    # (c e^{-bx} x^nu L_nu - gamma(2nu+1, bx) / (sqrt(pi) 2^nu b^{2nu+1}
+    # Gamma(nu+3/2))) / (1-b): the difference may cancel, so the error is
+    # taken against the larger of the two terms
+    spec = get_bound(bound_id)
+    checked = 0
+    worst = 0.0
+    for nu in _PIN_NUS:
+        for beta in _PIN_BETAS:
+            for x in _PIN_XS:
+                if spec.validity(nu, beta, x, None) is not None:
+                    continue
+                c = _LOWER_COEFFICIENT[bound_id](nu, beta, x)
+                main = (_scaled_prefactor(nu, beta, x) * struve_l_scaled(nu, x)).scale(c)
+                gamma = ScaledReal.from_log(
+                    lower_incomplete_gamma_log(2 * nu + 1, beta * x)
+                    - math.log(SQRT_PI) - nu * math.log(2.0) - (2 * nu + 1) * math.log(beta)
+                    - log_gamma(nu + 1.5)
+                )
+                want = (main - gamma).scale(1.0 / (1.0 - beta))
+                larger = max(main.log_abs(), gamma.log_abs()) - math.log1p(-beta)
+                got = eval_bound(bound_id, nu, beta, x)
+                worst = max(worst, abs((got - want).ratio_to(ScaledReal.from_log(larger))))
+                assert eval_bound(_SAME_RIGHT_SIDE[bound_id], nu, beta, x) == got
+                checked += 1
+    assert checked == 168
+    assert worst <= 2e-13
 
 
 # ---------------------------------------------------------------------------

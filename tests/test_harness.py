@@ -41,20 +41,19 @@ def test_fixture_has_168_cells():
         assert [cell[:3] for cell in tables.cells(which)] == grid
     with pytest.raises(ValueError):
         tables.cells(3)
-    assert tables.cell_value(1, 1.0, 0.25, 0.5) == 0.2051
-    assert tables.cell_value(2, 10.0, 0.75, 100.0) == 0.4126
+    lookup = {(which, *cell[:3]): cell[3] for which in (1, 2) for cell in tables.cells(which)}
+    assert lookup[(1, 1.0, 0.25, 0.5)] == 0.2051
+    assert lookup[(2, 10.0, 0.75, 100.0)] == 0.4126
 
 
-def test_fixture_of_wrong_length_is_refused():
+def test_fixture_of_wrong_length_is_refused(monkeypatch):
     rows = tables._PRINTED[1]
-    assert len(tables._build({1: rows})) == 84
+    assert len(tables.cells(1)) == 84
     short_row = rows[:-1] + (rows[-1][:6],)
-    with pytest.raises(ValueError):
-        tables._build({1: short_row})
-    with pytest.raises(ValueError):
-        tables._build({1: rows[:-1]})
-    with pytest.raises(ValueError):
-        tables._build({1: rows + (rows[-1],)})
+    for printed in (short_row, rows[:-1], rows + (rows[-1],)):
+        monkeypatch.setitem(tables._PRINTED, 1, printed)
+        with pytest.raises(ValueError):
+            tables.cells(1)
 
 
 def test_reproduce_table1_all_cells():

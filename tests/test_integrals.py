@@ -67,8 +67,11 @@ def test_quad_tolerance_floor():
 
 
 def test_quad_refuses_nan_tolerance():
-    with pytest.raises(DomainError, match="tol must be >= 1e-13, got nan"):
-        integral_quad(IntegralSpec(1.0, 1.0, 0.5, 1.0), tol=math.nan)
+    # an infinite tol would pass the gap test at the first halving: F(1, 1/2, 5)
+    # came back off by 1.3e-3, with no error
+    for tol in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"tol must be finite and >= 1e-13, got {tol}$"):
+            integral_quad(IntegralSpec(1.0, 1.0, 0.5, 1.0), tol=tol)
 
 
 def test_quad_vanishing_upper_limit():

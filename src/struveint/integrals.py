@@ -2,9 +2,9 @@ r"""Evaluation of F(nu, beta, x) = integral_0^x exp(-beta t) t^nu L_nu(t) dt
 and its companion G with integrand t^nu L_{nu+1}(t).
 
 ``F`` and ``G`` evaluate both integrals for every nu > -1 and 0 <= beta <= 1
-with one engine, ``_termwise_pair_log``: the Struve series integrated term
-by term, each term in the Kummer form of the incomplete gamma function
-(DLMF 8.7.1),
+with one engine (past x = 100 a large-x route comes first; see below),
+``_termwise_pair_log``: the Struve series integrated term by term, each term
+in the Kummer form of the incomplete gamma function (DLMF 8.7.1),
 
 .. math::
     F_{\nu,\beta}(x) = e^{-\beta x} \sum_{k\ge 0}
@@ -26,10 +26,19 @@ from Stirling's series), and sums the terms under it only until a proven
 bound, for nu < 1/2 the lesser of two, puts the rest below 1e-17 of the sum:
 at x = 1000 and nu = 2 it walks k = 368..705 for beta <= 0.6 instead of
 0..705, and all of them at beta = 1.
+
+Past x = 100, for (1 - beta) x >= 60 and nu^2 <= x, a route ahead of the
+engine (``large_x.pair_log``) integrates the Hankel expansion of I_nu term
+by term: F = e^{(1-beta) x} x^{nu-1/2} / sqrt(2 pi) sum_n b_n x^-n, in O(1).
+It returns only where a remainder bound, proven per call, is below 1e-16 of
+the value: the expansion's first neglected term (DLMF 10.40), the algebraic
+part L_nu - I_nu, and the constant of integration.  Elsewhere it declines
+and the engine runs, with the bits it had without the route.
 ``fg_log`` hands both logs to callers that need the pair, and shares the
-beta-free half of the pass among the beta of one (nu, x);
-``integral_series`` is ``F`` restricted to 0 < beta < 1.  The other routes
-stay as oracles for the tests:
+beta-free half of the engine's pass among the beta of one (nu, x);
+``integral_series`` is ``F`` restricted to 0 < beta < 1.  F, G, ``fg_log``
+and ``integral_series`` all take one path, so they agree bit for bit.  The
+other routes stay as oracles for the tests:
 
 * ``integral_quad``   -- double-exponential quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
@@ -97,6 +106,11 @@ _HEAD_CHUNK = 16
 _RUNS = 32
 # a (a + 1 - z) in the tail bound overflows once a = 2 nu + 2 passes 1.3e154
 _NU_MAX = 1e150
+
+# past this x, ``_integral_pair_log`` tries the large-x route
+# (``large_x.pair_log``) before the engine; the default grid and the tables
+# stop at x = 100
+_ROUTE_X = 100.0
 
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
 # near the origin the integrand is t^(s-1) with s = weight_power + order + 2,
@@ -643,8 +657,9 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
 
 
 def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False):
-    """(ln F, ln G) with F/G argument checks; -inf for both at x = 0.  Only a
-    cached call reads or builds the run at (nu, x)."""
+    """(ln F, ln G) with F/G argument checks; -inf for both at x = 0.  Past
+    x = 100 the large-x route is tried first; where it declines, only a
+    cached call reads or builds the engine's run at (nu, x)."""
     if not -1.0 < nu <= _NU_MAX:
         raise DomainError(f"{name} requires -1 < nu <= {_NU_MAX:g}, got {nu}")
     if not 0.0 <= beta <= 1.0:
@@ -655,17 +670,27 @@ def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False
         raise DomainError(f"{name} requires finite arguments, got {(nu, x)}")
     if x == 0.0:
         return _NEG_INF, _NEG_INF
+    if x > _ROUTE_X:
+        # imported at the first call past x = 100, so that ``import
+        # struveint`` does not compile it (about 1 ms)
+        from . import large_x
+
+        logs = large_x.pair_log(nu, beta, x)
+        if logs is not None:
+            return logs
     return _termwise_pair_log(nu, beta, x, _run(nu, x) if cached else None)
 
 
 def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
-    """(ln F, ln G) at one point from one engine pass; -inf at x = 0.
+    """(ln F, ln G) at one point from one engine pass, or from the large-x
+    route past its gate; -inf at x = 0.
 
     Takes the arguments of ``F`` and ``G``; for callers that need both, or
     that ask at several beta for one (nu, x).  The beta-free half of the
-    pass, its run, is kept for the last ``_RUNS`` (nu, x), so the later
-    beta skip it; the values are bit for bit those of ``F`` and ``G`` (see
-    ``_termwise_pair_log``).  A log's absolute error is at least ulp(|log|):
+    engine's pass, its run, is kept for the last ``_RUNS`` (nu, x), so the
+    later beta skip it; the large-x route builds no run.  The values are bit
+    for bit those of ``F`` and ``G`` (see ``_termwise_pair_log`` and
+    ``large_x``).  A log's absolute error is at least ulp(|log|):
     at beta = 1/2, x = 1, ln F is off by 1.35e-9 at nu = 1e6, 2.0e-8 at 1e7
     and 2.1e-6 at 1e9 against a 40-digit termwise reference.
     """
@@ -674,13 +699,15 @@ def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
 
 def F(nu: float, beta: float, x: float) -> ScaledReal:
     """F(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_nu(t) dt, nu > -1,
-    0 <= beta <= 1, x >= 0, by termwise integration in Kummer form for every
-    beta (see ``_termwise_pair_log``), summed to full double precision.
+    0 <= beta <= 1, x >= 0, summed to full double precision: past x = 100
+    and (1 - beta) x = 60 from its large-x expansion where the remainder is
+    proven below 1e-16 (``large_x``), else by termwise integration
+    in Kummer form (``_termwise_pair_log``).
     """
     return ScaledReal.from_log(_integral_pair_log("F", nu, beta, x)[0])
 
 
 def G(nu: float, beta: float, x: float) -> ScaledReal:
     """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, the
-    second half of the same engine pass as F."""
+    second half of the same large-x route or engine pass as F."""
     return ScaledReal.from_log(_integral_pair_log("G", nu, beta, x)[1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from struveint import integrals, specfun
+from struveint import integrals, large_x, specfun
 from struveint.errors import ConvergenceError, DomainError
 from struveint.integrals import (
     F,
@@ -369,12 +369,14 @@ def test_fg_log_runs_match_the_uncached_engine_bit_for_bit(cold_runs, betas):
     # the first beta at each (nu, x) builds its run; each later one reads it,
     # and in ascending order beta = 1 needs a longer forward loop than the
     # betas before it and extends the run they stored
+    # ``fg_log`` takes the large-x route at some of these points, so the run
+    # is handed to the engine as ``fg_log`` hands it
     grown = 0
     for nu in RUN_NUS:
         for x in RUN_XS:
             lengths = []
             for beta in betas:
-                got = integrals.fg_log(nu, beta, x)
+                got = integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
                 assert repr(got) == repr(integrals._termwise_pair_log(nu, beta, x)), (nu, beta, x)
                 lengths.append(len(integrals._run(nu, x)[1]))
             grown += lengths[-1] > lengths[0]
@@ -394,13 +396,19 @@ def test_f_and_g_leave_the_run_cache_alone(cold_runs):
 
 def test_fg_log_shares_runs_across_threads(cold_runs):
     # threads that read and extend one run at a time still get the engine's
-    # own bits
+    # own bits; x = 300 is past the large-x gate, so the run goes to the
+    # engine as ``fg_log`` hands it
     from concurrent.futures import ThreadPoolExecutor
 
     points = [(nu, beta, x) for nu in (-0.5, 2.5) for x in (5.0, 300.0) for beta in RUN_BETAS]
     want = [integrals._termwise_pair_log(*point) for point in points]
+
+    def engine(point):
+        nu, beta, x = point
+        return integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
+
     with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(lambda point: integrals.fg_log(*point), points))
+        got = list(pool.map(engine, points))
     assert got == want
 
 
@@ -593,14 +601,17 @@ def termwise_log_reference(fn, nu, beta, x, dps=30):
 @pytest.mark.parametrize("fn", ("F", "G"))
 @pytest.mark.parametrize("nu", ENGINE_NUS)
 def test_termwise_engine_against_mpmath(fn, nu):
+    # F and G take the large-x route at some points with x = 1000, so the
+    # engine is checked there too
     mp = pytest.importorskip("mpmath")
     evaluate = F if fn == "F" else G
     for beta in ENGINE_BETAS:
         for x in ENGINE_XS:
-            got = evaluate(nu, beta, x).log_abs()
             ref = termwise_log_reference(fn, nu, beta, x)
-            rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
-            assert rel <= 1e-10, (fn, nu, beta, x, rel)
+            engine = integrals._termwise_pair_log(nu, beta, x)[fn == "G"]
+            for got in (evaluate(nu, beta, x).log_abs(), engine):
+                rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+                assert rel <= 1e-10, (fn, nu, beta, x, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +673,17 @@ LARGE_XS = (300.0, 1000.0, 2000.0)
 @pytest.mark.parametrize("nu", LARGE_X_NUS)
 def test_termwise_engine_large_x_against_mpmath(nu):
     # the anchored pass and its head stop keep 3e-13 out to x = 2000, the
-    # largest x that asymptotic_check evaluates
+    # largest x that asymptotic_check evaluates; fg_log takes the large-x
+    # route at some of these points, so the engine is checked on its own too
     mp = pytest.importorskip("mpmath")
     for beta in LARGE_X_BETAS:
         for x in LARGE_XS:
-            for fn, got in zip(("F", "G"), integrals.fg_log(nu, beta, x)):
+            pairs = zip(integrals.fg_log(nu, beta, x), integrals._termwise_pair_log(nu, beta, x))
+            for fn, gots in zip(("F", "G"), pairs):
                 ref = termwise_log_reference(fn, nu, beta, x)
-                rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
-                assert rel <= 3e-13, (fn, nu, beta, x, rel)
+                for got in gots:
+                    rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+                    assert rel <= 3e-13, (fn, nu, beta, x, rel)
 
 
 @pytest.mark.parametrize("nu, tol", ((300.0, 1.5e-12), (2000.0, 5e-12)))
@@ -872,12 +886,151 @@ def test_head_stop_fires_for_nu_below_one_half(monkeypatch):
         return head_bound(nu, k, rho)
 
     monkeypatch.setattr(integrals, "_head_bound", recorded)
-    logs = integrals.fg_log(nu, beta, x)
+    # past the large-x gate, so the engine is called with the run directly
+    logs = integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
     # a leg that ran to k = 0 tested its last head at some k <= _HEAD_CHUNK
     assert min(tested) > integrals._HEAD_CHUNK
     for fn, got in zip(("F", "G"), logs):
         ref = termwise_log_reference(fn, nu, beta, x)
         assert abs(float(mp.expm1(mp.mpf(got) - ref))) <= 3e-13, (fn, got, ref)
+
+
+# ---------------------------------------------------------------------------
+# the large-x route: F and G from their integrated Hankel expansion
+# ---------------------------------------------------------------------------
+
+
+def _route_sample():
+    """300 seeded points past the route's gate in the documented domain: x in
+    (100, 1000], nu in (-1, 10] with nu^2 <= x, (1 - beta) x >= 60."""
+    rng = random.Random(29)
+    points = []
+    while len(points) < 300:
+        x = math.exp(rng.uniform(math.log(100.0), math.log(1000.0)))
+        nu = rng.uniform(-1.0, 10.0)
+        beta = rng.uniform(0.0, 1.0)
+        if -1.0 < nu and nu * nu <= x and x > 100.0 and (1.0 - beta) * x >= 60.0:
+            points.append((nu, beta, x))
+    return points
+
+
+def test_large_x_route_matches_the_engine():
+    # the route agrees with the engine to 2e-15 of each log, and serves all
+    # but the points near the gate at small nu
+    served = 0
+    for nu, beta, x in _route_sample():
+        logs = large_x.pair_log(nu, beta, x)
+        if logs is None:
+            assert nu < 1.0 and (1.0 - beta) * x < 66.0, (nu, beta, x)
+            continue
+        served += 1
+        for got, want in zip(logs, integrals._termwise_pair_log(nu, beta, x)):
+            assert abs(got - want) <= 2e-15 * abs(want), (nu, beta, x, got, want)
+    assert served >= 295
+
+
+@pytest.mark.parametrize("nu", (-0.9, 0.0, 0.5, 5.0))
+def test_large_x_route_against_mpmath(nu):
+    # near the gate, (1 - beta) x = 70, and at x = 1000; nu = 1/2 has a_1 = 0
+    # for F and an expansion that does not stop for G
+    mp = pytest.importorskip("mpmath")
+    for x in (150.0, 1000.0):
+        beta = 1.0 - 70.0 / x
+        logs = large_x.pair_log(nu, beta, x)
+        assert logs is not None and integrals.fg_log(nu, beta, x) == logs
+        for fn, got in zip(("F", "G"), logs):
+            ref = termwise_log_reference(fn, nu, beta, x)
+            rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+            assert rel <= 3e-13, (fn, nu, beta, x, rel)
+
+
+def test_large_x_route_starts_past_the_default_grid(cold_runs):
+    # the expansion would serve x = 100, the default grid's largest x, but
+    # the route starts past it, so the grid and the tables keep the engine
+    point = (2.0, 0.0, 100.0)
+    assert large_x.pair_log(*point) is not None
+    assert integrals.fg_log(*point) == integrals._termwise_pair_log(*point)
+
+
+@pytest.mark.parametrize("nu, beta, x", [
+    (0.0, 1.0 - 59.5 / 150.0, 150.0),  # (1 - beta) x below 60
+    (0.0, 1.0 - 61.0 / 150.0, 150.0),  # past the gate, but the bound needs 63
+    (-0.9, 1.0 - 62.0 / 1000.0, 1000.0),  # and 67 here
+    (30.0, 0.5, 150.0),  # nu^2 > x
+    (300.0, 0.5, 150.0),
+    (2.0, 0.5, 5.0001e4),  # x past 5e4, nearer the engine's term cap
+])
+def test_large_x_route_declines_to_the_engine_bits(cold_runs, nu, beta, x):
+    assert large_x.pair_log(nu, beta, x) is None
+    want = integrals._termwise_pair_log(nu, beta, x)
+    assert integrals.fg_log(nu, beta, x) == want
+    assert F(nu, beta, x) == ScaledReal.from_log(want[0])
+    assert G(nu, beta, x) == ScaledReal.from_log(want[1])
+
+
+def test_large_x_route_declines_when_its_constant_is_not_small(monkeypatch):
+    # with x0 = x - 5 / (1 - beta) the integral below x0 is about e^-5 of F,
+    # far above 1e-16, though the expansion's own term passes
+    point = (2.0, 0.5, 300.0)
+    assert large_x.pair_log(*point) is not None
+    monkeypatch.setattr(large_x, "_ROUTE_GAP", 5.0)
+    assert large_x.pair_log(*point) is None
+    assert integrals.fg_log(*point) == integrals._termwise_pair_log(*point)
+
+
+def test_large_x_route_serves_every_entry_alike(cold_runs):
+    # F, G, fg_log and integral_series take the route past the gate, bit for
+    # bit alike, and build no run
+    for nu, beta, x in ((2.0, 0.3, 500.0), (-0.5, 0.0, 150.0), (7.0, 0.9, 2000.0)):
+        logs = large_x.pair_log(nu, beta, x)
+        assert logs is not None
+        assert integrals.fg_log(nu, beta, x) == logs
+        assert F(nu, beta, x) == ScaledReal.from_log(logs[0])
+        assert G(nu, beta, x) == ScaledReal.from_log(logs[1])
+        if 0.0 < beta < 1.0:
+            assert integral_series(nu, beta, x) == ScaledReal.from_log(logs[0])
+    assert integrals._run.cache_info().currsize == 0
+
+
+def test_asymptotic_check_large_x_rows_against_mpmath():
+    # the six integral-large-x rows of harness.asymptotic_check come from the
+    # route; F there against the 30-digit reference
+    mp = pytest.importorskip("mpmath")
+    for nu, x in ((0.0, 400.0), (1.0, 400.0), (5.0, 2000.0)):
+        for beta in (0.25, 0.5):
+            assert large_x.pair_log(nu, beta, x) is not None
+            got = F(nu, beta, x).log_abs()
+            ref = termwise_log_reference("F", nu, beta, x)
+            rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
+            assert rel <= 1e-12, (nu, beta, x, rel)
+
+
+def test_large_x_route_bounds_against_mpmath():
+    # the bounds the route's proof reads: on I's expansion remainder rho_N
+    # (DLMF 10.40), on |L - I| (``_struve_excess_log``) and on e^-t sqrt(t) L
+    # (``_struve_growth_bound``), each checked at 100 digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        for mu in (-0.99, -0.7, -0.5, -0.2, 0.0, 0.3, 0.5, 1.0, 2.5, 7.3):
+            for t in (1.0, 3.0, 20.0, 150.0):
+                struve, bessel = mp.struvel(mu, t), mp.besseli(mu, t)
+                assert mp.exp(-t) * mp.sqrt(t) * struve <= large_x._struve_growth_bound(mu)
+                assert abs(struve - bessel) <= mp.exp(large_x._struve_excess_log(mu, t))
+                if mu <= -0.5 or t < 20.0:
+                    continue
+                kappa = abs(mp.mpf(mu) ** 2 - mp.mpf(0.25))
+                scaled = mp.sqrt(2 * mp.pi * t) * mp.exp(-t) * bessel
+                a, partial = mp.mpf(1), mp.mpf(0)
+                for n in range(1, 16):
+                    partial += (-1) ** (n - 1) * a / mp.mpf(t) ** (n - 1)
+                    a *= (4 * mp.mpf(mu) ** 2 - (2 * n - 1) ** 2) / (8 * n)
+                    bound = (2 * abs(a) * mp.sqrt(mp.pi * (n / 2 + 1))
+                             * mp.exp(mp.pi * kappa / (2 * t)) / mp.mpf(t) ** n
+                             + abs(mp.sin(mp.pi * mu)) * mp.exp(-2 * t)
+                             * (1 + kappa / t * mp.exp(kappa / t)))
+                    # at mu = 1/2 only the e^(-2t) part is left, which the
+                    # bound meets exactly, below the working precision
+                    assert abs(scaled - partial) <= bound + mp.mpf(10) ** -90, (mu, t, n)
 
 
 def test_termwise_huge_x_raises_at_once():

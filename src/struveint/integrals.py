@@ -20,12 +20,7 @@ pass returns both; each integral's tail has its own bound, G's tried only
 once F's is proven; the forward loop keeps the bounds it proved for the final
 check.  All terms are positive, beta = 0 and beta = 1 included, and the cost
 is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
-are kept.  For x above about 127 the pass starts two indices below the peak,
-at a coefficient it reaches in closed form (a ratio of Pochhammer symbols,
-from Stirling's series), and sums the terms under it only until a proven
-bound, for nu < 1/2 the lesser of two, puts the rest below 1e-17 of the sum:
-at x = 1000 and nu = 2 it walks k = 368..705 for beta <= 0.6 instead of
-0..705, and all of them at beta = 1.
+are kept, each made once going up and summed once coming down.
 
 Past x = 100, for (1 - beta) x >= 60 and nu^2 <= x, a route ahead of the
 engine (``large_x.pair_log``) integrates the Hankel expansion of I_nu term
@@ -87,20 +82,6 @@ __all__ = [
 # possible sum, and raises if a dropped tail comes out above 1e-16 of the sum
 _EPS = 1e-17
 _LN_1E_16 = math.log(1e-16)
-# the termwise pass starts at the anchor k_a only when k_a > _ANCHOR_MIN.
-# Gates of 20 to 40 ran 1.04-1.10x slower at x = 70 to 100 than 60 does, and
-# moved the values by up to 2.8e-14 in a log: the anchor's fixed cost (~6 us)
-# outweighs the coefficients it skips there
-_ANCHOR_MIN = 60
-# the least x at which k_a can pass _ANCHOR_MIN (nu -> -1); below it the pass
-# skips the anchor's arithmetic
-_ANCHOR_X = 2.0 * math.sqrt((_ANCHOR_MIN + 3.5) * (_ANCHOR_MIN + 2.5))
-# the anchor multiplies out this many of its ratios and takes the rest in
-# closed form, from Stirling's series at arguments of at least 32.5
-_ANCHOR_HEAD = 32
-# below k_a the pass makes its coefficients, and tests the head, this many
-# indices at a time (8, 16 and 32 timed alike at x in [100, 1000])
-_HEAD_CHUNK = 16
 # ``fg_log`` keeps the beta-free half of the pass, a run, for this many
 # (nu, x): the paper's tables ask for 28 at once, the default sweep for 25
 _RUNS = 32
@@ -269,138 +250,76 @@ def _proven_tail_log(m: float, a: float, z: float, rho: float, lim: float, shift
     return shift + tail if not lim or tail <= math.log(lim) else None
 
 
-def _anchor_index(nu: float, q: float) -> int:
-    """max(0, k_p - 2), with k_p the first k >= 0 at which the coefficient
-    ratio r_k = q / ((k+3/2)(k+nu+3/2)) <= 1, from the root of
-    (k+3/2)(k+nu+3/2) = q.
-
-    Raises ConvergenceError when k_p is past the term cap (or q overflowed),
-    as the forward loop would once it got there.
-    """
-    h = 0.5 * nu
-    root = math.sqrt(q + h * h)
-    # root - h without cancellation: q / (root + h) when h > 0
-    k_star = (q / (root + h) if h > 0.0 else root - h) - 1.5
-    if not k_star <= MAX_SERIES_TERMS:
-        raise ConvergenceError("termwise series term cap exceeded")
-    return math.ceil(k_star) - 2 if k_star > 2.0 else 0
-
-
-def _stirling_rest(t):
-    """ln Gamma(t) - (t - 1/2) ln t + t - ln(2 pi) / 2, four terms of
-    Stirling's series (DLMF 5.11.1): within 2e-17 for t >= 32.5."""
-    s = 1.0 / (t * t)
-    return (1.0 / 12.0 - s * (1.0 / 360.0 - s * (1.0 / 1260.0 - s / 1680.0))) / t
-
-
-def _anchor_coefficient(nu, x, q, k):
-    """(m, shift) with d_k / d_0 = r_0 ... r_{k-1} = m e^shift, shift a
-    multiple of 30, in O(1).  The first h = ``_ANCHOR_HEAD`` ratios are
-    multiplied out; the other n = k - h give n ln q - ln (u)_n - ln (u + nu)_n,
-    u = h + 3/2 (DLMF 5.2.5), by Stirling's series (DLMF 5.11.1): ln (u)_n =
-    n ln w + (u - 1/2) log1p(n/u) - n + mu(w) - mu(u), w = u + n.  The n-fold
-    logs join in one log1p, and one ``math.fsum`` adds every term."""
-    m, shift = 1.0, 0.0
-    for j in range(min(k, _ANCHOR_HEAD)):
-        m *= q / ((j + 1.5) * (j + nu + 1.5))
-        if m > _EXP30:
-            m /= _EXP30
-            shift += 30.0
-    n = k - _ANCHOR_HEAD
-    if n > 0:
-        half_x = 0.5 * x
-        c = k + 1.5 - half_x
-        e_1 = c / half_x
-        terms = [shift, math.log(m), 2.0 * n]
-        terms.append(-n * math.log1p(e_1 + (c + nu) / half_x * (1.0 + e_1)))
-        for u in (_ANCHOR_HEAD + 1.5, _ANCHOR_HEAD + 1.5 + nu):
-            terms += ((0.5 - u) * math.log1p(n / u), _stirling_rest(u) - _stirling_rest(u + n))
-        shift = 30.0 * (sum(terms) // 30.0)
-        terms.append(-shift)
-        m = math.exp(math.fsum(terms))
-    return m, shift
-
-
-def _head_bound(nu: float, k: int, rho: float) -> float:
-    """B with sum_{j<k} T_j <= B T_k for F and G, given rho = (1/S(a_k + 1, z)
-    + z)^2 / x^2: min(c rho / (1 - c rho), C_k rho / (1 - rho)), inf where
-    neither holds (see ``_termwise_pair_log``)."""
-    c = max(1.0, 1.5 / (nu + 1.0))
-    bound = c * rho / (1.0 - c * rho) if c * rho < 1.0 else math.inf
-    if nu < 0.5 and rho < 1.0:
-        # ln C_k, padded for the rounding of lgamma
-        terms = (math.lgamma(k + 1.5), math.lgamma(nu + 1.0), -math.lgamma(k + nu + 1.0))
-        log_c = sum(terms) - _LN_GAMMA_3_2 + 1e-12 * (1.0 + sum(map(abs, terms)))
-        bound = min(bound, math.exp(log_c) * rho / (1.0 - rho))
-    return bound
-
-
 def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
-    """The forward loop (see ``_termwise_pair_log``): (k_a, d_mant, d_shift,
-    K, tail_f, tail_g), K the first index where both tails are proven.
+    """The forward loop (see ``_termwise_pair_log``): (d_mant, d_shift, K,
+    tail_f, tail_g), K the first index where both tails are proven.
 
     It has two phases.  Up to k_h, the first index where r <= 1/2, nothing
     depends on beta; with z None the loop stops there and returns the run
-    (k_a, d_mant, d_shift, k_h, peak_f, peak_g).  From k_h on it tries the
-    tail proofs at z; r <= 1/2 there, so m only falls and the peaks change
-    only by e^30 at each shift.  Given a run, only the second phase runs,
-    its coefficients into new lists, which the run takes in once the loop
-    has returned.
+    (d_mant, d_shift, k_h, peak_f, peak_g).  From k_h on it tries the tail
+    proofs at z; r <= 1/2 there, so m only falls and the peaks change only
+    by e^30 at each shift.  Given a run, only the second phase runs, its
+    coefficients into new lists, which the run takes in once the loop has
+    returned.
     """
     if run is None:
-        # d_k = d_mant[k] e^{log_d0 + d_shift[k]} for k_a <= k <= K (the second
-        # leg fills the slots below k_a); peak_f and peak_g are max_j d_j / a_j
-        # for F and G over j = 0 and j >= k_a, in units of e^shift
+        # the rising loop below stops at k_p, the first k with r_k <= 1, and
+        # tests no cap: k_p is past the term cap exactly where r_cap > 1
+        cap = MAX_SERIES_TERMS
+        if not q <= (cap + 1.5) * (cap + nu + 1.5):
+            raise ConvergenceError("termwise series term cap exceeded")
+        # d_k = d_mant[k] e^{log_d0 + d_shift[k]} for 0 <= k <= K
         d_mant: list[float] = []
         d_shift: list[float] = []
         m, shift = 1.0, 0.0
-        peak_f = peak_g = 0.0
-        k_a = _anchor_index(nu, q) if x > _ANCHOR_X else 0
-        if k_a > _ANCHOR_MIN:
-            # d_{k_a} = m e^{log_d0 + shift}; the peaks seed at k = 0, whose
-            # d_0 / a_0 tops the later peak for nu near -1
-            m, shift = _anchor_coefficient(nu, x, q, k_a)
-            peak_f = math.exp(-shift) / a0
-            peak_g = peak_f * x * a0 / ((a0 + 1.0) * (a0 + 1.0))
-            d_mant = [0.0] * k_a
-            d_shift = [0.0] * k_a
-        else:
-            k_a = 0
-        r = 2.0
-        k = k_a
+        k = 0
         while True:
-            a = a0 + 2.0 * k
             d_mant.append(m)
             d_shift.append(shift)
-            if r > 1.0:  # d_k / a_k tops its predecessors only after a ratio above 1
-                c = m / a
-                if c > peak_f:
-                    peak_f = c
-                c *= x * a / ((a + 1.0) * (a + 1.0))
-                if c > peak_g:
-                    peak_g = c
             r = q / ((k + 1.5) * (k + nu + 1.5))
-            if r <= 0.5:
+            if r <= 1.0:
                 break
+            m *= r
+            if m > _EXP30:
+                m /= _EXP30
+                shift += 30.0
+            k += 1
+        # the peaks over j = 0 and k_p - 2 .. k_p (see ``_termwise_pair_log``),
+        # each candidate divided by e^30 once per rescale after j, as a
+        # running max over every j <= k_p would divide it: that max, bit for bit
+        peak_f = peak_g = 0.0
+        for j in (0, k - 2, k - 1, k) if k > 2 else range(k + 1):
+            a = a0 + 2.0 * j
+            c = d_mant[j] / a
+            g = c * (x * a / ((a + 1.0) * (a + 1.0)))
+            j_shift = d_shift[j]
+            while j_shift < shift:
+                c /= _EXP30
+                g /= _EXP30
+                j_shift += 30.0
+            if c > peak_f:
+                peak_f = c
+            if g > peak_g:
+                peak_g = g
+        while r > 0.5:
             m *= r
             if m < 1.0:
                 m *= _EXP30
                 shift -= 30.0
                 peak_f *= _EXP30
                 peak_g *= _EXP30
-            elif m > _EXP30:
-                m /= _EXP30
-                shift += 30.0
-                peak_f /= _EXP30
-                peak_g /= _EXP30
             k += 1
             if k > MAX_SERIES_TERMS:
                 raise ConvergenceError("termwise series term cap exceeded")
+            d_mant.append(m)
+            d_shift.append(shift)
+            r = q / ((k + 1.5) * (k + nu + 1.5))
         if z is None:
-            return k_a, d_mant, d_shift, k, peak_f, peak_g
+            return d_mant, d_shift, k, peak_f, peak_g
         new_mant, new_shift = d_mant, d_shift
+        a = a0 + 2.0 * k
     else:
-        k_a, d_mant, d_shift, k_h, peak_f, peak_g = run
+        d_mant, d_shift, k_h, peak_f, peak_g = run
         k = k_h
         m, shift = d_mant[k], d_shift[k]
         a = a0 + 2.0 * k
@@ -441,7 +360,7 @@ def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
         # slices need no lock
         d_shift[k_h + 1:k + 1] = new_shift
         d_mant[k_h + 1:k + 1] = new_mant
-    return k_a, d_mant, d_shift, k, tail_f, tail_g
+    return d_mant, d_shift, k, tail_f, tail_g
 
 
 @lru_cache(maxsize=_RUNS)
@@ -467,17 +386,19 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     cancels.
 
     The coefficients rise while their ratio r_k = d_{k+1} / d_k =
-    (x^2/4) / ((k+3/2)(k+nu+3/2)) exceeds 1, that is up to k_p, the root of a
-    quadratic (``_anchor_index``).  Once k_p - 2 > ``_ANCHOR_MIN`` (x above
-    about 127 at nu = 0) the pass starts at the anchor k_a = k_p - 2, else
-    at k_a = 0.  d_{k_a} / d_0, the product of r_0 .. r_{k_a - 1}, is a
-    ratio of Pochhammer symbols, taken in O(1) from Stirling's series and
-    carried as a mantissa with an e^30 shift (``_anchor_coefficient``).
-    The peaks of d_k / a_k and of G's d_k x / (a_k + 1)^2 lie at k = 0 (nu
-    near -1) or at most two indices below k_p, so their max over k = 0 and
-    k >= k_a is each integral's least possible sum, as over every k.
+    (x^2/4) / ((k+3/2)(k+nu+3/2)) exceeds 1, that is up to k_p, the first k
+    with r_k <= 1; past the term cap there (x^2/4 > (cap+3/2)(cap+nu+3/2))
+    the pass raises before any loop runs.  The forward loop multiplies the
+    coefficients out from d_0, carried as a mantissa with an e^30 shift.
+    From k to k + 1, d_k / a_k and G's d_k x / (a_k + 1)^2 move by r_k a_k /
+    (a_k + 2) and r_k ((a_k + 1) / (a_k + 3))^2: below r_k, so both fall
+    past k_p, and above 1 for 1 <= k <= k_p - 3, where r_k >= r_{k+2}
+    (1 + 2/(k+3/2)) (1 + 2/(k+nu+3/2)) and r_{k+2} > 1, so both rise from
+    k = 1 to k_p - 2.  Their peaks, each integral's least possible sum, are
+    thus the max over k = 0 (the peak for nu near -1) and k_p - 2 .. k_p,
+    read once at k_p.
 
-    The forward loop runs from k_a to the last index K, the first at which
+    The forward loop runs on to the last index K, the first at which
     both tails are dropped: for each integral, past the point where r_k <=
     1/2 (its own ratio for G), the terms after k sum to at most d_k U(a_k)
     r_k / (1 - r_k), with U(a) = min(e^z / a, (a+1) / (a (a+1-z)) if
@@ -498,12 +419,11 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     (``_forward`` with z None).  ``fg_log`` keeps runs in an lru cache,
     ``_run``, and passes one in, so every beta at one (nu, x) shares it: a
     later beta redoes only the loop from k_h on, where each step is a
-    multiply and the tail proofs, stores the coefficients past the run's last
-    one, and fills only the chunks below k_a that no earlier beta filled.
-    Every stored float comes from the same operations in the same order as
-    in a pass without a run, so the two return the same bits; ``F`` and
-    ``G`` pass no run.  A default sweep builds 275 runs for its 1,375
-    points, and the two tables and the limiting forms 31 for their 90.
+    multiply and the tail proofs, and stores the coefficients past the run's
+    last one.  Every stored float comes from the same operations in the same
+    order as in a pass without a run, so the two return the same bits;
+    ``F`` and ``G`` pass no run.  A default sweep builds 275 runs for its
+    1,375 points, and the two tables and the limiting forms 31 for their 90.
 
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
@@ -512,22 +432,9 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     a_k passes G's S(a_k + 1, z) on its way to F's S(a_k, z).  S ~ e^z / a
     overflows for z > 709, so it is carried, like the coefficients, as a
     mantissa with a running e^30 shift; summing logs instead would lose about
-    K ulp(|ln T_k|), 1e-10 at x = 1000.
+    K ulp(|ln T_k|), 1e-10 at x = 1000.  The downward pass runs once, from K
+    to 0, over the stored coefficients.
 
-    The downward pass has two legs.  The first runs from K to k_a over the
-    stored coefficients.  The second runs below k_a, _HEAD_CHUNK indices at a
-    time, each coefficient by division, d_{k-1} = d_k / r_{k-1}, and stops at
-    a chunk boundary once the head sum_{j<k} T_j is proven below 1e-17 of the
-    running sum, for F and for G.  The recurrence gives S(b-1) / S(b) =
-    N(b) / (b-1) exactly, with N(b) = 1/S(b) + z rising in b, so T_{j-1} /
-    T_j = c_j N(a_j) N(a_j - 1) / x^2 with c_j = (2j+1) / (2j+2nu), and G's
-    ratio has a smaller c_j and N(a_j + 1) N(a_j).  For j <= k both ratios
-    are thus at most c_j rho, rho = (1/S(a_k + 1, z) + z)^2 / x^2, and the
-    head is at most T_k times the lesser of c rho / (1 - c rho), c = max_j
-    c_j = max(1, 3 / (2nu + 2)), and C_k rho / (1 - rho) (``_head_bound``).
-    For nu < 1/2 every c_j > 1, so C_k = prod_{j<=k} c_j = Gamma(k+3/2)
-    Gamma(nu+1) / (Gamma(3/2) Gamma(k+nu+1)) tops every partial product; for
-    nu >= 1/2, C_k = 1.  rho >= beta^2, so at beta = 1 the leg runs to k = 0.
     Raises ConvergenceError if either dropped tail exceeds 1e-16 of its sum
     or a term cap is reached.
     """
@@ -535,15 +442,14 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     q = 0.25 * x * x
     a0 = 2.0 * nu + 2.0
     log_x = math.log(x)
-    log_d0 = a0 * log_x - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - log_gamma(nu + 1.5)
-    k_a, d_mant, d_shift, k, tail_f, tail_g = _forward(nu, x, q, a0, z, run)
+    # nu + 1.5 lies in (1/2, 1e150], where log_gamma's checks never fire
+    log_d0 = a0 * log_x - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - math.lgamma(nu + 1.5)
+    d_mant, d_shift, k, tail_f, tail_g = _forward(nu, x, q, a0, z, run)
     a = a0 + 2.0 * k
 
     # S(a_K + 1, z), summed directly, then downward in a: S = s e^{s_shift};
     # F's sum is total_f e^{log_d0 - z + t_shift} and G's x total_g e^{log_d0
-    # - z + t_shift}.  First leg: K down to k_a; second leg: below k_a, a
-    # chunk at a time, each chunk's coefficients by division, and the head
-    # test at each chunk boundary
+    # - z + t_shift}, over the stored coefficients from K down to 0
     s_shift, s_g = _kummer_sum(a + 1.0, z)
     one = math.exp(-s_shift)  # 1 in units of e^{s_shift}
     s_f = (one + z * s_g) / a
@@ -551,7 +457,6 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     t_shift = d_shift[k]
     scale = t_shift
     factor = 1.0  # e^{scale - t_shift}
-    k_low = k_a  # d_mant[k] holds d_k for k >= k_low
     while True:
         if d_shift[k] + s_shift != scale:
             scale = d_shift[k] + s_shift
@@ -564,24 +469,8 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
         d = d_mant[k] * factor
         total_f += d * s_f
         total_g += d * s_g / (a + 1.0)
-        if k == k_low:
-            if k == 0:
-                break
-            if beta < 1.0:  # the head test needs rho < 1, and rho >= beta^2
-                n = (one / s_g + z) / x
-                b = _head_bound(nu, k, n * n)
-                if d * s_f * b <= _EPS * total_f and d * s_g / (a + 1.0) * b <= _EPS * total_g:
-                    break
-            k_low = max(0, k - _HEAD_CHUNK)
-            if not d_mant[k_low]:  # a run keeps the chunks an earlier beta filled
-                m, shift = d_mant[k], d_shift[k]
-                for j in range(k - 1, k_low - 1, -1):
-                    m /= q / ((j + 1.5) * (j + nu + 1.5))
-                    if m < 1.0:
-                        m *= _EXP30
-                        shift -= 30.0
-                    d_shift[j] = shift
-                    d_mant[j] = m
+        if k == 0:
+            break
         k -= 1
         a = a0 + 2.0 * k
         s_g = (one + z * s_f) / (a + 1.0)

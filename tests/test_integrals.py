@@ -5,7 +5,7 @@ import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from struveint import integrals, large_x, specfun
@@ -342,14 +342,14 @@ def test_run_extension_that_raises_leaves_the_run_whole(monkeypatch, cold_runs):
     monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 68)
     assert integrals.fg_log(nu, 0.0, x) == integrals._termwise_pair_log(nu, 0.0, x)
     run = integrals._run(nu, x)
-    assert (run[3], len(run[1]), len(run[2])) == (41, 69, 69)
+    assert (run[2], len(run[0]), len(run[1])) == (41, 69, 69)
     for _ in range(2):
         with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
             integrals.fg_log(nu, 1.0, x)
-        assert (len(run[1]), len(run[2])) == (69, 69)
+        assert (len(run[0]), len(run[1])) == (69, 69)
     monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", specfun.MAX_SERIES_TERMS)
     assert integrals.fg_log(nu, 1.0, x) == integrals._termwise_pair_log(nu, 1.0, x)
-    assert (len(run[1]), len(run[2])) == (70, 70)
+    assert (len(run[0]), len(run[1])) == (70, 70)
     integrals._run.cache_clear()
     monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 40)
     for _ in range(2):
@@ -378,7 +378,7 @@ def test_fg_log_runs_match_the_uncached_engine_bit_for_bit(cold_runs, betas):
             for beta in betas:
                 got = integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
                 assert repr(got) == repr(integrals._termwise_pair_log(nu, beta, x)), (nu, beta, x)
-                lengths.append(len(integrals._run(nu, x)[1]))
+                lengths.append(len(integrals._run(nu, x)[0]))
             grown += lengths[-1] > lengths[0]
     info = integrals._run.cache_info()
     assert info.misses == len(RUN_NUS) * len(RUN_XS)
@@ -662,7 +662,7 @@ def test_large_order_values_within_1e9_at_1e8_and_1e9(fn):
 
 
 # ---------------------------------------------------------------------------
-# the anchored pass: large x against 30-digit mpmath, K, and the head bound
+# the engine at large x against 30-digit mpmath, and the peaks of its run
 # ---------------------------------------------------------------------------
 
 LARGE_X_NUS = (-0.9, 0.0, 5.0, 30.0)
@@ -672,8 +672,9 @@ LARGE_XS = (300.0, 1000.0, 2000.0)
 
 @pytest.mark.parametrize("nu", LARGE_X_NUS)
 def test_termwise_engine_large_x_against_mpmath(nu):
-    # the anchored pass and its head stop keep 3e-13 out to x = 2000, the
-    # largest x that asymptotic_check evaluates; fg_log takes the large-x
+    # the engine keeps 3e-13 out to x = 2000, the largest x that
+    # asymptotic_check evaluates, beta = 1 and nu = -0.9 included, where the
+    # k = 0 term alone is 82% of F at x = 300; fg_log takes the large-x
     # route at some of these points, so the engine is checked on its own too
     mp = pytest.importorskip("mpmath")
     for beta in LARGE_X_BETAS:
@@ -688,211 +689,52 @@ def test_termwise_engine_large_x_against_mpmath(nu):
 
 @pytest.mark.parametrize("nu, tol", ((300.0, 1.5e-12), (2000.0, 5e-12)))
 def test_termwise_engine_large_x_large_order_against_mpmath(nu, tol):
-    # anchored passes whose Pochhammer (nu + 3/2)_k has a large argument;
-    # the error there is the ulp of ln F and ln G, which are thousands in
-    # size: at most 9.1e-13 at nu = 300 and 2.9e-12 at nu = 2000
+    # passes whose coefficients d_k carry Gamma(k + nu + 3/2) at a large
+    # argument; the error there is the ulp of ln F and ln G, which are
+    # thousands in size
     mp = pytest.importorskip("mpmath")
     for beta in (0.3, 1.0):
         for x in (1000.0, 2000.0):
-            assert integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
             for fn, got in zip(("F", "G"), integrals.fg_log(nu, beta, x)):
                 ref = termwise_log_reference(fn, nu, beta, x, dps=40)
                 rel = abs(float(mp.expm1(mp.mpf(got) - ref)))
                 assert rel <= tol, (fn, nu, beta, x, rel)
 
 
-def _anchor_points():
-    """(nu, x) for the anchor's closed form: a seeded sample of 2,000
-    anchored points, x in (_ANCHOR_X, 2000] and nu + 1 log-uniform on
-    [1e-7, 5001), the first anchor k_a = 61 at five orders, and nu within
-    1e-6 of -1."""
-    rng = random.Random(25)
-    points = []
-    while len(points) < 2000:
-        x = rng.uniform(integrals._ANCHOR_X, 2000.0)
-        nu = -1.0 + math.exp(rng.uniform(math.log(1e-7), math.log(5001.0)))
-        if nu < 5000.0 and integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN:
-            points.append((nu, x))
-    # k_a = 61 where the root k* of (k + 3/2)(k + nu + 3/2) = x^2/4 is 62.5
-    points += [(nu, 2.0 * math.sqrt(64.0 * (64.0 + nu)))
-               for nu in (-1.0 + 1e-7, -0.5, 0.0, 30.0, 400.0)]
-    points += [(-1.0 + 5e-7, x) for x in (127.0, 500.0, 2000.0)]
-    return points
-
-
-def test_anchor_coefficient_against_pochhammer_product():
-    # the run's d_{k_a} / d_0 = m e^shift is prod_{j<k_a} (x^2/4) / ((j+3/2)
-    # (j+nu+3/2)) = (x^2/4)^k (3/2)_k^-1 (nu+3/2)_k^-1 (DLMF 5.2.5); the
-    # closed form keeps 2e-13 in the log, as the plain product did (1.0e-13)
-    mp = pytest.importorskip("mpmath")
-    errors = []
-    k_as = set()
-    with mp.workdps(50):
-        for nu, x in _anchor_points():
-            k_a, d_mant, d_shift = integrals._forward(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)[:3]
-            assert k_a == integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
-            k_as.add(k_a)
-            nu_m, x_m = mp.mpf(nu), mp.mpf(x)
-            ref = (k_a * mp.log(x_m * x_m / 4) - mp.log(mp.rf(mp.mpf(1.5), k_a))
-                   - mp.log(mp.rf(nu_m + mp.mpf(1.5), k_a)))
-            errors.append(float(abs(mp.log(d_mant[k_a]) + d_shift[k_a] - ref)))
-    assert integrals._ANCHOR_MIN + 1 in k_as
-    assert max(errors) <= 2e-13, max(errors)
-
-
-def _pass_anchored_or_not(monkeypatch, anchored, nu, beta, x):
-    """(K, (ln F, ln G)) of one pass, anchored at every k_a > 0 or never; the
-    forward loop's last tail test is at K, F's at a_K or G's at a_K + 1."""
-    proven = integrals._proven_tail_log
-    calls = []
-
-    def counted(m, a, z, rho, lim, shift):
-        calls.append(a)
-        return proven(m, a, z, rho, lim, shift)
-
-    monkeypatch.setattr(integrals, "_proven_tail_log", counted)
-    monkeypatch.setattr(integrals, "_ANCHOR_MIN", 0 if anchored else 10**9)
-    monkeypatch.setattr(integrals, "_ANCHOR_X", 0.0 if anchored else math.inf)
-    logs = integrals._termwise_pair_log(nu, beta, x)
-    # (a - a_0) / 2 is K for F's a_K and K + 1/2 for G's
-    return round((calls[-1] - 2.0 * nu - 2.5) / 2.0), logs
-
-
-@pytest.mark.parametrize("nu,beta,x", [
-    # nu near -1 at moderate x: d_0 / a_0 is the peak, below any anchor
-    (-0.999, 0.0, 6.0), (-0.9849056937212035, 0.0, 6.010256933742996),
-    (-0.999, 0.6, 8.0), (-1.0 + 1e-12, 0.5, 40.0),
-    (0.0, 0.0, 150.0), (2.0, 0.3, 1000.0), (-0.9, 1.0, 300.0),
-    (30.0, 0.9, 2000.0), (10.0, 0.05, 500.0), (-0.5, 0.99, 700.0),
-])
-def test_anchor_moves_neither_last_index_nor_value(monkeypatch, nu, beta, x):
-    # the anchored pass keeps the unanchored pass's least possible sums, so
-    # its last index K, and its value to rounding
-    k_plain, plain = _pass_anchored_or_not(monkeypatch, False, nu, beta, x)
-    k_anchored, anchored = _pass_anchored_or_not(monkeypatch, True, nu, beta, x)
-    assert integrals._anchor_index(nu, 0.25 * x * x) > 0
-    assert k_anchored == k_plain
-    for got, want in zip(anchored, plain):
-        assert got == pytest.approx(want, rel=4e-16, abs=1e-13)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     st.floats(-1.0, 30.0, exclude_min=True),
     st.floats(math.log(1e-3), math.log(2000.0)),
-)
-def test_anchor_index_sits_two_below_the_coefficient_peak(nu, log_x):
-    # k_a + 2 is the first k with r_k <= 1 (or k_a = 0 and r_2 <= 1)
-    q = 0.25 * math.exp(log_x) ** 2
-    k_a = integrals._anchor_index(nu, q)
-
-    def r(k):
-        return q / ((k + 1.5) * (k + nu + 1.5))
-
-    assert r(k_a + 2) <= 1.0
-    if k_a > 0:
-        assert r(k_a + 1) > 1.0
-
-
-def _kummer_s(mp, b, z):
-    """S(b, z) = z^-b e^z gamma(b, z) (DLMF 8.7.1), 1/b at z = 0."""
-    if z == 0:
-        return 1 / b
-    return mp.gammainc(b, 0, z) * mp.exp(z) / z**b
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(-1.0, 30.0, exclude_min=True),
-    st.floats(0.0, 1.0),
-    st.floats(math.log(20.0), math.log(1000.0)),
-    st.floats(0.0, 1.0),
     st.floats(0.0, 1.0),
 )
-def test_head_ratio_majorant(nu, beta, log_x, uk, uj):
-    # for 1 <= j <= k <= k_a the true T_{j-1} / T_j of F and of G is at most
-    # c_j rho, rho = (1/S(a_k + 1, z) + z)^2 / x^2 and c_j = (2j+1) / (2j+2nu),
-    # and each head sum_{i<k} T_i is at most T_k _head_bound(nu, k, rho)
-    mp = pytest.importorskip("mpmath")
+# nu near -1, where d_0 / a_0 is F's peak at x = 6 and is not at x = 40
+@example(-0.999, math.log(6.0), 0.0)
+@example(-1.0 + 1e-12, math.log(40.0), 0.5)
+@example(-0.9849056937212035, math.log(6.010256933742996), 0.0)
+def test_peaks_read_at_k_p_are_the_max_over_every_index(nu, log_x, beta):
+    # the run's peaks, read at j = 0 and k_p - 2 .. k_p, equal a running max
+    # of d_j / a_j and d_j x / (a_j + 1)^2 over every index of the run, with
+    # each e^30 rescale applied as the loop makes it; and the pass keeps the
+    # last index K it has with those peaks
     x = math.exp(log_x)
-    k_a = integrals._anchor_index(nu, 0.25 * x * x)
-    assume(k_a >= 1)
-    k = 1 + int(uk * (k_a - 1))
-    j = 1 + int(uj * (k - 1))
-    with mp.workdps(30):
-        nu_m, x_m = mp.mpf(nu), mp.mpf(x)
-        z = mp.mpf(beta) * x_m
-        half = mp.mpf(1) / 2
-        a_j = 2 * j + 2 * nu_m + 2
-        inv_r = (j + half) * (j + nu_m + half) / (x_m**2 / 4)  # d_{j-1} / d_j
-        ratio_f = inv_r * _kummer_s(mp, a_j - 2, z) / _kummer_s(mp, a_j, z)
-        ratio_g = (inv_r * (a_j + 1) / (a_j - 1)
-                   * _kummer_s(mp, a_j - 1, z) / _kummer_s(mp, a_j + 1, z))
-        a_k = 2 * k + 2 * nu_m + 2
-        s_g = _kummer_s(mp, a_k + 1, z)
-        rho = (1 / s_g + z) ** 2 / x_m**2
-        bound = (2 * j + 1) / (2 * j + 2 * nu_m) * rho
-        assert ratio_f <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_f, bound)
-        assert ratio_g <= bound * (1 + mp.mpf(1e-12)), (j, k, ratio_g, bound)
-        # the heads in units of d_k, S(b - 1) = (1 + z S(b)) / (b - 1) downward
-        s_f = (1 + z * s_g) / a_k
-        t_f, t_g = s_f, s_g / (a_k + 1)
-        head_f = head_g = mp.mpf(0)
-        d = mp.mpf(1)
-        for i in range(k - 1, -1, -1):
-            a_i = 2 * i + 2 * nu_m + 2
-            d *= (i + 3 * half) * (i + nu_m + 3 * half) / (x_m**2 / 4)
-            s_g = (1 + z * s_f) / (a_i + 1)
-            s_f = (1 + z * s_g) / a_i
-            head_f += d * s_f
-            head_g += d * s_g / (a_i + 1)
-        # rho rounded up, so the double-precision bound is no smaller
-        b = mp.mpf(integrals._head_bound(nu, k, math.nextafter(float(rho), math.inf)))
-        assert head_f <= b * t_f * (1 + mp.mpf(1e-12)), (k, head_f / t_f, b)
-        assert head_g <= b * t_g * (1 + mp.mpf(1e-12)), (k, head_g / t_g, b)
-
-
-def test_head_stop_never_fires_at_beta_one():
-    # at beta = 1, rho >= (z/x)^2 = 1 for every nu, so no head bound holds and
-    # the second leg runs to k = 0.  At nu = -0.9 and x = 300 the k = 0 term
-    # alone is 82% of F, so a pass that stopped above it would miss by far
-    # more than 3e-13
-    mp = pytest.importorskip("mpmath")
-    nu, x = -0.9, 300.0
-    for any_nu in (nu, 0.0, 5.0, 30.0):
-        for k in (1, 16, 100):
-            assert integrals._head_bound(any_nu, k, 1.0) == math.inf
-    assert integrals._anchor_index(nu, 0.25 * x * x) > integrals._ANCHOR_MIN
-    ref = termwise_log_reference("F", nu, 1.0, x)
-    assert abs(float(mp.expm1(mp.mpf(integrals.fg_log(nu, 1.0, x)[0]) - ref))) <= 3e-13
-    with mp.workdps(30):
-        nu_m = mp.mpf(nu)
-        t_0 = mp.gammainc(2 * nu_m + 2, 0, x) / (
-            2 ** (nu_m + 1) * mp.gamma(mp.mpf(3) / 2) * mp.gamma(nu_m + mp.mpf(3) / 2))
-        assert t_0 / mp.exp(ref) > 0.5
-
-
-def test_head_stop_fires_for_nu_below_one_half(monkeypatch):
-    # at nu = -0.9, c = 15 puts c rho >= 1 for every beta >= 0.26; the product
-    # bound C_k rho / (1 - rho) still stops the second leg well above k = 0,
-    # and F and G keep 3e-13
-    mp = pytest.importorskip("mpmath")
-    nu, beta, x = -0.9, 0.5, 1000.0
-    head_bound = integrals._head_bound
-    tested = []
-
-    def recorded(nu, k, rho):
-        tested.append(k)
-        return head_bound(nu, k, rho)
-
-    monkeypatch.setattr(integrals, "_head_bound", recorded)
-    # past the large-x gate, so the engine is called with the run directly
-    logs = integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
-    # a leg that ran to k = 0 tested its last head at some k <= _HEAD_CHUNK
-    assert min(tested) > integrals._HEAD_CHUNK
-    for fn, got in zip(("F", "G"), logs):
-        ref = termwise_log_reference(fn, nu, beta, x)
-        assert abs(float(mp.expm1(mp.mpf(got) - ref))) <= 3e-13, (fn, got, ref)
+    q, a0 = 0.25 * x * x, 2.0 * nu + 2.0
+    d_mant, d_shift, k_h, peak_f, peak_g = integrals._forward(nu, x, q, a0)
+    want_f = want_g = 0.0
+    for j in range(k_h + 1):
+        if j and d_shift[j] > d_shift[j - 1]:
+            want_f /= specfun._EXP30
+            want_g /= specfun._EXP30
+        elif j and d_shift[j] < d_shift[j - 1]:
+            want_f *= specfun._EXP30
+            want_g *= specfun._EXP30
+        a = a0 + 2.0 * j
+        c = d_mant[j] / a
+        want_f = max(want_f, c)
+        want_g = max(want_g, c * (x * a / ((a + 1.0) * (a + 1.0))))
+    assert (peak_f, peak_g) == (want_f, want_g)
+    run = (list(d_mant), list(d_shift), k_h, want_f, want_g)
+    got = integrals._forward(nu, x, q, a0, beta * x)
+    assert got[2:] == integrals._forward(nu, x, q, a0, beta * x, run)[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +876,9 @@ def test_large_x_route_bounds_against_mpmath():
 
 
 def test_termwise_huge_x_raises_at_once():
-    # k_p past the term cap: the anchor raises before any loop runs
+    # k_p past the term cap: x^2/4 > (cap + 3/2)(cap + nu + 3/2) refuses the
+    # pass in closed form before any loop runs (x = 1e200 puts x^2/4 at inf,
+    # where a rising loop would never stop)
     for x in (1e6, 1e200):
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):

@@ -419,8 +419,11 @@ def _eval_lb23(nu, beta, x, x_star, truncation):
 
 
 def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
-    # e^{-bx} x^nu (2(nu+1) L_{nu+1} - L_{nu+3} - x^{nu+2}/(sqrt(pi) 2^{nu+2}
-    # (nu+1) Gamma(nu+5/2))) / ((2nu+1)(1-b)); each term in e^{-x} units
+    """e^{-bx} x^nu (2(nu+1) L_{nu+1} - L_{nu+3} - x^{nu+2}/(sqrt(pi) 2^{nu+2}
+    (nu+1) Gamma(nu+5/2))) / ((2nu+1)(1-b)), each term in e^{-x} units.
+
+    Refuses with DomainError where the computed total falls below 1/2: from
+    nu ~ 3e16 the terms' logs, about nu ln nu, lose the ratios to rounding."""
     log_x = math.log(x)
     large = (1.0 - beta) * x + nu * log_x
     c = -math.log((2.0 * nu + 1.0) * (1.0 - beta))
@@ -441,6 +444,8 @@ def _eval_ub_gau1_full(nu, beta, x, x_star, truncation):
         - math.exp(large + (c + struve_l_scaled_log(nu + 3.0, x)) - first)
         - math.exp(large + (c + power) - first)
     )
+    if not total >= 0.5:
+        raise DomainError(f"UB-GAU1-FULL: its terms cancel in double precision at nu={nu!r}")
     return first + math.log(total)
 
 

@@ -29,11 +29,11 @@ It returns only where a remainder bound, proven per call, is below 1e-16 of
 the value: the expansion's first neglected term (DLMF 10.40), the algebraic
 part L_nu - I_nu, and the constant of integration.  Elsewhere it declines
 and the engine runs, with the bits it had without the route.
-``fg_log`` hands both logs to callers that need the pair, and shares the
-beta-free half of the engine's pass among the beta of one (nu, x);
-``integral_series`` is ``F`` restricted to 0 < beta < 1.  F, G, ``fg_log``
-and ``integral_series`` all take one path, so they agree bit for bit.  The
-other routes stay as oracles for the tests:
+``fg_log`` hands both logs to callers that need the pair, and caches the
+beta-free half of the engine's pass, which the beta of one (nu, x) read and
+never write; F and G build that half per call.  ``integral_series`` is ``F``
+restricted to 0 < beta < 1.  All four agree bit for bit.  The other routes
+stay as oracles for the tests:
 
 * ``integral_quad``   -- double-exponential quadrature of the integrand;
 * ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
@@ -250,97 +250,49 @@ def _proven_tail_log(m: float, a: float, z: float, rho: float, lim: float, shift
     return shift + tail if not lim or tail <= math.log(lim) else None
 
 
-def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
-    """The forward loop (see ``_termwise_pair_log``): (d_mant, d_shift, K,
-    tail_f, tail_g), K the first index where both tails are proven.
-
-    It has two phases.  Up to k_h, the first index where r <= 1/2, nothing
-    depends on beta; with z None the loop stops there and returns the run
-    (d_mant, d_shift, k_h, peak_f, peak_g).  From k_h on it tries the tail
-    proofs at z; r <= 1/2 there, so m only falls and the peaks change only
-    by e^30 at each shift.  Given a run, only the second phase runs, its
-    coefficients into new lists, which the run takes in once the loop has
-    returned.
-    """
-    if run is None:
-        # the rising loop below stops at k_p, the first k with r_k <= 1, and
-        # tests no cap: k_p is past the term cap exactly where r_cap > 1
-        cap = MAX_SERIES_TERMS
-        if not q <= (cap + 1.5) * (cap + nu + 1.5):
-            raise ConvergenceError("termwise series term cap exceeded")
-        # d_k = d_mant[k] e^{log_d0 + d_shift[k]} for 0 <= k <= K
-        d_mant: list[float] = []
-        d_shift: list[float] = []
-        m, shift = 1.0, 0.0
-        k = 0
-        while True:
-            d_mant.append(m)
-            d_shift.append(shift)
-            r = q / ((k + 1.5) * (k + nu + 1.5))
-            if r <= 1.0:
-                break
-            m *= r
-            if m > _EXP30:
-                m /= _EXP30
-                shift += 30.0
-            k += 1
-        # the peaks over j = 0 and k_p - 2 .. k_p (see ``_termwise_pair_log``),
-        # each candidate divided by e^30 once per rescale after j, as a
-        # running max over every j <= k_p would divide it: that max, bit for bit
-        peak_f = peak_g = 0.0
-        for j in (0, k - 2, k - 1, k) if k > 2 else range(k + 1):
-            a = a0 + 2.0 * j
-            c = d_mant[j] / a
-            g = c * (x * a / ((a + 1.0) * (a + 1.0)))
-            j_shift = d_shift[j]
-            while j_shift < shift:
-                c /= _EXP30
-                g /= _EXP30
-                j_shift += 30.0
-            if c > peak_f:
-                peak_f = c
-            if g > peak_g:
-                peak_g = g
-        while r > 0.5:
-            m *= r
-            if m < 1.0:
-                m *= _EXP30
-                shift -= 30.0
-                peak_f *= _EXP30
-                peak_g *= _EXP30
-            k += 1
-            if k > MAX_SERIES_TERMS:
-                raise ConvergenceError("termwise series term cap exceeded")
-            d_mant.append(m)
-            d_shift.append(shift)
-            r = q / ((k + 1.5) * (k + nu + 1.5))
-        if z is None:
-            return d_mant, d_shift, k, peak_f, peak_g
-        new_mant, new_shift = d_mant, d_shift
-        a = a0 + 2.0 * k
-    else:
-        d_mant, d_shift, k_h, peak_f, peak_g = run
-        k = k_h
-        m, shift = d_mant[k], d_shift[k]
-        a = a0 + 2.0 * k
-        r = q / ((k + 1.5) * (k + nu + 1.5))
-        new_mant, new_shift = [], []
-    tail_f = None
+def _rise(nu: float, x: float, q: float, a0: float):
+    """The beta-free half of the pass (see ``_termwise_pair_log``), up to k_h,
+    the first index where r <= 1/2: (d_mant, d_shift, k_h, peak_f, peak_g,
+    r_{k_h})."""
+    # the rising loop below stops at k_p, the first k with r_k <= 1, and
+    # tests no cap: k_p is past the term cap exactly where r_cap > 1
+    cap = MAX_SERIES_TERMS
+    if not q <= (cap + 1.5) * (cap + nu + 1.5):
+        raise ConvergenceError("termwise series term cap exceeded")
+    # d_k = d_mant[k] e^{log_d0 + d_shift[k]} for 0 <= k <= K
+    d_mant: list[float] = []
+    d_shift: list[float] = []
+    m, shift = 1.0, 0.0
+    k = 0
     while True:
-        # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
-        # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
-        # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
-        # G's bound falls at every step against a fixed limit, so once
-        # proven it stays proven: trying it only after F's leaves K alone
-        if tail_f is None:
-            tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
-        if tail_f is not None:
-            r_g = q / ((k + 1.5) * (k + nu + 2.5))
-            tail_g = _proven_tail_log(
-                m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
-            )
-            if tail_g is not None:
-                break
+        d_mant.append(m)
+        d_shift.append(shift)
+        r = q / ((k + 1.5) * (k + nu + 1.5))
+        if r <= 1.0:
+            break
+        m *= r
+        if m > _EXP30:
+            m /= _EXP30
+            shift += 30.0
+        k += 1
+    # the peaks over j = 0 and k_p - 2 .. k_p (see ``_termwise_pair_log``),
+    # each candidate divided by e^30 once per rescale after j, as a
+    # running max over every j <= k_p would divide it: that max, bit for bit
+    peak_f = peak_g = 0.0
+    for j in (0, k - 2, k - 1, k) if k > 2 else range(k + 1):
+        a = a0 + 2.0 * j
+        c = d_mant[j] / a
+        g = c * (x * a / ((a + 1.0) * (a + 1.0)))
+        j_shift = d_shift[j]
+        while j_shift < shift:
+            c /= _EXP30
+            g /= _EXP30
+            j_shift += 30.0
+        if c > peak_f:
+            peak_f = c
+        if g > peak_g:
+            peak_g = g
+    while r > 0.5:
         m *= r
         if m < 1.0:
             m *= _EXP30
@@ -350,23 +302,17 @@ def _forward(nu: float, x: float, q: float, a0: float, z=None, run=None):
         k += 1
         if k > MAX_SERIES_TERMS:
             raise ConvergenceError("termwise series term cap exceeded")
-        a = a0 + 2.0 * k
-        new_mant.append(m)
-        new_shift.append(shift)
+        d_mant.append(m)
+        d_shift.append(shift)
         r = q / ((k + 1.5) * (k + nu + 1.5))
-    if run is not None:
-        # the run's indices k_h + 1 .. K: any it holds already, from an earlier
-        # beta or a call on another thread, hold these same values, so the
-        # slices need no lock
-        d_shift[k_h + 1:k + 1] = new_shift
-        d_mant[k_h + 1:k + 1] = new_mant
-    return d_mant, d_shift, k, tail_f, tail_g
+    return d_mant, d_shift, k, peak_f, peak_g, r
 
 
 @lru_cache(maxsize=_RUNS)
 def _run(nu: float, x: float):
-    """``fg_log``'s run at (nu, x), shared by every beta (see ``_forward``)."""
-    return _forward(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)
+    """``fg_log``'s run at (nu, x): ``_rise`` frozen into tuples, read by every beta."""
+    d_mant, d_shift, *rest = _rise(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)
+    return (tuple(d_mant), tuple(d_shift), *rest)
 
 
 def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[float, float]:
@@ -415,15 +361,15 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     too, and the final check compares the kept bounds with the sums.
 
     Up to k_h, the first index where r <= 1/2, nothing in the forward loop
-    reads beta: not d_k, not the peaks.  That half is the run at (nu, x)
-    (``_forward`` with z None).  ``fg_log`` keeps runs in an lru cache,
-    ``_run``, and passes one in, so every beta at one (nu, x) shares it: a
-    later beta redoes only the loop from k_h on, where each step is a
-    multiply and the tail proofs, and stores the coefficients past the run's
-    last one.  Every stored float comes from the same operations in the same
-    order as in a pass without a run, so the two return the same bits;
-    ``F`` and ``G`` pass no run.  A default sweep builds 275 runs for its
-    1,375 points, and the two tables and the limiting forms 31 for their 90.
+    reads beta: not d_k, not the peaks.  That half, ``_rise``, is the run at
+    (nu, x).  ``fg_log`` keeps runs as tuples in an lru cache, ``_run``, and
+    passes one in, so every beta at one (nu, x) shares it: each pass copies
+    the run into lists of its own and redoes only the loop from k_h on, a
+    multiply and the tail proofs a step; no pass writes a cached run.  ``F``
+    and ``G`` pass none and build their own.  Every float comes from the same
+    operations in the same order either way, so the two return the same
+    bits.  A default sweep builds 275 runs for its 1,375 points, and the two
+    tables and the limiting forms 31 for their 90.
 
     S(a_K + 1, z) is summed directly and S(a_K, z) = (1 + z S(a_K + 1, z)) /
     a_K follows from it; below K, S(a, z) = (1 + z S(a+1, z)) / a (DLMF 8.8.1)
@@ -444,8 +390,43 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     log_x = math.log(x)
     # nu + 1.5 lies in (1/2, 1e150], where log_gamma's checks never fire
     log_d0 = a0 * log_x - (nu + 1.0) * _LN2 - _LN_GAMMA_3_2 - math.lgamma(nu + 1.5)
-    d_mant, d_shift, k, tail_f, tail_g = _forward(nu, x, q, a0, z, run)
+    if run is None:
+        d_mant, d_shift, k, peak_f, peak_g, r = _rise(nu, x, q, a0)
+    else:  # this pass appends to its own copy of the cached run
+        d_mant, d_shift, k, peak_f, peak_g, r = run
+        d_mant, d_shift = list(d_mant), list(d_shift)
+    # the beta half, k_h to K: r <= 1/2, so m falls and the peaks move only at rescales
+    m, shift = d_mant[k], d_shift[k]
     a = a0 + 2.0 * k
+    tail_f = None
+    while True:
+        # T_j <= d_j U_j e^{-z}, U_j falling in j and d_{j+1} / d_j <= r: the
+        # terms after k (so after K) sum to at most d_k U_k r / (1 - r), and
+        # G's coefficients fall by r_g = r (k+nu+3/2) / (k+nu+5/2) < r.
+        # G's bound falls at every step against a fixed limit, so once
+        # proven it stays proven: trying it only after F's leaves K alone
+        if tail_f is None:
+            tail_f = _proven_tail_log(m, a, z, r / (1.0 - r), _EPS * peak_f, shift)
+        if tail_f is not None:
+            r_g = q / ((k + 1.5) * (k + nu + 2.5))
+            tail_g = _proven_tail_log(
+                m * x / (a + 1.0), a + 1.0, z, r_g / (1.0 - r_g), _EPS * peak_g, shift
+            )
+            if tail_g is not None:
+                break
+        m *= r
+        if m < 1.0:
+            m *= _EXP30
+            shift -= 30.0
+            peak_f *= _EXP30
+            peak_g *= _EXP30
+        k += 1
+        if k > MAX_SERIES_TERMS:
+            raise ConvergenceError("termwise series term cap exceeded")
+        a = a0 + 2.0 * k
+        d_mant.append(m)
+        d_shift.append(shift)
+        r = q / ((k + 1.5) * (k + nu + 1.5))
 
     # S(a_K + 1, z), summed directly, then downward in a: S = s e^{s_shift};
     # F's sum is total_f e^{log_d0 - z + t_shift} and G's x total_g e^{log_d0
@@ -576,12 +557,13 @@ def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
 
     Takes the arguments of ``F`` and ``G``; for callers that need both, or
     that ask at several beta for one (nu, x).  The beta-free half of the
-    engine's pass, its run, is kept for the last ``_RUNS`` (nu, x), so the
-    later beta skip it; the large-x route builds no run.  The values are bit
-    for bit those of ``F`` and ``G`` (see ``_termwise_pair_log`` and
-    ``large_x``).  A log's absolute error is at least ulp(|log|):
-    at beta = 1/2, x = 1, ln F is off by 1.35e-9 at nu = 1e6, 2.0e-8 at 1e7
-    and 2.1e-6 at 1e9 against a 40-digit termwise reference.
+    engine's pass, its run, is kept as tuples for the last ``_RUNS`` (nu, x),
+    so the later beta skip it; no pass writes a cached run, and the large-x
+    route builds none.  The values are bit for bit those of ``F`` and ``G``
+    (see ``_termwise_pair_log`` and ``large_x``).  A log's absolute error is
+    at least ulp(|log|): at beta = 1/2, x = 1, ln F is off by 1.35e-9 at
+    nu = 1e6, 2.0e-8 at 1e7 and 2.1e-6 at 1e9 against a 40-digit termwise
+    reference.
     """
     return _integral_pair_log("F and G", nu, beta, x, True)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -434,6 +435,17 @@ def test_order_past_log_gamma_range_raises_overflow(entry, bound_id, beta):
     # lnGamma(nu + 1) overflows a double from nu ~ 2.55e305 on
     with pytest.raises(OverflowError, match="ln Gamma\\(x\\) exceeds double range"):
         entry(bound_id, 1e306, beta, 2.0)
+
+
+@pytest.mark.parametrize("entry", (check, eval_bound))
+@pytest.mark.parametrize("nu", (1e17, 1e18, 1e50))
+def test_ub_gau1_full_refuses_where_its_terms_cancel(entry, nu):
+    # from nu ~ 3e16 the logs of UB-GAU1-FULL's terms, about nu ln nu, carry
+    # no digit of their ratios, and the total they leave falls below 1/2,
+    # short of the proven 5/9: a DomainError naming the bound and nu
+    for x in (0.5, 5.0, 50.0):
+        with pytest.raises(DomainError, match=f"UB-GAU1-FULL: .* at nu={re.escape(repr(nu))}"):
+            entry("UB-GAU1-FULL", nu, 0.5, x)
 
 
 @pytest.mark.parametrize("bound_id", ("PRB-KL1", "PRB-KL2"))

@@ -333,29 +333,10 @@ def test_termwise_loops_raise_past_cap(monkeypatch, cold_runs, fn):
     assert all(outcome == "ok" for outcome in outcomes[first["ok"]:])
 
 
-def test_run_extension_that_raises_leaves_the_run_whole(monkeypatch, cold_runs):
-    # at (0, 60) the run stops at k_h = 41, beta = 0 proves both tails at
-    # K = 68 and beta = 1 at 69.  With the cap at 68, beta = 1 raises on every
-    # call and the run keeps only what beta = 0 stored; below k_h no run is
-    # kept at all
-    nu, x = 0.0, 60.0
-    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 68)
-    assert integrals.fg_log(nu, 0.0, x) == integrals._termwise_pair_log(nu, 0.0, x)
-    run = integrals._run(nu, x)
-    assert (run[2], len(run[0]), len(run[1])) == (41, 69, 69)
-    for _ in range(2):
-        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
-            integrals.fg_log(nu, 1.0, x)
-        assert (len(run[0]), len(run[1])) == (69, 69)
-    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", specfun.MAX_SERIES_TERMS)
-    assert integrals.fg_log(nu, 1.0, x) == integrals._termwise_pair_log(nu, 1.0, x)
-    assert (len(run[0]), len(run[1])) == (70, 70)
-    integrals._run.cache_clear()
-    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 40)
-    for _ in range(2):
-        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
-            integrals.fg_log(nu, 0.0, x)
-        assert integrals._run.cache_info().currsize == 0
+def _fresh_run(nu, x):
+    """The beta-free half at (nu, x), built anew, in the cached run's form."""
+    d_mant, d_shift, *rest = integrals._rise(nu, x, 0.25 * x * x, 2.0 * nu + 2.0)
+    return (tuple(d_mant), tuple(d_shift), *rest)
 
 
 RUN_NUS = (-0.99, 0.0, 2.5)
@@ -364,25 +345,53 @@ RUN_XS = (5.0, 60.0, 300.0, 1000.0)
 RUN_BETAS = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
 
 
+def test_run_extension_that_raises_leaves_the_run_whole(monkeypatch, cold_runs):
+    # a cached run is tuples that no pass writes: at (0, 60) it stops at
+    # k_h = 41 and compares equal to a fresh beta-free half after fg_log at
+    # every beta, in either order, though beta = 0 proves both tails at
+    # K = 68 and beta = 1 at 69.  With the cap at 68, beta = 1 raises on
+    # every call and the run is as before; below k_h the beta-free half
+    # itself raises and no run is cached at all
+    nu, x = 0.0, 60.0
+    want = _fresh_run(nu, x)
+    assert (want[2], len(want[0]), len(want[1])) == (41, 42, 42)
+    for betas in (RUN_BETAS, RUN_BETAS[::-1]):
+        for beta in betas:
+            assert integrals.fg_log(nu, beta, x) == integrals._termwise_pair_log(nu, beta, x)
+            assert integrals._run(nu, x) == want
+    run = integrals._run(nu, x)
+    assert type(run[0]) is tuple and type(run[1]) is tuple
+    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 68)
+    assert integrals.fg_log(nu, 0.0, x) == integrals._termwise_pair_log(nu, 0.0, x)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
+            integrals.fg_log(nu, 1.0, x)
+        assert integrals._run(nu, x) is run and run == want
+    assert integrals._run.cache_info().misses == 1
+    integrals._run.cache_clear()
+    monkeypatch.setattr(integrals, "MAX_SERIES_TERMS", 40)
+    for _ in range(2):
+        with pytest.raises(ConvergenceError, match="termwise series term cap exceeded"):
+            integrals.fg_log(nu, 0.0, x)
+        assert integrals._run.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("betas", (RUN_BETAS, RUN_BETAS[::-1]), ids=("ascending", "descending"))
 def test_fg_log_runs_match_the_uncached_engine_bit_for_bit(cold_runs, betas):
     # the first beta at each (nu, x) builds its run; each later one reads it,
-    # and in ascending order beta = 1 needs a longer forward loop than the
-    # betas before it and extends the run they stored
-    # ``fg_log`` takes the large-x route at some of these points, so the run
-    # is handed to the engine as ``fg_log`` hands it
-    grown = 0
+    # and the run keeps its k_h + 1 coefficients whatever K the betas before
+    # it reached.  ``fg_log`` takes the large-x route at some of these
+    # points, so the run is handed to the engine as ``fg_log`` hands it
     for nu in RUN_NUS:
         for x in RUN_XS:
-            lengths = []
+            want = _fresh_run(nu, x)
+            assert len(want[0]) == len(want[1]) == want[2] + 1
             for beta in betas:
                 got = integrals._termwise_pair_log(nu, beta, x, integrals._run(nu, x))
                 assert repr(got) == repr(integrals._termwise_pair_log(nu, beta, x)), (nu, beta, x)
-                lengths.append(len(integrals._run(nu, x)[0]))
-            grown += lengths[-1] > lengths[0]
+                assert integrals._run(nu, x) == want, (nu, beta, x)
     info = integrals._run.cache_info()
     assert info.misses == len(RUN_NUS) * len(RUN_XS)
-    assert grown > 0 if betas[0] == 0.0 else grown == 0
 
 
 def test_f_and_g_leave_the_run_cache_alone(cold_runs):
@@ -394,10 +403,41 @@ def test_f_and_g_leave_the_run_cache_alone(cold_runs):
     assert integrals._run.cache_info() == before
 
 
+def _fg_sample():
+    """300 seeded points over the domain, both sides of the large-x gate: nu
+    in (-1, 30], beta 0 or 1 a tenth of the time each, else in (0, 1), x
+    log-uniform on [1e-3, 2000]."""
+    rng = random.Random(31)
+    log_lo, log_hi = math.log(1e-3), math.log(2000.0)
+    points = []
+    for _ in range(300):
+        nu = 30.0 - 31.0 * rng.random()
+        u = rng.random()
+        beta = 0.0 if u < 0.1 else 1.0 if u < 0.2 else rng.random()
+        points.append((nu, beta, math.exp(rng.uniform(log_lo, log_hi))))
+    return points
+
+
+def test_public_f_and_g_equal_fg_log_bit_for_bit(cold_runs):
+    # F and G build their beta-free half per call, fg_log reads it from a
+    # cached run: at each point fg_log first builds the run, then reads it,
+    # in sample order and then in reverse, where the first points read the
+    # runs the forward order left
+    points = _fg_sample()
+    assert sum(x > 100.0 for _, _, x in points) > 30
+    for order in (points, points[::-1]):
+        for point in order:
+            cold = integrals.fg_log(*point)
+            warm = integrals.fg_log(*point)
+            assert repr(warm) == repr(cold), point
+            assert F(*point) == ScaledReal.from_log(cold[0]), point
+            assert G(*point) == ScaledReal.from_log(cold[1]), point
+
+
 def test_fg_log_shares_runs_across_threads(cold_runs):
-    # threads that read and extend one run at a time still get the engine's
-    # own bits; x = 300 is past the large-x gate, so the run goes to the
-    # engine as ``fg_log`` hands it
+    # threads that read one run at a time still get the engine's own bits;
+    # x = 300 is past the large-x gate, so the run goes to the engine as
+    # ``fg_log`` hands it
     from concurrent.futures import ThreadPoolExecutor
 
     points = [(nu, beta, x) for nu in (-0.5, 2.5) for x in (5.0, 300.0) for beta in RUN_BETAS]
@@ -714,11 +754,11 @@ def test_termwise_engine_large_x_large_order_against_mpmath(nu, tol):
 def test_peaks_read_at_k_p_are_the_max_over_every_index(nu, log_x, beta):
     # the run's peaks, read at j = 0 and k_p - 2 .. k_p, equal a running max
     # of d_j / a_j and d_j x / (a_j + 1)^2 over every index of the run, with
-    # each e^30 rescale applied as the loop makes it; and the pass keeps the
-    # last index K it has with those peaks
+    # each e^30 rescale applied as the loop makes it; and a pass handed a run
+    # with those peaks returns the bits of a pass that builds its own
     x = math.exp(log_x)
     q, a0 = 0.25 * x * x, 2.0 * nu + 2.0
-    d_mant, d_shift, k_h, peak_f, peak_g = integrals._forward(nu, x, q, a0)
+    d_mant, d_shift, k_h, peak_f, peak_g, r_h = integrals._rise(nu, x, q, a0)
     want_f = want_g = 0.0
     for j in range(k_h + 1):
         if j and d_shift[j] > d_shift[j - 1]:
@@ -732,9 +772,9 @@ def test_peaks_read_at_k_p_are_the_max_over_every_index(nu, log_x, beta):
         want_f = max(want_f, c)
         want_g = max(want_g, c * (x * a / ((a + 1.0) * (a + 1.0))))
     assert (peak_f, peak_g) == (want_f, want_g)
-    run = (list(d_mant), list(d_shift), k_h, want_f, want_g)
-    got = integrals._forward(nu, x, q, a0, beta * x)
-    assert got[2:] == integrals._forward(nu, x, q, a0, beta * x, run)[2:]
+    run = (tuple(d_mant), tuple(d_shift), k_h, want_f, want_g, r_h)
+    got = integrals._termwise_pair_log(nu, beta, x)
+    assert repr(got) == repr(integrals._termwise_pair_log(nu, beta, x, run))
 
 
 # ---------------------------------------------------------------------------

@@ -107,8 +107,7 @@ def _cmd_verify(args) -> int:
     else:
         grid = harness.default_grid()
     if args.bounds is not None:
-        wanted = harness._split_list(args.bounds)
-        grid = harness.GridSpec(grid.nu_values, grid.beta_values, grid.x_values, wanted)
+        grid = grid._replace(bound_filter=harness._split_list(args.bounds))
     report = harness.verify_all(grid)
     sys.stdout.write(harness.margins_csv(report))
     s = report.summary

@@ -10,7 +10,7 @@ floats with 17 significant digits, making repeated runs byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from . import tables
@@ -64,39 +64,51 @@ def _log_spaced(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(math.exp(lle + i * (lhe - lle) / (n - 1)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Sweep grid; values must lie in the global domains."""
+_ALL_BOUNDS = tuple(b.bound_id for b in list_bounds())
 
+
+class _GridFields(NamedTuple):
     nu_values: tuple[float, ...]
     beta_values: tuple[float, ...]
     x_values: tuple[float, ...]
-    bound_filter: tuple[str, ...] = field(
-        default_factory=lambda: tuple(b.bound_id for b in list_bounds())
-    )
+    bound_filter: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if not (self.nu_values and self.beta_values and self.x_values):
+
+class GridSpec(_GridFields):
+    """Sweep grid; values must lie in the global domains, and the bound list
+    defaults to every catalog id.  A named tuple whose constructor (and so
+    ``_replace``) checks the values and keeps the first of a repeated bound
+    id, which would otherwise check its rows twice.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nu_values, beta_values, x_values, bound_filter=_ALL_BOUNDS):
+        if not (nu_values and beta_values and x_values):
             raise DomainError("grid value lists must be nonempty")
-        for nu in self.nu_values:
+        for nu in nu_values:
             if not nu > -1.5:
                 raise DomainError(f"grid nu must exceed -3/2, got {nu}")
             if nu == math.inf:
                 raise DomainError(f"grid nu must be finite, got {nu}")
-        for beta in self.beta_values:
+        for beta in beta_values:
             if not 0.0 < beta < 1.0:
                 raise DomainError(f"grid beta must lie in (0, 1), got {beta}")
-        for x in self.x_values:
+        for x in x_values:
             if not x > 0.0:
                 raise DomainError(f"grid x must be positive, got {x}")
             if x == math.inf:
                 raise DomainError(f"grid x must be finite, got {x}")
-        if not self.bound_filter:
+        if not bound_filter:
             raise DomainError("grid bound list must be nonempty")
-        for bound_id in self.bound_filter:
+        for bound_id in bound_filter:
             get_bound(bound_id)
-        # a repeated id would check its rows twice; keep the first occurrence
-        object.__setattr__(self, "bound_filter", tuple(dict.fromkeys(self.bound_filter)))
+        bound_filter = tuple(dict.fromkeys(bound_filter))
+        return super().__new__(cls, nu_values, beta_values, x_values, bound_filter)
+
+    @classmethod
+    def _make(cls, iterable) -> "GridSpec":
+        return cls(*iterable)
 
 
 def default_grid() -> GridSpec:
@@ -116,6 +128,10 @@ def _split_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in map(str.strip, text.split(",")) if tok)
 
 
+# grid file key -> GridSpec field
+_GRID_KEYS = {"nu": "nu_values", "beta": "beta_values", "x": "x_values", "bounds": "bound_filter"}
+
+
 def parse_grid_file(text: str) -> GridSpec:
     """Parse the line-oriented ``key=value`` grid format.
 
@@ -123,8 +139,7 @@ def parse_grid_file(text: str) -> GridSpec:
     (comma-separated ids), each at most once.  Missing keys fall back to the
     default grid.
     """
-    base = default_grid()
-    values: dict[str, str] = {}
+    values: dict[str, tuple[str, ...]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,26 +148,16 @@ def parse_grid_file(text: str) -> GridSpec:
             raise ValueError(f"grid line is not key=value: {line!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in ("nu", "beta", "x", "bounds"):
+        if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}")
         if key in values:
             raise ValueError(f"repeated grid key {key!r}")
-        values[key] = val.strip()
-
-    def floats(key: str, fallback: tuple[float, ...]) -> tuple[float, ...]:
-        if key not in values:
-            return fallback
-        return tuple(float(tok) for tok in _split_list(values[key]))
-
-    bound_filter = base.bound_filter
-    if "bounds" in values:
-        bound_filter = _split_list(values["bounds"])
-    return GridSpec(
-        nu_values=floats("nu", base.nu_values),
-        beta_values=floats("beta", base.beta_values),
-        x_values=floats("x", base.x_values),
-        bound_filter=bound_filter,
-    )
+        values[key] = _split_list(val)
+    return default_grid()._replace(**{
+        name: values[key] if key == "bounds" else tuple(map(float, values[key]))
+        for key, name in _GRID_KEYS.items()
+        if key in values
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +195,7 @@ class TableCheckRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class LimitCheckRow:
+class LimitCheckRow(NamedTuple):
     name: str
     point: str
     computed: float

@@ -8,6 +8,7 @@ from struveint.bounds import Margin
 from struveint.errors import DomainError
 from struveint.harness import (
     GridSpec,
+    LimitCheckRow,
     MarginRow,
     Report,
     TABLE_TOLERANCE,
@@ -134,6 +135,24 @@ def test_grid_validation():
     )
     assert grid.bound_filter == ("UB-2.4", "LB-2.3")
     assert verify_all(grid).summary["checked"] == 2
+
+
+def test_grid_replace_checks_again():
+    # GridSpec is a named tuple: _replace goes through the constructor's
+    # checks and its first-occurrence dedupe, and a grid equals its fields
+    grid = GridSpec(nu_values=(1.0,), beta_values=(0.5,), x_values=(1.0,))
+    assert grid.bound_filter == tuple(b.bound_id for b in bounds.list_bounds())
+    assert grid == ((1.0,), (0.5,), (1.0,), grid.bound_filter)
+    with pytest.raises(DomainError, match="grid beta must lie in"):
+        grid._replace(beta_values=(0.5, 1.0))
+    with pytest.raises(DomainError, match="grid bound list must be nonempty"):
+        grid._replace(bound_filter=())
+    with pytest.raises(KeyError):
+        grid._replace(bound_filter=("NOPE",))
+    narrowed = grid._replace(bound_filter=("UB-2.4", "LB-2.3", "UB-2.4"))
+    assert narrowed == grid[:3] + (("UB-2.4", "LB-2.3"),)
+    assert isinstance(narrowed, GridSpec)
+    assert LimitCheckRow._fields == ("name", "point", "computed", "target", "tolerance", "ok")
 
 
 def test_default_grid_shape():

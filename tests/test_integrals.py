@@ -180,9 +180,9 @@ def test_series_leading_term_small_x():
 
 
 def test_series_domain():
-    for bad in ((-1.0, 0.5, 1.0), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0), (0.0, 0.5, 0.0)):
-        with pytest.raises(DomainError):
-            integral_series(*bad)
+    # integral_series is F: beta 0 and 1 and x = 0 are in its domain
+    with pytest.raises(DomainError):
+        integral_series(-1.0, 0.5, 1.0)
 
 
 def test_beta0_frozen_values():
@@ -926,7 +926,9 @@ def test_termwise_huge_x_raises_at_once():
         assert time.perf_counter() - start < 0.05
 
 
-@pytest.mark.parametrize("entry", (F, G, integrals.fg_log, integral_series))
+@pytest.mark.parametrize(
+    "entry", (F, G, integrals.fg_log, integral_series), ids=("F", "G", "fg_log", "integral_series")
+)
 def test_huge_nu_raises_domain_error_at_once(entry):
     # a = 2 nu + 2 past 1.3e154 overflows the tail bound's a (a + 1 - z); the
     # argument check refuses nu above 1e150 before any loop runs

@@ -84,3 +84,30 @@ def test_large_x_route_loads_only_past_x_100():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_fg_log_from_threads_before_large_x_loads():
+    # fg_log itself from four threads in a fresh process: its argument
+    # checks, the shared run cache and the first import of large_x (x = 300
+    # is past the gate) all run concurrently, and the logs equal serial
+    # calls' bit for bit
+    code = (
+        "import sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from struveint import integrals\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "betas = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)\n"
+        "points = [(nu, b, x) for nu in (-0.5, 2.5) for x in (5.0, 300.0) for b in betas]\n"
+        "print('struveint.large_x' in sys.modules)\n"
+        "with ThreadPoolExecutor(max_workers=4) as pool:\n"
+        "    threaded = list(pool.map(lambda p: integrals.fg_log(*p), points))\n"
+        "integrals._run.cache_clear()\n"
+        "serial = [integrals.fg_log(*p) for p in points]\n"
+        "print(len(points), repr(threaded) == repr(serial))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "28", "True"]

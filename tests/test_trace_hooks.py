@@ -10,7 +10,8 @@ from collections import Counter
 
 import pytest
 
-from struveint import bounds, harness, integrals, specfun
+import struveint
+from struveint import bounds, cli, harness, integrals, specfun
 from struveint.bounds import Target, list_bounds
 from struveint.harness import GridSpec, default_grid, verify_all
 
@@ -44,10 +45,15 @@ def test_traced_sweep_counts_checks_by_group(spans):
     grid = GridSpec(nu_values=(-0.25, 1.0, 2.5), beta_values=(0.5,), x_values=(1.0, 10.0))
     check = bounds.check
     log_gamma = specfun.log_gamma
+    # integral_series is F, so the tracer wraps F itself under
+    # integrals.series, in every module that bound it
+    f = integrals.F
+    assert integrals.integral_series is f
     tracer = spans.Tracer()
     tracer.install()
     try:
         assert harness.check is not check
+        assert cli.F is not f
         report = verify_all(grid)
         figures = tracer.end_pass()
     finally:
@@ -64,8 +70,13 @@ def test_traced_sweep_counts_checks_by_group(spans):
         assert 0.0 <= figures[f"{prefix}.hit_ratio"] <= 1.0
     assert len(spans.CACHES) == 5
 
+    # the sweep reads F through fg_log, never through the public name
+    assert figures["integrals.series.calls"] == 0
+
     assert harness.check is check and bounds.check is check
     assert specfun.log_gamma is log_gamma
+    assert integrals.F is f and integrals.integral_series is f
+    assert struveint.F is f and cli.F is f
 
 
 def test_default_sweep_calls_check_once_per_row(monkeypatch):

@@ -22,15 +22,19 @@ grouped by message (a raise enters the digest as its type and message):
   exit code.
 
 The engine's lines, the text its digest covers, go to OUT_DIR/engine.txt.
-Two checkouts that print the same lines return bit-identical (ln F, ln G),
-bounds and margins at every point, and byte-identical CLI output:
+OUT_DIR/kernels.txt holds ``struve_l_scaled_log`` and ``bessel_i_scaled_log``,
+ln e^-x L_nu(x) and ln e^-x I_nu(x), at each nu of NU and x of KERNEL_X, one
+``L (nu, x) result`` or ``I (nu, x) result`` line each; no printed line
+covers them.  Two checkouts that print the same lines return bit-identical
+(ln F, ln G), bounds and margins at every point, and byte-identical CLI
+output:
 
     PYTHONPATH=/path/to/other/src python scripts/fingerprint.py /tmp/fp-old
     PYTHONPATH=src python scripts/fingerprint.py /tmp/fp-new
     diff -r /tmp/fp-old /tmp/fp-new
     python scripts/engine_change.py /tmp/fp-old /tmp/fp-new
 
-where the last line says how far the engine's logs moved.
+where the last line says how far the engine's logs, and L's and I's, moved.
 
 Stdlib only.
 """
@@ -44,12 +48,16 @@ import random
 import sys
 from pathlib import Path
 
-from struveint import check, cli, default_x_star, eval_bound, harness, integrals, list_bounds
+from struveint import (
+    check, cli, default_x_star, eval_bound, harness, integrals, list_bounds, specfun,
+)
 
 SAMPLE_SIZE = 10_000
 NU = (-0.99, -0.5, -0.49, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 10.0, 30.0)
 BETA = (0.001, 0.1, 0.5, 0.9, 0.999)
 X = (5e-324, 1e-300, 1e-6, 0.05, 1.0, 7.5, 127.0, 500.0, 1000.0)
+# the kernels' x: the catalog's, with 150 and 1e4 past x = 100 as well
+KERNEL_X = X + (150.0, 1e4)
 TRUNCATIONS = (None, 1, 2, 5, 17)
 RUNS = (
     ("verify", ["verify"]),
@@ -135,6 +143,12 @@ def engine_stream(pts):
     return ((repr(point), integrals.fg_log, point) for point in pts)
 
 
+def kernel_stream():
+    return ((f"{name} {(nu, x)!r}", fn, (nu, x))
+            for name, fn in (("L", specfun.struve_l_scaled_log), ("I", specfun.bessel_i_scaled_log))
+            for nu in NU for x in KERNEL_X)
+
+
 def catalog_stream(args_list):
     return ((f"{fn.__name__}{args!r}", fn, args) for args in args_list
             for fn in (eval_bound, check))
@@ -187,6 +201,8 @@ if __name__ == "__main__":
         sys.exit("usage: python scripts/fingerprint.py OUT_DIR")
     out_dir = Path(sys.argv[1])
     out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "kernels.txt", "w", encoding="utf-8") as kernel_lines:
+        digest(kernel_stream(), kernel_lines)
     with open(out_dir / "engine.txt", "w", encoding="utf-8") as engine_lines:
         for name, stream, lines in (("engine", engine_stream(points()), engine_lines),
                                     ("catalog", catalog_stream(calls()), None),

@@ -2,7 +2,7 @@ r"""Evaluation of F(nu, beta, x) = integral_0^x exp(-beta t) t^nu L_nu(t) dt
 and its companion G with integrand t^nu L_{nu+1}(t).
 
 ``F`` and ``G`` evaluate both integrals for every nu > -1 and 0 <= beta <= 1
-with one engine (past x = 100 a large-x route comes first; see below),
+with one engine (past x = 100 two O(1) routes come first; see below),
 ``_termwise_pair_log``: the Struve series integrated term by term, each term
 in the Kummer form of the incomplete gamma function (DLMF 8.7.1),
 
@@ -22,21 +22,38 @@ check.  All terms are positive, beta = 0 and beta = 1 included, and the cost
 is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
 are kept, each made once going up and summed once coming down.
 
-Past x = 100, for (1 - beta) x >= 60 and nu^2 <= x, a route ahead of the
-engine (``large_x.pair_log``) integrates the Hankel expansion of I_nu term
-by term: F = e^{(1-beta) x} x^{nu-1/2} / sqrt(2 pi) sum_n b_n x^-n, in O(1).
-It returns only where a remainder bound, proven per call, is below 1e-16 of
-the value: the expansion's first neglected term (DLMF 10.40), the algebraic
-part L_nu - I_nu, and the constant of integration.  Elsewhere it declines
-and the engine runs, with the bits it had without the route.
-``fg_log`` hands both logs to callers that need the pair, and caches the
-beta-free half of the engine's pass, which the beta of one (nu, x) read and
-never write; F and G build that half per call.  ``integral_series`` is
-another name for ``F``.  All three agree bit for bit.  The other routes stay
-as oracles for the tests:
+Past x = 100 two routes come ahead of the engine, each in O(1):
+
+* for (1 - beta) x >= 60 and nu^2 <= x, ``large_x.pair_log`` integrates
+  the Hankel expansion of I_nu term by term: F = e^{(1-beta) x}
+  x^{nu-1/2} / sqrt(2 pi) sum_n b_n x^-n.  It returns only where a
+  remainder bound, proven per call, is below 1e-16 of the value: the
+  expansion's first neglected term (DLMF 10.40), the algebraic part
+  L_nu - I_nu, and the constant of integration;
+* at beta = 1 and nu > -1/2, F alone comes from its closed form (``_beta1_log``),
+
+  .. math::
+      F_{\nu,1}(x) = \frac{e^{-x} x^{\nu+1} (L_\nu + L_{\nu+1})}{2\nu+1}
+          - \frac{\gamma(2\nu+2, x)}{\sqrt\pi\,2^\nu (2\nu+1)\,\Gamma(\nu+3/2)},
+
+  with both L kernels from their large-x expansion (``large_x.kernel_log``),
+  each proven within 1e-16.  It returns only where both kernels are proven
+  and kappa = first / (first - second), the factor by which the difference
+  magnifies its terms' relative errors, is at most 4 (``_BETA1_KAPPA_MAX``);
+  at x in (100, 1e4] its ln F is within 3e-14 of a 40-digit reference.  G
+  has no such form and keeps the engine.
+
+Where a route declines, the engine runs, with the bits it had without the
+routes.  ``fg_log`` hands both logs to callers that need the pair, and
+caches the beta-free half of the engine's pass, which the beta of one
+(nu, x) read and never write; F and G build that half per call.
+``integral_series`` is another name for ``F``.  All three agree bit for bit.
+The other routes stay as oracles for the tests:
 
 * ``integral_quad``   -- double-exponential quadrature of the integrand;
-* ``integral_beta1``  -- closed form at beta = 1 in terms of L and gamma;
+* ``integral_beta1``  -- the closed form at beta = 1 for every x > 0,
+  from the same two terms as F's route (``_beta1_terms_log``) with the
+  kernels of ``struve_l_scaled_log``;
 * ``integral_beta0``  -- 2F3 hypergeometric form at beta = 0.
 
 Everything is computed in log/scaled arithmetic so x up to 1000 (integrand
@@ -54,6 +71,7 @@ from .scaled import _NEG_INF, ScaledReal
 from .specfun import (
     MAX_SERIES_TERMS,
     _EXP30,
+    _LARGE_X,
     _LN2,
     _LN_GAMMA_3_2,
     _LN_SQRT_PI,
@@ -62,7 +80,6 @@ from .specfun import (
     log_gamma,
     lower_incomplete_gamma_log,
     pfq,
-    struve_l_scaled,
     struve_l_scaled_log,
 )
 
@@ -88,10 +105,11 @@ _RUNS = 32
 # a (a + 1 - z) in the tail bound overflows once a = 2 nu + 2 passes 1.3e154
 _NU_MAX = 1e150
 
-# past this x, ``_integral_pair_log`` tries the large-x route
-# (``large_x.pair_log``) before the engine; the default grid and the tables
-# stop at x = 100
-_ROUTE_X = 100.0
+# past x = 100 at beta = 1, F comes from its closed form (``_beta1_log``) only
+# where kappa = first / (first - second), the factor by which the difference
+# magnifies its terms' relative errors, is at most this; nearer nu = -1/2
+# the two terms cancel and the engine runs
+_BETA1_KAPPA_MAX = 4.0
 
 # integral_quad needs weight_power + order + 2 >= this (nu >= -0.98 for F):
 # near the origin the integrand is t^(s-1) with s = weight_power + order + 2,
@@ -471,28 +489,56 @@ def _termwise_pair_log(nu: float, beta: float, x: float, run=None) -> tuple[floa
     return log_d0 - z + sum_f, log_d0 - z + sum_g
 
 
+def _beta1_terms_log(nu: float, x: float, log_l: float, log_l1: float) -> tuple[float, float]:
+    """(ln first, ln second) of the closed form at beta = 1 (``integral_beta1``),
+    F = first - second, from log_l = ln(e^-x L_nu(x)) and log_l1 = ln(e^-x
+    L_{nu+1}(x)); nu > -1/2, x > 0."""
+    big, small = (log_l, log_l1) if log_l >= log_l1 else (log_l1, log_l)
+    log_2nu1 = math.log(2.0 * nu + 1.0)
+    first = math.fsum(
+        ((nu + 1.0) * math.log(x), -log_2nu1, big, math.log1p(math.exp(small - big)))
+    )
+    second = math.fsum((
+        lower_incomplete_gamma_log(2.0 * nu + 2.0, x),
+        -_LN_SQRT_PI,
+        -nu * _LN2,
+        -log_2nu1,
+        -log_gamma(nu + 1.5),
+    ))
+    return first, second
+
+
+def _beta1_log(nu: float, x: float):
+    """ln F at beta = 1, nu > -1/2, x > 100, from the closed form with both
+    L kernels from ``large_x.kernel_log``; None where either kernel is not
+    proven or kappa = first / (first - second) passes ``_BETA1_KAPPA_MAX``."""
+    from . import large_x
+
+    log_l1 = large_x.kernel_log(nu + 1.0, x, True)
+    log_l = large_x.kernel_log(nu, x, True) if log_l1 is not None else None
+    if log_l is None:
+        return None
+    first, second = _beta1_terms_log(nu, x, log_l, log_l1)
+    ratio = math.exp(second - first)  # 1 - 1 / kappa
+    return first + math.log1p(-ratio) if ratio <= 1.0 - 1.0 / _BETA1_KAPPA_MAX else None
+
+
 def integral_beta1(nu: float, x: float) -> ScaledReal:
     """Closed form at beta = 1:
     e^{-x} x^{nu+1} (L_nu(x) + L_{nu+1}(x)) / (2 nu + 1)
-      - gamma(2 nu + 2, x) / (sqrt(pi) 2^nu (2 nu + 1) Gamma(nu + 3/2)).
+      - gamma(2 nu + 2, x) / (sqrt(pi) 2^nu (2 nu + 1) Gamma(nu + 3/2)),
+    with the kernels of ``struve_l_scaled_log``; F's route at beta = 1 past
+    x = 100 (``_beta1_log``) evaluates the same two terms.
     """
     if not nu > -0.5:
         raise DomainError(f"beta=1 closed form requires nu > -1/2, got {nu}")
     if not x > 0.0:
         raise DomainError(f"beta=1 closed form requires x > 0, got {x}")
     _require_finite("beta=1 closed form", nu, x)
-    struve_sum = struve_l_scaled(nu, x) + struve_l_scaled(nu + 1.0, x)
-    first = ScaledReal.from_log(
-        (nu + 1.0) * math.log(x) - math.log(2.0 * nu + 1.0)
-    ) * struve_sum
-    second = ScaledReal.from_log(
-        lower_incomplete_gamma_log(2.0 * nu + 2.0, x)
-        - _LN_SQRT_PI
-        - nu * _LN2
-        - math.log(2.0 * nu + 1.0)
-        - log_gamma(nu + 1.5)
+    first, second = _beta1_terms_log(
+        nu, x, struve_l_scaled_log(nu, x), struve_l_scaled_log(nu + 1.0, x)
     )
-    return first - second
+    return ScaledReal.from_log(first) - ScaledReal.from_log(second)
 
 
 def integral_beta0(nu: float, x: float) -> ScaledReal:
@@ -518,8 +564,10 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
 
 def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False):
     """(ln F, ln G) with F/G argument checks; -inf for both at x = 0.  Past
-    x = 100 the large-x route is tried first; where it declines, only a
-    cached call reads or builds the engine's run at (nu, x)."""
+    x = 100 the large-x route is tried first, then at beta = 1 F's closed
+    form, for every caller but G; where it serves, F (``name`` "F") takes
+    its ln F and None for ln G, and fg_log its ln F beside the engine's ln
+    G.  Only a cached call reads or builds the engine's run at (nu, x)."""
     if not -1.0 < nu <= _NU_MAX:
         raise DomainError(f"{name} requires -1 < nu <= {_NU_MAX:g}, got {nu}")
     if not 0.0 <= beta <= 1.0:
@@ -530,7 +578,7 @@ def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False
         raise DomainError(f"{name} requires finite arguments, got {(nu, x)}")
     if x == 0.0:
         return _NEG_INF, _NEG_INF
-    if x > _ROUTE_X:
+    if x > _LARGE_X:
         # imported at the first call past x = 100, so that ``import
         # struveint`` does not compile it (about 1 ms)
         from . import large_x
@@ -538,12 +586,20 @@ def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False
         logs = large_x.pair_log(nu, beta, x)
         if logs is not None:
             return logs
+        if beta == 1.0 and nu > -0.5 and name != "G":
+            log_f = _beta1_log(nu, x)
+            if log_f is not None:
+                if name == "F":
+                    return log_f, None
+                # fg_log, the one other caller here, reads the cached run
+                return log_f, _termwise_pair_log(nu, beta, x, _run(nu, x))[1]
     return _termwise_pair_log(nu, beta, x, _run(nu, x) if cached else None)
 
 
 def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     """(ln F, ln G) at one point from one engine pass, or from the large-x
-    route past its gate; -inf at x = 0.
+    route past its gate, with ln F from the closed form where F takes it;
+    -inf at x = 0.
 
     Takes the arguments of ``F`` and ``G``; for callers that need both, or
     that ask at several beta for one (nu, x).  The beta-free half of the
@@ -562,8 +618,10 @@ def F(nu: float, beta: float, x: float) -> ScaledReal:
     """F(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_nu(t) dt, nu > -1,
     0 <= beta <= 1, x >= 0, summed to full double precision: past x = 100
     and (1 - beta) x = 60 from its large-x expansion where the remainder is
-    proven below 1e-16 (``large_x``), else by termwise integration
-    in Kummer form (``_termwise_pair_log``).
+    proven below 1e-16 (``large_x``), past x = 100 at beta = 1 from its
+    closed form where both kernels are proven and the terms do not cancel
+    (``_beta1_log``), else by termwise integration in Kummer form
+    (``_termwise_pair_log``).
     """
     return ScaledReal.from_log(_integral_pair_log("F", nu, beta, x)[0])
 

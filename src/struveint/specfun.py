@@ -85,6 +85,10 @@ _LN_GAMMA_3_2 = _LN_SQRT_PI - _LN2
 _TWO_MIN_NORMAL = 2.0**-1021
 # the kernel readers' comparison chains read one module name, not math.inf
 _INF = math.inf
+# past this x, L and I come from their large-x expansion where its remainder
+# is proven (``large_x.kernel_log``), and F and G from theirs; the default
+# grid and the tables stop at x = 100
+_LARGE_X = 100.0
 
 # Taylor coefficients of 1/Gamma(1+z) about z = 0 (DLMF 5.7.1), computed with
 # mpmath at 40 digits and regrouped for _bessel_k_temme: the odd coefficients,
@@ -406,6 +410,17 @@ def _struve_ladder_log(nu: float, x: float, n: int) -> tuple[float, ...]:
     return tuple(lead + ((s - shift) + (v - logs[0])) for s, v in zip(shifts, logs))
 
 
+def _large_x_log(nu: float, x: float, struve: bool):
+    """``large_x.kernel_log`` past x = 100, else None.  ``large_x`` is
+    imported at the first call past x = 100, so that ``import struveint``
+    does not compile it."""
+    if x > _LARGE_X:
+        from . import large_x
+
+        return large_x.kernel_log(nu, x, struve)
+    return None
+
+
 def struve_l(nu: float, x: float) -> float:
     """Modified Struve function L_nu(x), nu > -3/2, x >= 0.
 
@@ -413,19 +428,26 @@ def struve_l(nu: float, x: float) -> float:
     690); use struve_l_scaled there.
     """
     _check_struve_args(nu, x)
-    return ScaledReal.from_log(_struve_l_raw(nu, x)).to_float()
+    log = _large_x_log(nu, x, True)
+    return ScaledReal.from_log(_struve_l_raw(nu, x) if log is None else log + x).to_float()
 
 
 def struve_l_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * L_nu(x)); -inf at x = 0.
 
-    The log's absolute error is at least ulp(|log|), and |log| grows like
-    nu ln nu: against 40-digit mpmath (x = 0.5, 50, 1000) it is up to 5.8e-10
-    at nu = 1e6 and 2.9e-7 to 5.5e-7 at nu = 1e8.
+    Past x = 100 with nu^2 <= x and nu > -1 it is summed from the large-x
+    expansion with its remainder proven below 1e-16 (``large_x``): against
+    40-digit mpmath for x from 150 to 1e6 its error is a few ulp of the log.
+    Elsewhere it is the series, whose log's absolute error is at least
+    ulp(|ln L_nu(x)|): 1e-13 at x = 1000, and |log| grows like nu ln nu,
+    up to 5.8e-10 at nu = 1e6 and 2.9e-7 to 5.5e-7 at nu = 1e8 (x = 0.5, 50,
+    1000).
     """
-    if not (-1.5 < nu < _INF and 0.0 <= x < _INF):  # the checker's opening chain
-        _check_struve_args(nu, x)
-    return _struve_l_raw(nu, x) - x
+    if -1.5 < nu < _INF and 0.0 <= x <= _LARGE_X:  # valid, at most 100: the series
+        return _struve_l_raw(nu, x) - x
+    _check_struve_args(nu, x)
+    log = _large_x_log(nu, x, True)
+    return _struve_l_raw(nu, x) - x if log is None else log
 
 
 def struve_l_scaled(nu: float, x: float) -> ScaledReal:
@@ -461,19 +483,25 @@ def _check_bessel_i_args(nu: float, x: float) -> None:
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function I_nu(x); positive for nu >= -1, x > 0."""
     _check_bessel_i_args(nu, x)
-    return ScaledReal.from_log(_bessel_i_raw(nu, x)).to_float()
+    log = _large_x_log(nu, x, False)
+    return ScaledReal.from_log(_bessel_i_raw(nu, x) if log is None else log + x).to_float()
 
 
 def bessel_i_scaled_log(nu: float, x: float) -> float:
     """ln(exp(-x) * I_nu(x)); -inf where I_nu(x) = 0.
 
-    The log's absolute error is at least ulp(|log|), and |log| grows like
-    nu ln nu: against 40-digit mpmath (x = 0.5, 50, 1000) it is up to 1.5e-9
-    at nu = 1e6 and 1.4e-7 to 3.2e-7 at nu = 1e8.
+    Past x = 100 with nu^2 <= x it is summed from the large-x expansion with
+    its remainder proven below 1e-16 (``large_x``): against 40-digit mpmath
+    for x from 150 to 1e6 its error is a few ulp of the log.  Elsewhere it
+    is the series, whose log's absolute error is at least ulp(|ln I_nu(x)|):
+    1e-13 at x = 1000, and |log| grows like nu ln nu, up to 1.5e-9 at nu =
+    1e6 and 1.4e-7 to 3.2e-7 at nu = 1e8 (x = 0.5, 50, 1000).
     """
-    if not (-1.0 <= nu < _INF and 0.0 <= x < _INF):  # where the checker passes
-        _check_bessel_i_args(nu, x)  # integer nu < -1 passes it too
-    return _bessel_i_raw(nu, x) - x
+    if -1.0 <= nu < _INF and 0.0 <= x <= _LARGE_X:  # valid, at most 100: the series
+        return _bessel_i_raw(nu, x) - x
+    _check_bessel_i_args(nu, x)  # integer nu < -1 passes it too
+    log = _large_x_log(nu, x, False)
+    return _bessel_i_raw(nu, x) - x if log is None else log
 
 
 def bessel_i_scaled(nu: float, x: float) -> ScaledReal:

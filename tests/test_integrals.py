@@ -838,6 +838,9 @@ def test_large_x_route_starts_past_the_default_grid(cold_runs):
     (0.0, 1.0 - 59.5 / 150.0, 150.0),  # (1 - beta) x below 60
     (0.0, 1.0 - 61.0 / 150.0, 150.0),  # past the gate, but the bound needs 63
     (-0.9, 1.0 - 62.0 / 1000.0, 1000.0),  # and 67 here
+    # and just over 65.25 here, too near for ``_out_of_reach`` to show
+    # before the rate of e^(ct) t^(s-N) runs out
+    (-0.95, 1.0 - 65.25 / 1000.0, 1000.0),
     (30.0, 0.5, 150.0),  # nu^2 > x
     (300.0, 0.5, 150.0),
     (2.0, 0.5, 5.0001e4),  # x past 5e4, nearer the engine's term cap
@@ -915,6 +918,155 @@ def test_large_x_route_bounds_against_mpmath():
                     assert abs(scaled - partial) <= bound + mp.mpf(10) ** -90, (mu, t, n)
 
 
+@pytest.mark.parametrize("point", [(-0.9, 0.5, 130.0), (0.0, 0.5933, 150.0)])
+def test_large_x_route_declines_at_its_first_index(monkeypatch, cold_runs, point):
+    # (1 - beta) x in [60, 65.2) at nu < 1: the bound would need up to 66,
+    # so F's sum cannot pass.  ``_out_of_reach`` proves that at the first
+    # index past s + 1, n = 1 here, where the sum used to run its ~20 terms
+    # until e^(ct) t^(s-N) stopped rising; the engine then runs as before
+    real, calls = large_x._out_of_reach, []
+
+    def spy(n, *args):
+        calls.append((n, real(n, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(large_x, "_out_of_reach", spy)
+    assert large_x.pair_log(*point) is None
+    assert calls == [(1, True)]
+    monkeypatch.undo()
+    want = integrals._termwise_pair_log(*point)
+    assert integrals.fg_log(*point) == want
+    assert F(*point) == ScaledReal.from_log(want[0])
+
+
+# the band where the route may decline, nu in (-1, 1) and (1 - beta) x in
+# [59, 67], on a fixed grid: "1" where ``pair_log`` serves the point and "0"
+# where it declines, as recorded with every sum run to its end, which the
+# early decline must not change; one line per nu in _SCAN_NUS, each
+# (1 - beta) x in _SCAN_CXS in turn with every x in _SCAN_XS
+_SCAN_NUS = (-0.95, -0.7, -0.45, -0.2, 0.05, 0.3, 0.55, 0.8)
+_SCAN_CXS = tuple(59.0 + k for k in range(9))
+_SCAN_XS = (100.5, 130.0, 200.0, 450.0, 1000.0)
+_SCAN_SERVED = (
+    "000000000000000000000000000000000001111111111"
+    "000000000000000000000000000000111111111111111"
+    "000000000000000000000000011111111111111111111"
+    "000000000000000000001111111111111111111111111"
+    "000000000000000111111111111111111111111111111"
+    "000000000011111111111111111111111111111111111"
+    "000000000111111111111111111111111111111111111"
+    "000000110111111111111111111111111111111111111"
+)
+
+
+def test_large_x_route_serves_the_band_as_before():
+    # the early decline changes which calls run the whole expansion, not
+    # which calls the route serves
+    served = "".join(
+        "0" if large_x.pair_log(nu, 1.0 - cx / x, x) is None else "1"
+        for nu in _SCAN_NUS for cx in _SCAN_CXS for x in _SCAN_XS
+    )
+    assert served == _SCAN_SERVED
+
+
+# ---------------------------------------------------------------------------
+# F at beta = 1 past x = 100 from its closed form
+# ---------------------------------------------------------------------------
+
+
+def _beta1_reference(nu, x):
+    """ln F(nu, 1, x) at 40 digits from the closed form, with mpmath's L
+    and lower gamma."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        nu, x = mp.mpf(nu), mp.mpf(x)
+        first = mp.exp(-x) * x ** (nu + 1) * (mp.struvel(nu, x) + mp.struvel(nu + 1, x))
+        second = mp.gammainc(2 * nu + 2, 0, x) / (
+            mp.sqrt(mp.pi) * 2**nu * mp.gamma(nu + mp.mpf(3) / 2)
+        )
+        return mp.log((first - second) / (2 * nu + 1))
+
+
+def test_beta1_route_against_mpmath():
+    # 200 seeded points with nu in (-1/2, 30] and x log-uniform on (100, 1e4]:
+    # where the route serves, F is within 2e-13 of the 40-digit closed form,
+    # and no worse than the engine beyond four ulp of ln F, the spacing both
+    # round to; where it declines, F is the engine's, bit for bit
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(33)
+    served = 0
+    for _ in range(200):
+        nu = 30.0 - 30.5 * rng.random()
+        x = math.exp(rng.uniform(math.log(100.0), math.log(1e4)))
+        want = integrals._termwise_pair_log(nu, 1.0, x)[0]
+        got = F(nu, 1.0, x).log_abs()
+        if integrals._beta1_log(nu, x) is None:
+            assert got == ScaledReal.from_log(want).log_abs(), (nu, x)
+            continue
+        served += 1
+        ref = _beta1_reference(nu, x)
+        err = abs(float(mp.expm1(mp.mpf(got) - ref)))
+        engine_err = abs(float(mp.expm1(mp.mpf(want) - ref)))
+        assert err <= 2e-13, (nu, x, err)
+        assert err <= max(engine_err, 4.0 * math.ulp(got)), (nu, x, err, engine_err)
+    assert served >= 150
+
+
+@pytest.mark.parametrize("nu, x, why", [
+    (-0.5, 300.0, "nu <= -1/2"),
+    (-0.9, 1000.0, "nu <= -1/2"),
+    (-0.49, 500.0, "kappa above the cap"),
+    (-0.48, 150.0, "kappa above the cap"),
+    (30.0, 150.0, "(nu + 1)^2 > x"),
+])
+def test_beta1_route_declines_to_the_engine_bits(cold_runs, nu, x, why):
+    if why == "kappa above the cap":
+        # both kernels are proven; the terms cancel by more than a factor 4
+        assert large_x.kernel_log(nu, x, True) is not None
+        assert large_x.kernel_log(nu + 1.0, x, True) is not None
+        first, second = integrals._beta1_terms_log(
+            nu, x, large_x.kernel_log(nu, x, True), large_x.kernel_log(nu + 1.0, x, True)
+        )
+        assert math.exp(second - first) > 0.75  # 1 - 1 / kappa
+    if nu > -0.5:
+        assert integrals._beta1_log(nu, x) is None
+    want = integrals._termwise_pair_log(nu, 1.0, x)
+    assert integrals.fg_log(nu, 1.0, x) == want
+    assert F(nu, 1.0, x) == ScaledReal.from_log(want[0])
+    assert G(nu, 1.0, x) == ScaledReal.from_log(want[1])
+
+
+def test_beta1_route_serves_f_and_fg_log_alike_and_g_keeps_the_engine(cold_runs):
+    # F and fg_log's ln F take the closed form, bit for bit alike; G has no
+    # closed form at beta = 1 and reads the engine's bits, from F's call or
+    # fg_log's; at x = 100 F keeps the engine
+    for nu, x in ((0.0, 150.0), (2.5, 1000.0), (-0.4, 300.0), (9.0, 2000.0)):
+        log_f = integrals._beta1_log(nu, x)
+        assert log_f is not None
+        want = integrals._termwise_pair_log(nu, 1.0, x)
+        assert integrals.fg_log(nu, 1.0, x) == (log_f, want[1])
+        assert F(nu, 1.0, x) == ScaledReal.from_log(log_f)
+        assert G(nu, 1.0, x) == ScaledReal.from_log(want[1])
+        assert abs(log_f - want[0]) <= 1e-13 * abs(want[0])
+    want = integrals._termwise_pair_log(2.0, 1.0, 100.0)
+    assert F(2.0, 1.0, 100.0) == ScaledReal.from_log(want[0])
+
+
+def test_beta1_oracle_shares_the_route_terms():
+    # integral_beta1 is first - second from the route's two terms, with the
+    # kernels of struve_l_scaled_log; past x = 100 those are the route's own
+    for nu, x in ((0.0, 5.0), (2.5, 50.0), (0.0, 150.0), (2.5, 1000.0)):
+        first, second = integrals._beta1_terms_log(
+            nu, x, specfun.struve_l_scaled_log(nu, x), specfun.struve_l_scaled_log(nu + 1.0, x)
+        )
+        assert integral_beta1(nu, x) == ScaledReal.from_log(first) - ScaledReal.from_log(second)
+        if x > 100.0:
+            assert integral_beta1(nu, x).log_abs() == pytest.approx(
+                integrals._beta1_log(nu, x), rel=1e-15
+            )
+
+
 def test_termwise_huge_x_raises_at_once():
     # k_p past the term cap: x^2/4 > (cap + 3/2)(cap + nu + 3/2) refuses the
     # pass in closed form before any loop runs (x = 1e200 puts x^2/4 at inf,
@@ -981,3 +1133,35 @@ def test_engine_lines_and_their_change(tmp_path, fingerprint, engine_change):
         "engine: 2 of 3 points moved; max |d ln F| 0.25 at (-0.9, 0.0, 300.0), "
         "max |d ln G| 0.5 at (-0.9, 0.0, 300.0); 1 between a value and a raise"
     )
+
+
+def test_kernel_lines_and_their_change(tmp_path, fingerprint, engine_change):
+    # kernels.txt holds L's and I's scaled logs on NU x KERNEL_X, and
+    # engine_change reads two such files back: one line per kernel with the
+    # points that moved and the largest |d ln|
+    assert fingerprint.KERNEL_X[-2:] == (150.0, 1e4)
+    lines = list(fingerprint.kernel_stream())
+    assert len(lines) == 2 * len(fingerprint.NU) * len(fingerprint.KERNEL_X)
+    out = tmp_path / "fp"
+    out.mkdir()
+    with open(out / "kernels.txt", "w", encoding="utf-8") as text:
+        fingerprint.digest(iter(lines), text)
+    rows = engine_change.read(out, "kernels.txt")
+    key, result = rows[0]
+    assert key + ")" == "L " + repr((fingerprint.NU[0], fingerprint.KERNEL_X[0]))
+    assert float(result) == specfun.struve_l_scaled_log(fingerprint.NU[0], fingerprint.KERNEL_X[0])
+    assert engine_change.kernel_changes(rows, rows) == [
+        f"kernel {name}: 0 of {len(rows) // 2} points moved; max |d ln| 0; "
+        "0 between a value and a raise"
+        for name in ("L", "I")
+    ]
+    moved = list(rows)
+    i = next(k for k, (point, _) in enumerate(rows) if point == "I (0.0, 1000.0")
+    moved[i] = (rows[i][0], repr(float(rows[i][1]) + 0.125))
+    moved[0] = (rows[0][0], "ConvergenceError: series term cap exceeded")
+    assert engine_change.kernel_changes(rows, moved) == [
+        f"kernel L: 1 of {len(rows) // 2} points moved; max |d ln| 0; "
+        "1 between a value and a raise",
+        f"kernel I: 1 of {len(rows) // 2} points moved; max |d ln| 0.125 at I (0.0, 1000.0); "
+        "0 between a value and a raise",
+    ]

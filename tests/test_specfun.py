@@ -522,9 +522,98 @@ def test_recurrence_identity_property(nu, x):
 
 
 def test_series_cap_is_hard_error():
-    with pytest.raises(ConvergenceError):
-        # far beyond any supported argument; the term cap must trip, not hang
-        struve_l_scaled(0.0, 1e6)
+    # far beyond any supported argument the series' term cap must trip, not
+    # hang: where the large-x expansion declines (nu <= -1 for L, nu^2 > x),
+    # the series runs and raises; where it serves, there is a value
+    for nu in (-1.2, 1001.0):
+        with pytest.raises(ConvergenceError):
+            struve_l_scaled(nu, 1e6)
+    assert math.isfinite(struve_l_scaled(0.0, 1e6).log_abs())
+
+
+# ---------------------------------------------------------------------------
+# L and I past x = 100 from their large-x expansion (``large_x.kernel_log``)
+# ---------------------------------------------------------------------------
+
+
+def test_large_x_kernels_match_the_series():
+    # seeded points with x in (100, 1000] and nu in (-1, 30]: where nu^2 <= x
+    # the expansion serves, within 2e-15 of the unscaled log ln L_nu(x) (or
+    # ln I_nu(x)) that the series rounds; elsewhere the series keeps its bits
+    from struveint import large_x
+
+    rng = random.Random(33)
+    served = 0
+    for _ in range(400):
+        nu = 30.0 - 31.0 * rng.random()
+        x = math.exp(rng.uniform(math.log(100.0), math.log(1000.0)))
+        for fn, raw, struve in (
+            (specfun.struve_l_scaled_log, specfun._struve_l_raw, True),
+            (specfun.bessel_i_scaled_log, specfun._bessel_i_raw, False),
+        ):
+            series = raw(nu, x)
+            log = large_x.kernel_log(nu, x, struve)
+            assert (log is not None) == (nu * nu <= x), (nu, x)
+            if log is None:
+                assert fn(nu, x) == series - x
+                continue
+            served += 1
+            assert fn(nu, x) == log
+            assert abs(log - (series - x)) <= 2e-15 * abs(series), (nu, x, struve)
+    assert served >= 200
+
+
+@pytest.mark.parametrize("x", (150.0, 1e3, 1e4, 1e5, 1e6))
+def test_large_x_kernels_against_mpmath(x):
+    # within 1e-14 of the 40-digit log; from x = 1e5 the series raises
+    # ConvergenceError, and at 1e4 it was 8.8e-13 off
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for nu in (-0.999, -0.5, -0.25, 0.0, 0.5, 1.0, 2.5, 7.3, 12.0, 31.0):
+            if nu * nu > x:
+                continue
+            for fn, ref in ((specfun.struve_l_scaled_log, mp.struvel),
+                            (specfun.bessel_i_scaled_log, mp.besseli)):
+                want = mp.log(ref(nu, x)) - x
+                assert abs(float(fn(nu, x) - want)) <= 1e-14, (fn.__name__, nu, x)
+
+
+def test_large_x_kernels_keep_the_series_bits_where_they_do_not_apply():
+    # L at nu in (-3/2, -1] past x = 100, and every kernel and form at x <= 100,
+    # come from the series with their former bits
+    for nu in (-1.49, -1.2, -1.0):
+        for x in (150.0, 600.0):
+            raw = specfun._struve_l_raw(nu, x)
+            assert specfun.struve_l_scaled_log(nu, x) == raw - x
+            assert struve_l(nu, x) == specfun.ScaledReal.from_log(raw).to_float()
+    for x in (50.0, 100.0):
+        for nu in (-0.5, 0.0, 2.5):
+            raw = specfun._struve_l_raw(nu, x)
+            assert specfun.struve_l_scaled_log(nu, x) == raw - x
+            assert struve_l_scaled(nu, x) == specfun.ScaledReal.from_log(raw - x)
+            assert struve_l(nu, x) == specfun.ScaledReal.from_log(raw).to_float()
+            raw = specfun._bessel_i_raw(nu, x)
+            assert specfun.bessel_i_scaled_log(nu, x) == raw - x
+            assert bessel_i_scaled(nu, x) == specfun.ScaledReal.from_log(raw - x)
+            assert bessel_i(nu, x) == specfun.ScaledReal.from_log(raw).to_float()
+    # integer order below -1 passes the I checker; past 100 it is I_|nu|
+    raw = specfun._bessel_i_raw(-3.0, 50.0)
+    assert specfun.bessel_i_scaled_log(-3.0, 50.0) == raw - 50.0
+    assert specfun.bessel_i_scaled_log(-3.0, 300.0) == specfun.bessel_i_scaled_log(3.0, 300.0)
+
+
+def test_large_x_kernels_serve_every_form():
+    # the scaled, unscaled and ScaledReal forms read the same expansion
+    from struveint import large_x
+
+    for nu, x in ((0.0, 150.0), (2.5, 600.0), (-0.9, 1e4)):
+        log_l, log_i = large_x.kernel_log(nu, x, True), large_x.kernel_log(nu, x, False)
+        assert log_l == log_i  # L - I is below 1e-16 of either
+        assert struve_l_scaled(nu, x) == specfun.ScaledReal.from_log(log_l)
+        assert bessel_i_scaled(nu, x) == specfun.ScaledReal.from_log(log_i)
+        if x < 700.0:
+            assert struve_l(nu, x) == specfun.ScaledReal.from_log(log_l + x).to_float()
+            assert bessel_i(nu, x) == specfun.ScaledReal.from_log(log_i + x).to_float()
 
 
 _K_MPMATH_NUS = (0.0, 1e-9, 0.25, 0.49, 0.5, 0.51, 0.75, 0.9, 1.0, 1.5, 2.25, 5.0, 12.0, 13.0, 30.0)

@@ -65,14 +65,18 @@ def test_compile_time_script_covers_every_module_import_loads():
 def test_large_x_route_loads_only_past_x_100():
     # large_x compiles at its first use, not at import: compiling it with the
     # package raised the benchmark's setup time by 6-12%.  Nothing up to
-    # x = 100, the default grid's largest x, loads it; F past x = 100 does
+    # x = 100, the default grid's largest x, loads it, neither F and G nor
+    # the L and I kernels in any form; F past x = 100 does
     code = (
         "import sys\n"
         "import struveint\n"
-        "from struveint import harness, integrals\n"
+        "from struveint import harness, integrals, specfun\n"
         "struveint.list_bounds()\n"
         "for fn in (struveint.F, struveint.G, integrals.fg_log):\n"
         "    fn(1.0, 0.5, 100.0)\n"
+        "for fn in (specfun.struve_l_scaled_log, specfun.struve_l_scaled, specfun.struve_l,\n"
+        "           specfun.bessel_i_scaled_log, specfun.bessel_i_scaled, specfun.bessel_i):\n"
+        "    fn(1.0, 100.0)\n"
         "harness.verify_all(harness.GridSpec((0.5, 2.0), (0.5,), (1.0, 100.0)))\n"
         "print('struveint.large_x' in sys.modules)\n"
         "struveint.F(1.0, 0.5, 150.0)\n"

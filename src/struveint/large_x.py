@@ -50,10 +50,7 @@ With x0 = x - 42 / c (``_ROUTE_GAP``) the three parts are bounded thus:
   so the integral of U t^-N is at most U(x) x^-N over that rate.  N is
   the first index where this part is below half of 1e-16 of the sum
   (``_hankel_sum``).  The first term is zero where a_N(mu) is (mu =
-  1/2, 3/2, ...), and it holds there: the e^t part of I then ends.  Where
-  the bound cannot get there before the rate reaches zero, which happens
-  near the gate for nu < 1, ``_out_of_reach`` proves as much at the first
-  index past s + 1, and the route declines without the rest of the sum.
+  1/2, 3/2, ...), and it holds there: the e^t part of I then ends.
 * L - I.  For mu > -1/2, M_mu(t) = -2 (t/2)^mu / (sqrt(pi) Gamma(mu +
   1/2)) integral_0^1 e^(-tu) (1 - u^2)^(mu - 1/2) du (DLMF 11.5.4), so
   |M_mu| <= (t/2)^(mu-1) / (sqrt(pi) Gamma(mu + 1/2)) for mu >= 1/2, and
@@ -94,7 +91,7 @@ from .specfun import _LN2, _LN_SQRT_PI
 # inside its term cap, so the route takes no call that the engine refuses.
 # At x <= 1000 the bound holds from (1 - beta) x = 60 on for nu >= 1, and
 # needs 60 to 66 for nu in (-1, 1), where a call nearer the gate mostly
-# declines at the expansion's first terms (``_out_of_reach``).  The
+# declines when the rate of e^(ct) t^(s-n) runs out, about 20 terms in.  The
 # expansion's terms fall only once x is large against nu^2
 _ROUTE_X_MAX = 5e4
 _ROUTE_CX = 60.0
@@ -104,10 +101,6 @@ _ROUTE_CX = 60.0
 _ROUTE_GAP = 42.0
 # the route's proven remainder stays below this share of its value
 _ROUTE_TOL = 1e-16
-# ``_out_of_reach`` proves its lower bounds above 1 + this times the target:
-# far more than the rounding of its few dozen operations, far less than any
-# bound that decides a call
-_AHEAD_SLACK = 1e-9
 # 1 / Gamma(y) < 1 / 0.8856 for every y > 0: Gamma's least value on (0, inf)
 # is 0.885603... at y = 1.4616...
 _INV_GAMMA_MIN = 1.0 / 0.8856
@@ -165,9 +158,7 @@ def _hankel_sum(mu: float, x: float, kappa: float, c: float = 0.0, s: float = 0.
     the third entry is 1 (``kernel_log``).  With c = 1 - beta > 0 they are
     b_n x^-n and the bound is the expansion part of the module docstring,
     with kappa = |mu^2 - 1/4| / x0 (``pair_log``); the result is None where
-    the rate of e^(ct) t^(s-N) on [x0, x] reaches zero first, or where
-    ``_out_of_reach`` shows at the first index it applies that no later
-    index can pass.
+    the rate of e^(ct) t^(s-N) on [x0, x] reaches zero first.
     """
     h = 4.0 * mu * mu
     stokes = 2.0 * _SQRT_PI * math.exp(0.5 * math.pi * kappa)
@@ -177,7 +168,6 @@ def _hankel_sum(mu: float, x: float, kappa: float, c: float = 0.0, s: float = 0.
     a = 1.0
     b = total = abs_b = 1.0 / c if c else 1.0
     x_pow = x0_pow = 1.0
-    ahead = int(s) + 2 if s >= 0.0 else 1  # the first n > s + 1: ``_out_of_reach`` is tried there
     n = 0
     while True:
         n += 1
@@ -199,78 +189,10 @@ def _hankel_sum(mu: float, x: float, kappa: float, c: float = 0.0, s: float = 0.
         tail = (abs(a) * math.sqrt(0.5 * n + 1.0) * stokes + abs(bm)) * x_pow * x0 / rise
         if tail <= lim * total:
             return total, tail, abs_b
-        if n == ahead:
-            # the lower bound on B_{n+m} that ``_out_of_reach`` reads is at
-            # most B_n ((n + m - s) / (cx))^m: below the target at the
-            # midpoint m of the rise left, as where the route serves, that
-            # proof fails, so it is not tried
-            m = rise // 2.0
-            big_b = abs(bm) * x_pow
-            if big_b * x0 * ((n + m - s) / (c * x)) ** m > lim * total * (rise - m) and (
-                _out_of_reach(n, a, big_b, bm, total, h, c, s, x, x0, rise)
-            ):
-                return None
         b = (a - bm) / c
         x0_pow /= x0
         total += b * x_pow
         abs_b += abs(b) * x0_pow
-
-
-def _out_of_reach(n, a, big_b, bm, total, h, c, s, x, x0, rise):
-    """True where no index after n can pass ``_hankel_sum``'s test for an
-    integrated sum (c > 0), False where that is not shown; the arguments are
-    the loop's at an index n > s + 1 where its test failed, with big_b = B_n.
-
-    Write B_j = |s - j + 1| |b_{j-1}| x^-j and e_j = |a_j| x^-j / B_j.  From
-    c b_j = (-1)^j a_j - (s - j + 1) b_{j-1} and |a_{j+1} / a_j| =
-    |(2j+1)^2 - 4 mu^2| / (8 (j+1)), for j > s
-
-        (1 - e_j) (j - s) / (cx) <= B_{j+1} / B_j <= (1 + e_j) (j - s) / (cx),
-        e_{j+1} <= e_j g_j,  g_j = c max((2j+1)^2, 4 mu^2)
-                                   / (8 (j+1) (j - s+) (1 - e_j)),
-
-    with s+ = max(s, 0).  max((2j+1)^2, 4 mu^2) / ((j+1) (j - s+)) falls
-    as j grows (the log-derivative of (2j+1)^2 / ((j+1) j) is negative), so
-    for e_n < 1 and g = g_n < 1 the e_j fall, e_{n+i} <= e_n g^i, and the
-    product of the (1 - e_{n+i}) is at least f = 1 - e_n / (1 - g).  Index
-    j = n + m can pass only while its rise, rise - m, is positive, so j - s
-    < c x0 and B_{j+1} <= Q B_j with Q = (1 + e_n) x0 / x: for Q < 1 every
-    later sum is below the sum at n plus (1 + e_n) B_n / (c (1 - Q)), and
-    lim times that is the target.  The test at j reads a tail of at least
-    B_j x0 / (rise - m), and
-
-        ln(B_j x0 / (rise - m)) >= phi(m) = ln(f B_n x0) + ln Gamma(n + m - s)
-            - ln Gamma(n - s) - m ln(cx) - ln(rise - m).
-
-    phi is convex in m, and phi(m+1) >= phi(m) exactly where u = rise - m
-    satisfies u^2 + (cx - cx0) u - cx <= 0 (n - s + rise = cx0), so its
-    least value over 1 <= m < rise is at m = ceil(rise - u+), u+ the
-    positive root, or at an end.  Where phi there and at its neighbours
-    (which cover the rounding of u+) is above the target, no later index
-    passes.  ``_AHEAD_SLACK`` covers the rounding between the loop's values
-    and these bounds.
-    """
-    cx = c * x
-    e = abs(a / bm)
-    g = 1.0  # g_n, read only where e < 1
-    if e < 1.0:
-        g = c * max((2 * n + 1) ** 2, h) / (8 * (n + 1) * (n - max(s, 0.0)) * (1.0 - e))
-    q = (1.0 + e) * x0 / x
-    if not (e < 1.0 - g and q < 1.0 and rise > 1.0 and total > 0.0):
-        return False
-    f = 1.0 - e / (1.0 - g)
-    target = (
-        0.5 * _ROUTE_TOL * (total + (1.0 + e) * big_b / (c * (1.0 - q))) * (1.0 + _AHEAD_SLACK)
-    )
-    lead = math.log(f * big_b * x0 / target) - math.lgamma(n - s)
-    log_cx = math.log(cx)
-    d = cx - (n - s + rise)
-    last = math.ceil(rise) - 1  # the last m with rise - m > 0
-    m = min(max(math.ceil(rise - 0.5 * (math.sqrt(d * d + 4.0 * cx) - d)), 1), last)
-    return all(
-        lead + math.lgamma(n + k - s) - k * log_cx - math.log(rise - k) > 0.0
-        for k in range(max(m - 1, 1), min(m + 1, last) + 1)
-    )
 
 
 def pair_log(nu: float, beta: float, x: float):

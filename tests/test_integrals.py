@@ -838,9 +838,11 @@ def test_large_x_route_starts_past_the_default_grid(cold_runs):
     (0.0, 1.0 - 59.5 / 150.0, 150.0),  # (1 - beta) x below 60
     (0.0, 1.0 - 61.0 / 150.0, 150.0),  # past the gate, but the bound needs 63
     (-0.9, 1.0 - 62.0 / 1000.0, 1000.0),  # and 67 here
-    # and just over 65.25 here, too near for ``_out_of_reach`` to show
-    # before the rate of e^(ct) t^(s-N) runs out
-    (-0.95, 1.0 - 65.25 / 1000.0, 1000.0),
+    (-0.95, 1.0 - 65.25 / 1000.0, 1000.0),  # and just over 65.25 here
+    # (1 - beta) x in [60, 65.2) at nu < 1: F's sum runs its ~20 terms until
+    # e^(ct) t^(s-N) stops rising, short of a bound that would need up to 66
+    (-0.9, 0.5, 130.0),
+    (0.0, 0.5933, 150.0),
     (30.0, 0.5, 150.0),  # nu^2 > x
     (300.0, 0.5, 150.0),
     (2.0, 0.5, 5.0001e4),  # x past 5e4, nearer the engine's term cap
@@ -918,31 +920,10 @@ def test_large_x_route_bounds_against_mpmath():
                     assert abs(scaled - partial) <= bound + mp.mpf(10) ** -90, (mu, t, n)
 
 
-@pytest.mark.parametrize("point", [(-0.9, 0.5, 130.0), (0.0, 0.5933, 150.0)])
-def test_large_x_route_declines_at_its_first_index(monkeypatch, cold_runs, point):
-    # (1 - beta) x in [60, 65.2) at nu < 1: the bound would need up to 66,
-    # so F's sum cannot pass.  ``_out_of_reach`` proves that at the first
-    # index past s + 1, n = 1 here, where the sum used to run its ~20 terms
-    # until e^(ct) t^(s-N) stopped rising; the engine then runs as before
-    real, calls = large_x._out_of_reach, []
-
-    def spy(n, *args):
-        calls.append((n, real(n, *args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(large_x, "_out_of_reach", spy)
-    assert large_x.pair_log(*point) is None
-    assert calls == [(1, True)]
-    monkeypatch.undo()
-    want = integrals._termwise_pair_log(*point)
-    assert integrals.fg_log(*point) == want
-    assert F(*point) == ScaledReal.from_log(want[0])
-
-
 # the band where the route may decline, nu in (-1, 1) and (1 - beta) x in
 # [59, 67], on a fixed grid: "1" where ``pair_log`` serves the point and "0"
-# where it declines, as recorded with every sum run to its end, which the
-# early decline must not change; one line per nu in _SCAN_NUS, each
+# where it declines, as recorded with every sum run to its end, which no
+# shortcut to a decline may change; one line per nu in _SCAN_NUS, each
 # (1 - beta) x in _SCAN_CXS in turn with every x in _SCAN_XS
 _SCAN_NUS = (-0.95, -0.7, -0.45, -0.2, 0.05, 0.3, 0.55, 0.8)
 _SCAN_CXS = tuple(59.0 + k for k in range(9))
@@ -960,8 +941,8 @@ _SCAN_SERVED = (
 
 
 def test_large_x_route_serves_the_band_as_before():
-    # the early decline changes which calls run the whole expansion, not
-    # which calls the route serves
+    # every integrated sum ends when its proven tail passes or when the rate
+    # of e^(ct) t^(s-N) reaches zero; this list pins which calls that serves
     served = "".join(
         "0" if large_x.pair_log(nu, 1.0 - cx / x, x) is None else "1"
         for nu in _SCAN_NUS for cx in _SCAN_CXS for x in _SCAN_XS

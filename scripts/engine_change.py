@@ -26,23 +26,25 @@ def read(out_dir, name="engine.txt") -> list[tuple[str, str]]:
 
 
 def logs(result: str):
-    """(ln F, ln G) of a result, or None for a raise."""
-    if not result.startswith("("):
+    """The logs of a result, (ln F, ln G) or a kernel's (log,), or None for a
+    raise."""
+    try:
+        return tuple(map(float, result.strip("()").split(", ")))
+    except ValueError:
         return None
-    return tuple(map(float, result.strip("()").split(", ")))
 
 
-def tally(old, new, parse, width):
+def tally(old, new, width):
     """(points moved, [(largest |d|, its point)] per log, points that went
-    from a value to a raise or back) from ``new`` against ``old``; ``parse``
-    reads a result's ``width`` logs, or None for a raise."""
+    from a value to a raise or back) from ``new`` against ``old``, whose
+    results hold ``width`` logs each."""
     moved = kind = 0
     worst = [(0.0, None)] * width
     for (point, before), (_, after) in zip(old, new):
         if before == after:
             continue
         moved += 1
-        before, after = parse(before), parse(after)
+        before, after = logs(before), logs(after)
         if before is None or after is None:
             kind += (before is None) != (after is None)  # not a raise's new message
             continue
@@ -59,19 +61,11 @@ def at(point) -> str:
 
 def change(old, new) -> str:
     """One line on how the results ``new`` differ from ``old``."""
-    moved, ((d_f, at_f), (d_g, at_g)), kind = tally(old, new, logs, 2)
+    moved, ((d_f, at_f), (d_g, at_g)), kind = tally(old, new, 2)
     return (
         f"engine: {moved} of {len(new)} points moved; max |d ln F| {d_f:.3g}{at(at_f)}, "
         f"max |d ln G| {d_g:.3g}{at(at_g)}; {kind} between a value and a raise"
     )
-
-
-def kernel_value(result: str):
-    """(log,) of a kernel result, or None for a raise."""
-    try:
-        return (float(result),)
-    except ValueError:
-        return None
 
 
 def kernel_changes(old, new) -> list[str]:
@@ -81,7 +75,7 @@ def kernel_changes(old, new) -> list[str]:
     for name in ("L", "I"):
         rows = [i for i, (point, _) in enumerate(new) if point.startswith(name + " ")]
         moved, ((delta, point),), kind = tally(
-            [old[i] for i in rows], [new[i] for i in rows], kernel_value, 1
+            [old[i] for i in rows], [new[i] for i in rows], 1
         )
         out.append(
             f"kernel {name}: {moved} of {len(rows)} points moved; max |d ln| {delta:.3g}"

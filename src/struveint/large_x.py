@@ -4,11 +4,10 @@ large-x expansion, with a remainder bound proven at each call.
 ``pair_log`` returns (ln F, ln G), or None where the route does not apply or
 its remainder is not proven below 1e-16 of the value; ``integrals`` then runs
 its termwise engine.  ``kernel_log`` returns ln(e^-x I_mu(x)) or ln(e^-x
-L_mu(x)), or None likewise; ``specfun`` then sums the series.  Both sum the
-Hankel expansion in one loop (``_hankel_sum``) and bound it with the same
-Olver and Stokes bounds (below).  ``integrals`` and ``specfun`` import this
-module at the first call past x = 100, so ``import struveint`` does not
-compile it.
+L_mu(x)), or None likewise; ``specfun`` then sums the series.  Each sums
+the Hankel expansion in its own loop and bounds it with the same Olver and
+Stokes bounds (below).  ``integrals`` and ``specfun`` import this module at
+the first call past x = 100, so ``import struveint`` does not compile it.
 
 The kernels.  I_mu(x) = e^x / sqrt(2 pi x) (sum_{n<N} (-1)^n a_n(mu) x^-n +
 rho_N(x)), with rho_N bounded as in "The expansion" below, at t = x, and
@@ -16,8 +15,9 @@ rho_N(x)), with rho_N bounded as in "The expansion" below, at t = x, and
 below).  ``kernel_log`` returns ln(sum_{n<N} (-1)^n a_n(mu) x^-n) - ln
 sqrt(2 pi x), for I and for L alike, where the bound on rho_N and, for L,
 the one on L - I are together below 1e-16 of the sum.  It is tried for
-mu^2 <= x (and mu > -1 for L), where the sum ends by N = 20.  Against
-40-digit mpmath for x from 150 to 1e6 its log is within 1.3e-15.
+mu^2 <= x (and mu > -1 for L), where in exact arithmetic the sum ends by
+N = 20; past that it declines.  Against 40-digit mpmath for x from 150 to
+1e6 its log is within 1.3e-15.
 
 Tried for 100 < x <= 5e4, (1 - beta) x >= 60 and nu^2 <= x.  For large t,
 L_mu = I_mu + M_mu with M_mu algebraic (DLMF 11.6), and I_mu(t) = e^t /
@@ -48,9 +48,9 @@ With x0 = x - 42 / c (``_ROUTE_GAP``) the three parts are bounded thus:
   1/2) < sqrt(pi (N/2 + 1)) (Gautschi).  On t >= x0, e^(ct) t^(s-N)
   rises at rate at least c - max(N - s, 0) / x0, which must be positive,
   so the integral of U t^-N is at most U(x) x^-N over that rate.  N is
-  the first index where this part is below half of 1e-16 of the sum
-  (``_hankel_sum``).  The first term is zero where a_N(mu) is (mu =
-  1/2, 3/2, ...), and it holds there: the e^t part of I then ends.
+  the first index where this part is below half of 1e-16 of the sum.  The
+  first term is zero where a_N(mu) is (mu = 1/2, 3/2, ...), and it holds
+  there: the e^t part of I then ends.
 * L - I.  For mu > -1/2, M_mu(t) = -2 (t/2)^mu / (sqrt(pi) Gamma(mu +
   1/2)) integral_0^1 e^(-tu) (1 - u^2)^(mu - 1/2) du (DLMF 11.5.4), so
   |M_mu| <= (t/2)^(mu-1) / (sqrt(pi) Gamma(mu + 1/2)) for mu >= 1/2, and
@@ -74,7 +74,8 @@ With x0 = x - 42 / c (``_ROUTE_GAP``) the three parts are bounded thus:
   gate).  Each piece is of order e^-42 U(x) or less.
 
 The route returns None unless the three parts together are below 1e-16
-of the sum, for F and then for G; the engine then runs as before.  The
+of a finite sum, for F and then for G (b_n can overflow past x = 8,900
+near the nu^2 <= x edge); the engine then runs as before.  The
 exponent c x + s ln x reaches the thousands, so beta x is split exactly
 (Dekker's product) and ``math.fsum`` adds the parts, for one rounding of
 each log.
@@ -118,8 +119,10 @@ def _struve_excess_log(mu: float, t: float) -> float:
     if mu >= 0.5:
         return (mu - 1.0) * math.log(0.5 * t) - math.lgamma(mu + 0.5) - _LN_SQRT_PI
     if mu > -0.5:
-        return mu * math.log(0.25 * t) + math.log(
-            4.0 * math.sqrt(2.0) * _INV_GAMMA_MIN / (_SQRT_PI * t)
+        return (
+            mu * math.log(0.25 * t)
+            + math.log(4.0 * math.sqrt(2.0) * _INV_GAMMA_MIN / _SQRT_PI)
+            - math.log(t)
         )
     return math.log(
         math.exp(_struve_excess_log(mu + 2.0, t))
@@ -145,54 +148,6 @@ def _stokes_bound(mu: float, kappa: float, part: float) -> float:
     expansion, with part the e^(-2t) factor or its integral (see the module
     docstring)."""
     return abs(math.sin(math.pi * mu)) * part * (1.0 + kappa * math.exp(kappa))
-
-
-def _hankel_sum(mu: float, x: float, kappa: float, c: float = 0.0, s: float = 0.0,
-                x0: float = 0.0):
-    """The Hankel expansion of I_mu at x, summed to the first index N where
-    its remainder bound is below half of ``_ROUTE_TOL`` of the sum: (the sum,
-    that bound, sum_{n<N} |b_n| x0^-n).
-
-    With c = 0 the terms are I's own, (-1)^n a_n(mu) x^-n, the bound is 2
-    |a_N| chi(N) e^(pi kappa / 2) x^-N with kappa = |mu^2 - 1/4| / x, and
-    the third entry is 1 (``kernel_log``).  With c = 1 - beta > 0 they are
-    b_n x^-n and the bound is the expansion part of the module docstring,
-    with kappa = |mu^2 - 1/4| / x0 (``pair_log``); the result is None where
-    the rate of e^(ct) t^(s-N) on [x0, x] reaches zero first.
-    """
-    h = 4.0 * mu * mu
-    stokes = 2.0 * _SQRT_PI * math.exp(0.5 * math.pi * kappa)
-    lim = 0.5 * _ROUTE_TOL
-    cx0 = c * x0
-    # a is (-1)^n a_n(mu) and b is b_n (a_n itself where c = 0)
-    a = 1.0
-    b = total = abs_b = 1.0 / c if c else 1.0
-    x_pow = x0_pow = 1.0
-    n = 0
-    while True:
-        n += 1
-        k = 2 * n - 1
-        a *= (k * k - h) / (8 * n)
-        x_pow /= x
-        if not c:
-            tail = abs(a) * math.sqrt(0.5 * n + 1.0) * stokes * x_pow
-            if tail <= lim * total:
-                return total, tail, abs_b
-            total += a * x_pow
-            continue
-        rise = cx0 - n + s  # x0 times the least rate of e^(ct) t^(s-n)
-        if rise <= 0.0:
-            return None
-        if rise > cx0:
-            rise = cx0
-        bm = (s - n + 1.0) * b
-        tail = (abs(a) * math.sqrt(0.5 * n + 1.0) * stokes + abs(bm)) * x_pow * x0 / rise
-        if tail <= lim * total:
-            return total, tail, abs_b
-        b = (a - bm) / c
-        x0_pow /= x0
-        total += b * x_pow
-        abs_b += abs(b) * x0_pow
 
 
 def pair_log(nu: float, beta: float, x: float):
@@ -225,13 +180,37 @@ def pair_log(nu: float, beta: float, x: float):
     x_hi = t - (t - x)
     b_lo, x_lo = beta - b_hi, x - x_hi
     err = ((b_hi * x_hi - p) + b_hi * x_lo + b_lo * x_hi) + b_lo * x_lo
+    lim = 0.5 * _ROUTE_TOL
+    cx0 = c * x0
     logs = []
     for mu in (nu, nu + 1.0):
         kappa = abs(mu * mu - 0.25) / x0
-        found = _hankel_sum(mu, x, kappa, c, s, x0)
-        if found is None:
-            return None
-        total, tail, abs_b = found
+        h = 4.0 * mu * mu
+        stokes = 2.0 * _SQRT_PI * math.exp(0.5 * math.pi * kappa)
+        # the expansion, summed to the first index N where its bound is below
+        # half of _ROUTE_TOL of the sum; a is (-1)^n a_n(mu) and b is b_n
+        a = 1.0
+        b = total = abs_b = 1.0 / c  # abs_b is sum_{n<N} |b_n| x0^-n
+        x_pow = x0_pow = 1.0
+        n = 0
+        while True:
+            n += 1
+            k = 2 * n - 1
+            a *= (k * k - h) / (8 * n)
+            x_pow /= x
+            rise = cx0 - n + s  # x0 times the least rate of e^(ct) t^(s-n)
+            if rise <= 0.0:
+                return None
+            if rise > cx0:
+                rise = cx0
+            bm = (s - n + 1.0) * b
+            tail = (abs(a) * math.sqrt(0.5 * n + 1.0) * stokes + abs(bm)) * x_pow * x0 / rise
+            if tail <= lim * total:
+                break
+            b = (a - bm) / c
+            x0_pow /= x0
+            total += b * x_pow
+            abs_b += abs(b) * x0_pow
         excess = max(
             nu * log_x0 + _struve_excess_log(mu, x0), nu * log_x + _struve_excess_log(mu, x)
         )
@@ -242,7 +221,7 @@ def pair_log(nu: float, beta: float, x: float):
             + far * abs_b  # the constant: |A_N(x0)|
             + _struve_growth_bound(mu) * (tiny / (nu + mu + 2.0) + head_part)  # F(x0)
         )
-        if not bound <= _ROUTE_TOL * total:
+        if not bound <= _ROUTE_TOL * total < math.inf:  # b_n may overflow
             return None
         logs.append(math.fsum((x, -p, -err, s * log_x - _LN_SQRT_2PI + math.log(total))))
     return logs[0], logs[1]
@@ -254,19 +233,35 @@ def kernel_log(mu: float, x: float, struve: bool = False):
     the remainder is not proven below 1e-16 of the value.
 
     The remainder is the expansion's first neglected term, bounded as in
-    ``_hankel_sum``, and I's e^(-2x) part (``_stokes_bound``); for L it also
-    holds the bound on |L - I| (``_struve_excess_log``), in the same units,
-    since L = I + (L - I) and only I is summed.  Past x = 100 with mu^2 <=
+    the module docstring at t = x, and I's e^(-2x) part (``_stokes_bound``);
+    for L it also holds the bound on |L - I| (``_struve_excess_log``), in
+    the same units, since L = I + (L - I) and only I is summed.  Past x = 100 with mu^2 <=
     x each factor |(2n-1)^2 - 4 mu^2| / (8 n x) of the terms is at most
     max(1 / (2n), n / 200), so by N = 20 the first part is below 1e-19
-    while the sum is above 0.35: the sum ends there at the latest.  The
+    while the sum is above 0.35: in exact arithmetic the sum ends there at
+    the latest.  In floating point a_n(mu) can overflow first (from about x
+    = 1e20 with mu^2 near x), so past N = 20 the route declines and the
+    series raises.  The
     e^(-2x) part is below e^-190 of the value, and the L - I part below
     e^-76 (at mu = 10, x = 100).
     """
     if not (mu * mu <= x and (mu > -1.0 or not struve)):
         return None
     kappa = abs(mu * mu - 0.25) / x
-    total, tail, _ = _hankel_sum(mu, x, kappa)
+    h = 4.0 * mu * mu
+    stokes = 2.0 * _SQRT_PI * math.exp(0.5 * math.pi * kappa)
+    a = 1.0  # (-1)^n a_n(mu)
+    total = x_pow = 1.0
+    for n in range(1, 21):
+        k = 2 * n - 1
+        a *= (k * k - h) / (8 * n)
+        x_pow /= x
+        tail = abs(a) * math.sqrt(0.5 * n + 1.0) * stokes * x_pow
+        if tail <= 0.5 * _ROUTE_TOL * total:
+            break
+        total += a * x_pow
+    else:
+        return None
     log_front = _LN_SQRT_2PI + 0.5 * math.log(x)  # ln sqrt(2 pi x)
     bound = tail + _stokes_bound(mu, kappa, math.exp(-2.0 * x))
     if struve:

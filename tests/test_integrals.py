@@ -846,6 +846,9 @@ def test_large_x_route_starts_past_the_default_grid(cold_runs):
     (30.0, 0.5, 150.0),  # nu^2 > x
     (300.0, 0.5, 150.0),
     (2.0, 0.5, 5.0001e4),  # x past 5e4, nearer the engine's term cap
+    # nu^2 near x past x = 8,900: b_n overflows, so the sum is not finite
+    (99.999999999, 1.0 - 61.0 / 1e4, 1e4),
+    (98.99, 1.0 - 80.0 / 2e4, 2e4),
 ])
 def test_large_x_route_declines_to_the_engine_bits(cold_runs, nu, beta, x):
     assert large_x.pair_log(nu, beta, x) is None

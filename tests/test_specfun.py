@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from struveint.integrals import (
     F,
     G,
     IntegralSpec,
+    fg_log,
     integral_beta0,
     integral_beta1,
     integral_series,
@@ -523,12 +525,73 @@ def test_recurrence_identity_property(nu, x):
 
 def test_series_cap_is_hard_error():
     # far beyond any supported argument the series' term cap must trip, not
-    # hang: where the large-x expansion declines (nu <= -1 for L, nu^2 > x),
-    # the series runs and raises; where it serves, there is a value
+    # hang: where the large-x expansion declines (nu <= -1 for L, nu^2 > x,
+    # or no index up to 20 passes, as where a_n(nu) overflows), the series
+    # runs and raises; where it serves, there is a value
     for nu in (-1.2, 1001.0):
         with pytest.raises(ConvergenceError):
             struve_l_scaled(nu, 1e6)
     assert math.isfinite(struve_l_scaled(0.0, 1e6).log_abs())
+    for nu, x in ((1e10, 1e20), (1e12, 1e24)):
+        with pytest.raises(ConvergenceError):
+            specfun.struve_l_scaled_log(nu, x)
+        with pytest.raises(ConvergenceError):
+            specfun.bessel_i_scaled_log(nu, x)
+
+
+class _Late(Exception):
+    """Raised by the interval timer of ``test_extreme_arguments_end_promptly``."""
+
+
+def _late(signum, frame):
+    raise _Late
+
+
+_EXTREMES = (0.0, 5e-324, 1e20, 1e24, 1e100, 1e150, 1e200, 1e300, 1.7e308, math.inf, math.nan)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="no interval timer")
+def test_extreme_arguments_end_promptly():
+    # every kernel and integral entry, at nu and x anywhere in the double
+    # range and beyond, returns a log that is neither nan nor +inf or raises
+    # a typed error, within a second
+    calls = []
+    for nu in _EXTREMES:
+        for x in _EXTREMES:
+            for fn in (
+                specfun.struve_l_scaled_log,
+                specfun.bessel_i_scaled_log,
+                specfun.bessel_k_scaled_log,
+            ):
+                calls.append((fn, (nu, x)))
+            for beta in (0.0, 0.5, 1.0):
+                calls.extend((fn, (nu, beta, x)) for fn in (F, G, fg_log))
+    faults = []
+    before = signal.signal(signal.SIGALRM, _late)
+    try:
+        for fn, args in calls:
+            signal.setitimer(signal.ITIMER_REAL, 1.0)
+            try:
+                out = fn(*args)
+            except (DomainError, ConvergenceError, OverflowError):
+                continue
+            except _Late:
+                faults.append((fn.__name__, args, "over 1 s"))
+                continue
+            except Exception as exc:  # any other error is untyped
+                faults.append((fn.__name__, args, repr(exc)))
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+            if fn is F or fn is G:
+                logs = (out.log_abs(),)
+            else:
+                logs = out if fn is fg_log else (out,)
+            if any(math.isnan(log) or log == math.inf for log in logs):
+                faults.append((fn.__name__, args, out))
+    finally:
+        signal.signal(signal.SIGALRM, before)
+    assert faults == []
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +669,7 @@ def test_large_x_kernels_serve_every_form():
     # the scaled, unscaled and ScaledReal forms read the same expansion
     from struveint import large_x
 
-    for nu, x in ((0.0, 150.0), (2.5, 600.0), (-0.9, 1e4)):
+    for nu, x in ((0.0, 150.0), (2.5, 600.0), (-0.9, 1e4), (0.0, 1.7e308), (-0.999, 1.7e308)):
         log_l, log_i = large_x.kernel_log(nu, x, True), large_x.kernel_log(nu, x, False)
         assert log_l == log_i  # L - I is below 1e-16 of either
         assert struve_l_scaled(nu, x) == specfun.ScaledReal.from_log(log_l)

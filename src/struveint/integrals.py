@@ -2,7 +2,7 @@ r"""Evaluation of F(nu, beta, x) = integral_0^x exp(-beta t) t^nu L_nu(t) dt
 and its companion G with integrand t^nu L_{nu+1}(t).
 
 ``F`` and ``G`` evaluate both integrals for every nu > -1 and 0 <= beta <= 1
-with one engine (past x = 100 two O(1) routes come first; see below),
+with one engine (past x = 100 other routes come first; see below),
 ``_termwise_pair_log``: the Struve series integrated term by term, each term
 in the Kummer form of the incomplete gamma function (DLMF 8.7.1),
 
@@ -22,7 +22,7 @@ check.  All terms are positive, beta = 0 and beta = 1 included, and the cost
 is O(x) per call: the coefficients peak near k = x/2 and about 0.7 x of them
 are kept, each made once going up and summed once coming down.
 
-Past x = 100 two routes come ahead of the engine, each in O(1):
+Past x = 100 three routes come ahead of the engine:
 
 * for (1 - beta) x >= 60 and nu^2 <= x, ``large_x.pair_log`` integrates
   the Hankel expansion of I_nu term by term: F = e^{(1-beta) x}
@@ -40,8 +40,13 @@ Past x = 100 two routes come ahead of the engine, each in O(1):
   each proven within 1e-16.  It returns only where both kernels are proven
   and kappa = first / (first - second), the factor by which the difference
   magnifies its terms' relative errors, is at most 4 (``_BETA1_KAPPA_MAX``);
-  at x in (100, 1e4] its ln F is within 3e-14 of a 40-digit reference.  G
-  has no such form and keeps the engine.
+  at x in (100, 1e4] its ln F is within 3e-14 of a 40-digit reference;
+* at beta = 1, G, and F where its closed form declines, are the engine's
+  value at x1 = max(48, (nu + 1)^2 / 3) < x plus the Hankel expansion of
+  the integrand integrated exactly from x1 to x (``large_x.beta1_log``),
+  with the remainder proven below 1e-16 of that sum per call.  One engine
+  pass at x1 gives both F(x1) and G(x1), so a call costs O(x1) and a sum of
+  at most about 25 terms, where the engine at x costs O(x).
 
 Where a route declines, the engine runs, with the bits it had without the
 routes.  ``fg_log`` hands both logs to callers that need the pair, and
@@ -564,10 +569,13 @@ def integral_beta0(nu: float, x: float) -> ScaledReal:
 
 def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False):
     """(ln F, ln G) with F/G argument checks; -inf for both at x = 0.  Past
-    x = 100 the large-x route is tried first, then at beta = 1 F's closed
-    form, for every caller but G; where it serves, F (``name`` "F") takes
-    its ln F and None for ln G, and fg_log its ln F beside the engine's ln
-    G.  Only a cached call reads or builds the engine's run at (nu, x)."""
+    x = 100 the large-x route is tried first.  Then at beta = 1 each half
+    ``name`` asks for ("F", "G" or "F and G") is taken on its own: ln F
+    from F's closed form where it serves, else each half from the engine
+    at x1 plus the expansion beyond it (``large_x.beta1_log``), else from
+    the engine at x; a half no one asked for may be None.  So ``fg_log``'s
+    halves are F's and G's bit for bit.  Only a cached call reads or builds
+    the engine's runs, at (nu, x1) and (nu, x)."""
     if not -1.0 < nu <= _NU_MAX:
         raise DomainError(f"{name} requires -1 < nu <= {_NU_MAX:g}, got {nu}")
     if not 0.0 <= beta <= 1.0:
@@ -586,26 +594,36 @@ def _integral_pair_log(name: str, nu: float, beta: float, x: float, cached=False
         logs = large_x.pair_log(nu, beta, x)
         if logs is not None:
             return logs
-        if beta == 1.0 and nu > -0.5 and name != "G":
-            log_f = _beta1_log(nu, x)
-            if log_f is not None:
-                if name == "F":
-                    return log_f, None
-                # fg_log, the one other caller here, reads the cached run
-                return log_f, _termwise_pair_log(nu, beta, x, _run(nu, x))[1]
+        if beta == 1.0:
+            # each half asked for on its own: F from its closed form where
+            # that serves; G, and F where it does not, from the engine at x1
+            # plus the expansion beyond it; what is left from the engine at x
+            wants = [i for i, other in ((0, "G"), (1, "F")) if name != other]
+            logs = [_beta1_log(nu, x) if 0 in wants and nu > -0.5 else None, None]
+            todo = [i for i in wants if logs[i] is None]
+            x1 = large_x.beta1_x1(nu)
+            if todo and x1 < x:
+                head = _termwise_pair_log(nu, beta, x1, _run(nu, x1) if cached else None)
+                for i in todo:
+                    logs[i] = large_x.beta1_log(nu + i, nu, x, x1, head[i])
+            if any(logs[i] is None for i in wants):
+                engine = _termwise_pair_log(nu, beta, x, _run(nu, x) if cached else None)
+                logs = [engine[i] if log is None else log for i, log in enumerate(logs)]
+            return tuple(logs)
     return _termwise_pair_log(nu, beta, x, _run(nu, x) if cached else None)
 
 
 def fg_log(nu: float, beta: float, x: float) -> tuple[float, float]:
     """(ln F, ln G) at one point from one engine pass, or from the large-x
-    route past its gate, with ln F from the closed form where F takes it;
-    -inf at x = 0.
+    route past its gate, or at beta = 1 past x = 100 as F and G take them
+    (see ``_integral_pair_log``); -inf at x = 0.
 
     Takes the arguments of ``F`` and ``G``; for callers that need both, or
     that ask at several beta for one (nu, x).  The beta-free half of the
     engine's pass, its run, is kept as tuples for the last ``_RUNS`` (nu, x),
     so the later beta skip it; no pass writes a cached run, and the large-x
-    route builds none.  The values are bit for bit those of ``F`` and ``G``
+    route builds none; at beta = 1 past x = 100 the run at (nu, x1) is
+    read.  The values are bit for bit those of ``F`` and ``G``
     (see ``_termwise_pair_log`` and ``large_x``).  A log's absolute error is
     at least ulp(|log|): at beta = 1/2, x = 1, ln F is off by 1.35e-9 at
     nu = 1e6, 2.0e-8 at 1e7 and 2.1e-6 at 1e9 against a 40-digit termwise
@@ -620,8 +638,9 @@ def F(nu: float, beta: float, x: float) -> ScaledReal:
     and (1 - beta) x = 60 from its large-x expansion where the remainder is
     proven below 1e-16 (``large_x``), past x = 100 at beta = 1 from its
     closed form where both kernels are proven and the terms do not cancel
-    (``_beta1_log``), else by termwise integration in Kummer form
-    (``_termwise_pair_log``).
+    (``_beta1_log``), or else from the engine at x1 < x plus the expansion
+    beyond it where its remainder is proven (``large_x.beta1_log``), else by
+    termwise integration in Kummer form (``_termwise_pair_log``).
     """
     return ScaledReal.from_log(_integral_pair_log("F", nu, beta, x)[0])
 
@@ -633,5 +652,8 @@ integral_series = F
 
 def G(nu: float, beta: float, x: float) -> ScaledReal:
     """G(nu, beta, x) = integral_0^x e^{-beta t} t^nu L_{nu+1}(t) dt, the
-    second half of the same large-x route or engine pass as F."""
+    second half of the same large-x route or engine pass as F; at beta = 1
+    past x = 100, from the engine at x1 < x plus the expansion beyond it
+    where its remainder is proven (``large_x.beta1_log``), as F without its
+    closed form."""
     return ScaledReal.from_log(_integral_pair_log("G", nu, beta, x)[1])

@@ -954,7 +954,8 @@ def test_large_x_route_serves_the_band_as_before():
 
 
 # ---------------------------------------------------------------------------
-# F at beta = 1 past x = 100 from its closed form
+# F at beta = 1 past x = 100 from its closed form, and G (and F where that
+# declines) from the engine at x1 plus the expansion integrated beyond it
 # ---------------------------------------------------------------------------
 
 
@@ -972,11 +973,32 @@ def _beta1_reference(nu, x):
         return mp.log((first - second) / (2 * nu + 1))
 
 
+def _split_log(nu, x, half):
+    """The split's ln F (half 0) or ln G (half 1) at beta = 1: the engine at
+    x1 plus the expansion from x1 to x; None where it declines."""
+    x1 = large_x.beta1_x1(nu)
+    if not x1 < x:
+        return None
+    head = integrals._termwise_pair_log(nu, 1.0, x1)[half]
+    return large_x.beta1_log(nu + half, nu, x, x1, head)
+
+
+def _beta1_want(nu, x):
+    """(ln F, ln G) at beta = 1 past x = 100 as F and G take them: F's
+    closed form, else the split, else the engine, half by half."""
+    engine = integrals._termwise_pair_log(nu, 1.0, x)
+    closed = integrals._beta1_log(nu, x) if nu > -0.5 else None
+    f = closed if closed is not None else _split_log(nu, x, 0)
+    g = _split_log(nu, x, 1)
+    return (engine[0] if f is None else f, engine[1] if g is None else g)
+
+
 def test_beta1_route_against_mpmath():
     # 200 seeded points with nu in (-1/2, 30] and x log-uniform on (100, 1e4]:
     # where the route serves, F is within 2e-13 of the 40-digit closed form,
     # and no worse than the engine beyond four ulp of ln F, the spacing both
-    # round to; where it declines, F is the engine's, bit for bit
+    # round to; where it declines, F is the split's where that serves, else
+    # the engine's, bit for bit
     mp = pytest.importorskip("mpmath")
     rng = random.Random(33)
     served = 0
@@ -986,7 +1008,7 @@ def test_beta1_route_against_mpmath():
         want = integrals._termwise_pair_log(nu, 1.0, x)[0]
         got = F(nu, 1.0, x).log_abs()
         if integrals._beta1_log(nu, x) is None:
-            assert got == ScaledReal.from_log(want).log_abs(), (nu, x)
+            assert got == ScaledReal.from_log(_beta1_want(nu, x)[0]).log_abs(), (nu, x)
             continue
         served += 1
         ref = _beta1_reference(nu, x)
@@ -1005,6 +1027,9 @@ def test_beta1_route_against_mpmath():
     (30.0, 150.0, "(nu + 1)^2 > x"),
 ])
 def test_beta1_route_declines_to_the_engine_bits(cold_runs, nu, x, why):
+    # where F's closed form declines, F takes the split (nu = -1/2 is its
+    # p = 0 case, nu = -0.9 its bound on L - I below -1/2) as G does; at
+    # (30, 150) x1 = 320 is past x, so both keep the engine's bits
     if why == "kappa above the cap":
         # both kernels are proven; the terms cancel by more than a factor 4
         assert large_x.kernel_log(nu, x, True) is not None
@@ -1015,26 +1040,133 @@ def test_beta1_route_declines_to_the_engine_bits(cold_runs, nu, x, why):
         assert math.exp(second - first) > 0.75  # 1 - 1 / kappa
     if nu > -0.5:
         assert integrals._beta1_log(nu, x) is None
-    want = integrals._termwise_pair_log(nu, 1.0, x)
+    engine = integrals._termwise_pair_log(nu, 1.0, x)
+    want = _beta1_want(nu, x)
+    splits = (_split_log(nu, x, 0), _split_log(nu, x, 1))
+    assert splits == ((None, None) if nu == 30.0 else want)
+    assert integrals.fg_log(nu, 1.0, x) == want
+    assert F(nu, 1.0, x) == ScaledReal.from_log(want[0])
+    assert G(nu, 1.0, x) == ScaledReal.from_log(want[1])
+    for got, eng in zip(want, engine):
+        assert abs(got - eng) <= 3e-13  # the engine's error, of order ulp(x)
+
+
+def test_beta1_route_serves_f_and_fg_log_alike_and_g_takes_the_split(cold_runs):
+    # F and fg_log's ln F take the closed form, bit for bit alike; G has no
+    # closed form at beta = 1 and takes the split, from G's call or fg_log's,
+    # which reads the cached run at x1; at x = 100 F and G keep the engine
+    for nu, x in ((0.0, 150.0), (2.5, 1000.0), (-0.4, 300.0), (9.0, 2000.0)):
+        log_f = integrals._beta1_log(nu, x)
+        log_g = _split_log(nu, x, 1)
+        assert log_f is not None and log_g is not None
+        want = integrals._termwise_pair_log(nu, 1.0, x)
+        assert integrals.fg_log(nu, 1.0, x) == (log_f, log_g)
+        assert F(nu, 1.0, x) == ScaledReal.from_log(log_f)
+        assert G(nu, 1.0, x) == ScaledReal.from_log(log_g)
+        assert abs(log_f - want[0]) <= 1e-13 * abs(want[0])
+        assert abs(log_g - want[1]) <= 1e-13 * abs(want[1])
+    assert integrals._run.cache_info().currsize == 4  # the runs at x1 = 48
+    want = integrals._termwise_pair_log(2.0, 1.0, 100.0)
+    assert F(2.0, 1.0, 100.0) == ScaledReal.from_log(want[0])
+    assert G(2.0, 1.0, 100.0) == ScaledReal.from_log(want[1])
+
+
+def test_beta1_split_serves_g_past_the_engine_term_cap(cold_runs):
+    # past x = 1e5 the engine's pass would exceed its term cap, and G raised
+    # ConvergenceError while F had its closed form; the split serves G, and
+    # its own F half agrees with the closed form; at x = 1e300 each power is
+    # taken in units of the sum's largest term, so none overflows
+    for nu, x, log_g in (
+        (0.0, 1e5, 5.525616108420395),
+        (5.0, 1e6, 73.36159959613654),
+        (-0.9, 1e5, 0.20919283607164832),
+        (10.0, 1e300, 7249.872729140876),
+    ):
+        with pytest.raises(ConvergenceError, match="term cap"):
+            integrals._termwise_pair_log(nu, 1.0, x)
+        got = G(nu, 1.0, x).log_abs()
+        assert abs(got - log_g) <= 4.0 * math.ulp(log_g), (nu, x, got)
+        assert integrals.fg_log(nu, 1.0, x)[1] == _split_log(nu, x, 1)
+        if nu > -0.5:
+            closed = integrals._beta1_log(nu, x)
+            assert abs(_split_log(nu, x, 0) - closed) <= 4.0 * math.ulp(closed), (nu, x)
+
+
+def test_beta1_split_f_half_matches_the_closed_form():
+    # no mpmath: on 300 seeded points with nu in (-0.46, 12] and x
+    # log-uniform on (100, 1e6], where F's closed form serves, the split's F
+    # half agrees with it within 4 ulp of ln F, plus ulp(x1): the engine's
+    # log at x1 carries an error of order ulp(x1), not ulp(ln F(x1))
+    # (ROADMAP item 13 stage (a)), 7 ulp of ln F = 1.85 at (-0.215, 356.4)
+    rng = random.Random(36)
+    compared = 0
+    for _ in range(300):
+        nu = 12.0 - 12.46 * rng.random()
+        x = math.exp(rng.uniform(math.log(100.0), math.log(1e6)))
+        closed = integrals._beta1_log(nu, x)
+        if closed is None:
+            continue
+        compared += 1
+        got = _split_log(nu, x, 0)
+        tol = 4.0 * math.ulp(closed) + math.ulp(large_x.beta1_x1(nu))
+        assert abs(got - closed) <= tol, (nu, x, got, closed)
+    assert compared >= 250
+
+
+def test_beta1_split_matches_the_engine():
+    # no mpmath: on 200 seeded points with nu in (-1, 12] and x log-uniform
+    # on (100, 2000], and at nu = 1.5, where the n = 2 term integrates
+    # t^-1 to ln(x / x1), both halves of the split serve and agree with the
+    # engine within 3e-13, the engine's own error of order ulp(x)
+    rng = random.Random(37)
+    points = [(1.5, 300.0)] + [
+        (12.0 - 13.0 * rng.random(), math.exp(rng.uniform(math.log(100.0), math.log(2000.0))))
+        for _ in range(200)
+    ]
+    for nu, x in points:
+        for half, want in enumerate(integrals._termwise_pair_log(nu, 1.0, x)):
+            got = _split_log(nu, x, half)
+            assert got is not None and abs(got - want) <= 3e-13, (nu, x, half, got, want)
+
+
+@pytest.mark.parametrize("nu, x, patch", [
+    (10.0, 101.0, None),  # L - I's bound near x1 = 48 is above 1e-16 of the sum
+    (2.0, 300.0, ("_BETA1_X1_MIN", 20.0)),  # the same with x1 = 20
+    (2.0, 300.0, ("_BETA1_TERMS", 3)),  # no index below 3 passes
+])
+def test_beta1_split_declines_to_the_engine_bits(cold_runs, monkeypatch, nu, x, patch):
+    # the split declines where its remainder is not proven, and G (and F
+    # where its closed form declines too) keeps the engine's bits
+    assert _split_log(nu, x, 1) is not None or patch is None
+    if patch is not None:
+        monkeypatch.setattr(large_x, *patch)
+    assert _split_log(nu, x, 1) is None
+    want = _beta1_want(nu, x)
+    assert want[1] == integrals._termwise_pair_log(nu, 1.0, x)[1]
     assert integrals.fg_log(nu, 1.0, x) == want
     assert F(nu, 1.0, x) == ScaledReal.from_log(want[0])
     assert G(nu, 1.0, x) == ScaledReal.from_log(want[1])
 
 
-def test_beta1_route_serves_f_and_fg_log_alike_and_g_keeps_the_engine(cold_runs):
-    # F and fg_log's ln F take the closed form, bit for bit alike; G has no
-    # closed form at beta = 1 and reads the engine's bits, from F's call or
-    # fg_log's; at x = 100 F keeps the engine
-    for nu, x in ((0.0, 150.0), (2.5, 1000.0), (-0.4, 300.0), (9.0, 2000.0)):
-        log_f = integrals._beta1_log(nu, x)
-        assert log_f is not None
-        want = integrals._termwise_pair_log(nu, 1.0, x)
-        assert integrals.fg_log(nu, 1.0, x) == (log_f, want[1])
-        assert F(nu, 1.0, x) == ScaledReal.from_log(log_f)
-        assert G(nu, 1.0, x) == ScaledReal.from_log(want[1])
-        assert abs(log_f - want[0]) <= 1e-13 * abs(want[0])
-    want = integrals._termwise_pair_log(2.0, 1.0, 100.0)
-    assert F(2.0, 1.0, 100.0) == ScaledReal.from_log(want[0])
+def test_beta1_split_against_mpmath():
+    # 100 seeded points with nu in (-1, 12] and x log-uniform on (100, 2000],
+    # F and G in turn: the split serves each and is within 2e-14 of the
+    # 40-digit termwise reference, and no worse than the engine beyond four
+    # ulp of the log
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(38)
+    for k in range(100):
+        nu = 12.0 - 13.0 * rng.random()
+        x = math.exp(rng.uniform(math.log(100.0), math.log(2000.0)))
+        half = k % 2
+        got = _split_log(nu, x, half)
+        assert got is not None, (nu, x, half)
+        ref = termwise_log_reference("FG"[half], nu, 1.0, x, dps=40)
+        err = abs(float(mp.expm1(mp.mpf(got) - ref)))
+        want = integrals._termwise_pair_log(nu, 1.0, x)[half]
+        engine_err = abs(float(mp.expm1(mp.mpf(want) - ref)))
+        assert err <= 2e-14, (nu, x, half, err)
+        assert err <= max(engine_err, 4.0 * math.ulp(got)), (nu, x, half, err, engine_err)
 
 
 def test_beta1_oracle_shares_the_route_terms():
